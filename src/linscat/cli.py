@@ -496,8 +496,6 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--precision", type=int, default=40,
                         help="working decimal digits (default 40)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers (reserved; merge is deterministic)")
     parser.add_argument("--out", default=None, help="report output directory")
     args = parser.parse_args(argv)
     try:

@@ -221,8 +221,8 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
 
     Either an explicit point list or a height bound must be given.  For
     the schmidt system with all-archimedean S on P^1/P^2 and no explicit
-    points, enumeration and a float prefilter stream through the compiled
-    kernels; candidates are then re-evaluated exactly.
+    points, the float prefilter in linscat.kernels scans only the windows
+    around the forms' roots; its candidates are then re-evaluated exactly.
     """
     band = 10.0 ** (-(max(precision, 17) - 10))
     dps1, dps2 = max(30, precision + 10), max(50, precision + 25)

@@ -6,6 +6,7 @@ part outside S is 1, leaving only the max|x_i| factor when the infinite
 place is not in S.  Everything is evaluated in log space.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -139,42 +140,51 @@ def _log_form_abs(field, place, val, precision):
     return math.log(mag) if precision <= 17 else mpmath.log(mag)
 
 
+def _working_precision(precision):
+    """The high-precision path's context: mpmath at precision + 10 digits
+    (never lowered), restored on exit.  The float path leaves mpmath alone."""
+    if precision <= 17:
+        return contextlib.nullcontext()
+    return mpmath.workdps(max(mpmath.mp.dps, precision + 10))
+
+
 def log_twisted_height(spec, x, precision=17):
     """log H_Q(x), evaluated in log space at the working precision."""
     field = spec.field
     places = spec.places()
-    if precision <= 17:
-        logQ = math.log(spec.Q)
-        total = 0.0
-    else:
-        mpmath.mp.dps = max(mpmath.mp.dps, precision + 10)
-        logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
-        total = mpmath.mpf(0)
-    for v in spec.S:
-        w = places[v]
-        best = None
-        for form, c in zip(spec.forms[v], spec.weights[v]):
-            val = form.evaluate(x)
-            if not val:
-                continue
-            term = _log_form_abs(field, w, val, precision) - float(c) * logQ
-            if best is None or term > best:
-                best = term
-        if best is None:
-            raise AllFormsVanish(
-                "every form at place %r vanishes at %r" % (v, x)
-            )
-        total = total + best
-    if INF not in spec.S:
-        mx = max(abs(c) for c in x.coords)
-        total = total + (math.log(mx) if precision <= 17 else mpmath.log(mx))
-    return total
+    with _working_precision(precision):
+        if precision <= 17:
+            logQ = math.log(spec.Q)
+            total = 0.0
+        else:
+            logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
+            total = mpmath.mpf(0)
+        for v in spec.S:
+            w = places[v]
+            best = None
+            for form, c in zip(spec.forms[v], spec.weights[v]):
+                val = form.evaluate(x)
+                if not val:
+                    continue
+                term = _log_form_abs(field, w, val, precision) - float(c) * logQ
+                if best is None or term > best:
+                    best = term
+            if best is None:
+                raise AllFormsVanish(
+                    "every form at place %r vanishes at %r" % (v, x)
+                )
+            total = total + best
+        if INF not in spec.S:
+            mx = max(abs(c) for c in x.coords)
+            total = total + (math.log(mx) if precision <= 17 else mpmath.log(mx))
+        return total
 
 
 def twisted_height(spec, x, precision=17):
     """H_Q(x) as a positive real."""
-    lg = log_twisted_height(spec, x, precision)
-    return math.exp(lg) if precision <= 17 else mpmath.exp(lg)
+    with _working_precision(precision):
+        lg = log_twisted_height(spec, x, precision)
+        return math.exp(lg) if precision <= 17 else mpmath.exp(lg)
 
 
 def _weil_value(spec, place, form, x, precision):
@@ -197,27 +207,27 @@ def log_twisted_report(spec, x, precision=17):
     -log H_Q = lhs - h is returned as a residual for cross-checking.
     """
     places = spec.places()
-    if precision <= 17:
-        logQ = math.log(spec.Q)
-    else:
-        mpmath.mp.dps = max(mpmath.mp.dps, precision + 10)
-        logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
-    per_place = {}
-    lhs = 0.0 if precision <= 17 else mpmath.mpf(0)
-    for v in spec.S:
-        w = places[v]
-        vals = []
-        for form, c in zip(spec.forms[v], spec.weights[v]):
-            lam = _weil_value(spec, w, form, x, precision)
-            vals.append(lam + float(c) * logQ)
-        m = min(vals)
-        per_place[v] = m
-        lhs = lhs + m
-    h = log_height(x, precision)
-    rhs = h + float(spec.epsilon) * logQ if precision <= 17 else \
-        h + mpmath.mpf(spec.epsilon.numerator) / spec.epsilon.denominator * logQ
-    neg_log_hq = -log_twisted_height(spec, x, precision)
-    residual = abs(neg_log_hq - (lhs - h))
+    with _working_precision(precision):
+        if precision <= 17:
+            logQ = math.log(spec.Q)
+        else:
+            logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
+        per_place = {}
+        lhs = 0.0 if precision <= 17 else mpmath.mpf(0)
+        for v in spec.S:
+            w = places[v]
+            vals = []
+            for form, c in zip(spec.forms[v], spec.weights[v]):
+                lam = _weil_value(spec, w, form, x, precision)
+                vals.append(lam + float(c) * logQ)
+            m = min(vals)
+            per_place[v] = m
+            lhs = lhs + m
+        h = log_height(x, precision)
+        rhs = h + float(spec.epsilon) * logQ if precision <= 17 else \
+            h + mpmath.mpf(spec.epsilon.numerator) / spec.epsilon.denominator * logQ
+        neg_log_hq = -log_twisted_height(spec, x, precision)
+        residual = abs(neg_log_hq - (lhs - h))
     return {
         "per_place": per_place,
         "lhs": lhs,
@@ -243,20 +253,21 @@ def q_sweep(spec_template, Q_grid, points, precision=17, indeterminate_tol=None)
     out = []
     for q in grid:
         spec = spec_template.with_Q(q)
-        if precision <= 17:
-            logQ = math.log(q)
-        else:
-            logQ = mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
-        sols, indet = [], []
-        for x in sorted(set(points)):
-            try:
-                margin = log_twisted_height(spec, x, precision) \
-                    + float(spec.epsilon) * logQ
-            except AllFormsVanish:
-                continue
-            if abs(margin) <= indeterminate_tol:
-                indet.append(x)
-            elif margin < 0:
-                sols.append(x)
+        with _working_precision(precision):
+            if precision <= 17:
+                logQ = math.log(q)
+            else:
+                logQ = mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+            sols, indet = [], []
+            for x in sorted(set(points)):
+                try:
+                    margin = log_twisted_height(spec, x, precision) \
+                        + float(spec.epsilon) * logQ
+                except AllFormsVanish:
+                    continue
+                if abs(margin) <= indeterminate_tol:
+                    indet.append(x)
+                elif margin < 0:
+                    sols.append(x)
         out.append({"Q": q, "solutions": sols, "indeterminate": indet})
     return out

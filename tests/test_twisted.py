@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from linscat import errors, nf_create
@@ -10,6 +11,7 @@ from linscat.heights import LinearForm, ProjectivePoint
 from linscat.places import INF
 from linscat.twisted import (
     TwistedHeightSpec,
+    log_twisted_height,
     log_twisted_report,
     q_sweep,
     twisted_height,
@@ -153,3 +155,21 @@ def test_all_forms_vanish_unreachable_for_independent():
         {INF: [Fraction(1, 2), Fraction(-1, 2)]}, epsilon="1/10", Q=2)
     for coords in [(1, 1), (1, -1), (3, 4)]:
         twisted_height(spec, ProjectivePoint(coords))
+
+
+def test_high_precision_leaves_mpmath_dps_alone():
+    K = nf_create([-2, 0, 1])
+    spec = TwistedHeightSpec(
+        K, [INF], {INF: coord_forms(K, 1)}, {INF: [1, -1]}, epsilon="1/10", Q=3)
+    x = ProjectivePoint([3, 4])
+    before = mpmath.mp.dps
+    lg = log_twisted_height(spec, x, precision=60)
+    rep = log_twisted_report(spec, x, precision=60)
+    twisted_height(spec, x, precision=60)
+    q_sweep(spec, [1, 3], [x], precision=60)
+    assert mpmath.mp.dps == before
+    # the terms are log|3| - log 3 and log|4| + log 3, so log H_Q = log 12,
+    # still computed to the requested 60 digits
+    with mpmath.workdps(80):
+        assert abs(lg - mpmath.log(12)) < mpmath.mpf(10) ** -55
+        assert abs(rep["neg_log_HQ"] + mpmath.log(12)) < mpmath.mpf(10) ** -55
