@@ -30,6 +30,7 @@ from .heights import (
     weil_hyperplane,
 )
 from .twisted import (
+    FormSystemSpec,
     TwistedHeightSpec,
     log_twisted_report,
     q_sweep,
@@ -47,7 +48,6 @@ from .scattering import (
     simplex_select,
 )
 from .exceptional import (
-    FormSystemSpec,
     SolutionSet,
     SubspaceCover,
     density_report,

@@ -26,7 +26,7 @@ from .heights import (
     mult_height,
     weil_hyperplane,
 )
-from .places import INF, log_abs, places_above, product_formula_defect
+from .places import INF, places_above, product_formula_defect
 from .twisted import TwistedHeightSpec, log_twisted_report, q_sweep, twisted_height
 
 SCHEMA = 1

@@ -27,9 +27,9 @@ from .errors import (
     Infeasible,
     OnSupport,
 )
-from .heights import LinearForm, ProjectivePoint
-from .places import INF, arch_abs, nonarch_exponent, places_above
-from .twisted import TwistedHeightSpec, _field_det, _normalize_v, log_twisted_height
+from .heights import ProjectivePoint, weil_value
+from .places import INF, arch_value
+from .twisted import FormSystemSpec, TwistedHeightSpec, _log_Q, _real, log_twisted_height
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -76,95 +76,21 @@ def enumerate_points(n, height_bound, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# inequality specs
-
-class FormSystemSpec:
-    """Field, places and per-place form systems for the schmidt/fw filters.
-
-    Same validation as the twisted spec: n+1 linearly independent forms
-    per place, checked by exact determinant.
-    """
-
-    def __init__(self, field, S, forms, w_choices=None, precision=40):
-        self.field = field
-        self.S = [_normalize_v(v) for v in S]
-        if len(set(self.S)) != len(self.S):
-            raise BadParameter("duplicate places in S")
-        if isinstance(forms, (list, tuple)):
-            forms = dict(zip(self.S, forms))
-        self.forms = {}
-        n_vars = None
-        for v in self.S:
-            fs = list(forms[v])
-            for f in fs:
-                if not isinstance(f, LinearForm) or f.field != field:
-                    raise BadParameter("forms must be LinearForms over the spec field")
-            if n_vars is None:
-                n_vars = fs[0].n_vars
-            if any(f.n_vars != n_vars for f in fs) or len(fs) != n_vars:
-                raise BadParameter(
-                    "place %r needs exactly %d forms" % (v, n_vars))
-            if not _field_det(field, [f.coeffs for f in fs]):
-                raise BadParameter("forms at place %r are linearly dependent" % (v,))
-            self.forms[v] = tuple(fs)
-        self.n = n_vars - 1
-        self.w_choices = dict(w_choices or {})
-        self.precision = precision
-        self._place_objs = None
-
-    def places(self):
-        if self._place_objs is None:
-            out = {}
-            for v in self.S:
-                prec = max(30, self.precision) if v == INF else max(40, self.precision)
-                ws = places_above(self.field, v, prec)
-                idx = self.w_choices.get(v, 0)
-                hit = [w for w in ws if w.w_index == idx]
-                if not hit:
-                    raise BadParameter("no place of index %d above %r" % (idx, v))
-                out[v] = hit[0]
-            self._place_objs = out
-        return self._place_objs
-
-    def digest_data(self):
-        form_part = []
-        for v in self.S:
-            rows = tuple(
-                tuple(tuple(str(cc) for cc in coef.coeffs) for coef in f.coeffs)
-                for f in self.forms[v]
-            )
-            form_part.append((v, rows))
-        return ("formsys", tuple(self.field.min_poly), tuple(self.S),
-                tuple(form_part), tuple(sorted(self.w_choices.items(), key=str)))
-
+# inequality evaluation
 
 def _lambda_matrix(spec, x, dps):
-    """Weil values lambda_vi(x) at all (v, i), as mpf at dps digits.
+    """Weil values lambda_vi(x) at all (v, i), and log max|x_j|, as mpf.
+
+    weil_value(..., dps) works at dps + 5 digits; setting that precision
+    once here spares it a context per form.
 
     Raises OnSupport listing nothing; callers bucket such points.
     """
-    field = spec.field
     places = spec.places()
-    mx = max(abs(c) for c in x.coords)
-    with mpmath.workdps(dps):
-        lmx = mpmath.log(mx)
-        rows = []
-        for v in spec.S:
-            w = places[v]
-            row = []
-            for form in spec.forms[v]:
-                val = form.evaluate(x)
-                if not val:
-                    raise OnSupport("point %r on support at place %r" % (x, v))
-                if w.kind == "nonarch":
-                    t = nonarch_exponent(field, w, val)
-                    row.append(mpmath.mpf(t.numerator) / t.denominator
-                               * mpmath.log(w.prime))
-                else:
-                    mag = arch_abs(field, w, val, dps)
-                    row.append(lmx - mpmath.log(mag))
-            rows.append(row)
-        return rows, lmx
+    with mpmath.workdps(dps + 5):
+        rows = [[weil_value(form, x, places[v], dps) for form in spec.forms[v]]
+                for v in spec.S]
+        return rows, mpmath.log(max(abs(c) for c in x.coords))
 
 
 class SolutionSet:
@@ -196,9 +122,7 @@ def _schmidt_margin(spec, x, epsilon, slack, dps):
     rows, lmx = _lambda_matrix(spec, x, dps)
     with mpmath.workdps(dps):
         total = mpmath.fsum(v for row in rows for v in row)
-        eps = mpmath.mpf(epsilon.numerator) / epsilon.denominator \
-            if isinstance(epsilon, Fraction) else mpmath.mpf(epsilon)
-        return total - ((spec.n + 1 + eps) * lmx - slack)
+        return total - ((spec.n + 1 + _real(epsilon, dps)) * lmx - slack)
 
 
 def _fw_margin(spec, x, d_weights, slack, dps):
@@ -207,9 +131,7 @@ def _fw_margin(spec, x, d_weights, slack, dps):
         worst = None
         for row, drow in zip(rows, d_weights):
             for lam, d in zip(row, drow):
-                dv = mpmath.mpf(d.numerator) / d.denominator \
-                    if isinstance(d, Fraction) else mpmath.mpf(d)
-                m = lam - (dv * lmx - slack)
+                m = lam - (_real(d, dps) * lmx - slack)
                 if worst is None or m < worst:
                     worst = m
         return worst
@@ -224,6 +146,8 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     points, the float prefilter in linscat.kernels scans only the windows
     around the forms' roots; its candidates are then re-evaluated exactly.
     """
+    if height_bound is not None and height_bound < 1:
+        raise BadParameter("need height_bound >= 1")
     band = 10.0 ** (-(max(precision, 17) - 10))
     dps1, dps2 = max(30, precision + 10), max(50, precision + 25)
 
@@ -232,16 +156,16 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             raise BadParameter("parametric filtering needs a TwistedHeightSpec")
         if points is None:
             points = enumerate_points(spec.n, height_bound, budget)
-        digest = _digest("parametric", tuple(spec.field.min_poly), tuple(spec.S),
+        digest = _digest("parametric", spec.digest_data(),
+                         tuple(tuple(str(c) for c in spec.weights[v]) for v in spec.S),
                          str(spec.Q), str(spec.epsilon), str(slack))
         sols, indet, supp = [], [], []
         for x in points:
             try:
                 with mpmath.workdps(dps1):
-                    lq = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
+                    lq = _log_Q(spec.Q, dps1)
                     margin = log_twisted_height(spec, x, dps1) \
-                        + mpmath.mpf(spec.epsilon.numerator) / spec.epsilon.denominator * lq \
-                        - slack
+                        + _real(spec.epsilon, dps1) * lq - slack
             except AllFormsVanish:
                 supp.append(x)
                 continue
@@ -275,20 +199,10 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
         stream = (kind == "schmidt" and spec.S == [INF] and spec.n in (1, 2))
         if stream:
             w = spec.places()[INF]
-            coeffs = []
-            for form in spec.forms[INF]:
-                row = []
-                for c in form.coeffs:
-                    if w.is_real:
-                        theta = w.embedding_value(17)
-                        acc = 0.0
-                        for cc in reversed(c.coeffs):
-                            acc = acc * theta + cc.numerator / cc.denominator
-                        row.append(acc)
-                    else:
-                        raise BadParameter(
-                            "streaming prefilter needs a real embedding choice")
-                coeffs.append(tuple(row))
+            if not w.is_real:
+                raise BadParameter("streaming prefilter needs a real embedding choice")
+            coeffs = [tuple(arch_value(spec.field, w, c) for c in form.coeffs)
+                      for form in spec.forms[INF]]
             pre = kernels.prefilter_p1 if spec.n == 1 else kernels.prefilter_p2
             raw = pre(height_bound, coeffs, -float(epsilon), float(slack))
             candidates = []

@@ -4,7 +4,8 @@ Points carry primitive integer coordinates with a canonical sign, so the
 multiplicative height is exactly max|x_i| and all finite-place terms of the
 height are zero.  Linear forms may have coefficients in a number field; the
 local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
-extension absolute value at a chosen place w above v.
+extension absolute value at a chosen place w above v; weil_value is its one
+definition, built on places.log_abs.
 """
 
 import math
@@ -14,7 +15,7 @@ import mpmath
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS
-from .places import INF, arch_abs, log_abs, nonarch_exponent, ord_p_fraction, places_above
+from .places import INF, log_abs, places_above, working_dps
 
 
 class ProjectivePoint:
@@ -131,47 +132,45 @@ class HyperplanePresentation:
         return self.form.field
 
 
-def _resolve_place(field, v, w_index, precision):
-    padic = max(40, precision)
-    ws = places_above(field, v, padic if v not in (INF, "oo", None) else max(30, precision))
-    for w in ws:
+def resolve_place(field, v, w_index, precision):
+    """The place of index w_index above v (a rational prime or "inf"),
+    with at least 30 digits at infinity and 40 p-adic digits."""
+    floor = 30 if v in (INF, "oo", None) else 40
+    for w in places_above(field, v, max(floor, precision)):
         if w.w_index == w_index:
             return w
     raise BadParameter("no place with index %d above %r" % (w_index, v))
 
 
-def weil_hyperplane(pres, x, v, w_index=0, precision=17, place=None):
-    """max_j log|x_j / l(x)|_{v,K} at the place w of index w_index above v.
+def weil_value(form, x, place, precision=17):
+    """lambda_{L,w}(x) = log max_j|x_j|_v - log|L(x)|_{v,K} at the place w.
 
     Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
-    integer coordinates the finite-place max is 1.
+    integer coordinates the finite-place max is 1.  A float at precision
+    <= 17, else an mpf at precision + 5 digits (or the caller's working
+    precision when that is higher).
     """
-    form = pres.form if isinstance(pres, HyperplanePresentation) else pres
-    field = form.field
     val = form.evaluate(x)
     if not val:
         raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
-    if place is None:
-        place = _resolve_place(field, v, w_index, precision)
-    if place.kind == "nonarch":
-        p = place.prime
-        if val.is_rational_value:
-            t = Fraction(ord_p_fraction(val.rational_value(), p))
-        else:
-            t = nonarch_exponent(field, place, val)
-        # max_j |x_j|_p = 1 for primitive coordinates
-        if t == 0:
-            return 0.0
-        if precision <= 17:
-            return float(t) * math.log(p)
-        with mpmath.workdps(precision + 5):
-            return mpmath.mpf(t.numerator) / t.denominator * mpmath.log(p)
-    mx = max(abs(c) for c in x.coords)
-    mag = arch_abs(field, place, val, precision)
+    la = log_abs(form.field, place, val, precision)
+    arch = place.kind == "arch"
+    # off infinity log max_j|x_j|_v is 0, so a unit's lambda is log_abs's
+    # +0.0 (or mpf zero) and any other is 0 - log_abs
+    if not (arch or la):
+        return la
     if precision <= 17:
-        return math.log(mx) - math.log(mag)
-    with mpmath.workdps(precision + 5):
-        return mpmath.log(mx) - mpmath.log(mag)
+        return (math.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+    with working_dps(precision + 5):
+        return (mpmath.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+
+
+def weil_hyperplane(pres, x, v, w_index=0, precision=17, place=None):
+    """max_j log|x_j / l(x)|_{v,K} at the place w of index w_index above v."""
+    form = pres.form if isinstance(pres, HyperplanePresentation) else pres
+    if place is None:
+        place = resolve_place(form.field, v, w_index, precision)
+    return weil_value(form, x, place, precision)
 
 
 def proximity(pres, x, S, w_choices=None, precision=17):

@@ -12,6 +12,7 @@ come from real embeddings isolated by Sturm sequences (certified rational
 enclosures) or from complex conjugate root pairs.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
 
 from .errors import BadParameter, PrecisionExhausted, UnsupportedRamification
-from .fieldarith import FieldElement, charpoly_norm
+from .fieldarith import charpoly_norm
 
 INF = "inf"
 
@@ -545,6 +546,17 @@ def nonarch_exponent(field, place, a, _depth=0):
 _RES_X = sympy.Symbol("_linscat_res_x")
 
 
+_UNCHANGED = contextlib.nullcontext()
+
+
+def working_dps(dps):
+    """mpmath at dps digits or more: the caller's working precision when it
+    is already that high, else workdps(dps)."""
+    if mpmath.mp.dps >= dps:
+        return _UNCHANGED
+    return mpmath.workdps(dps)
+
+
 def _norm_scale(place, normalization):
     if normalization == "extension":
         return Fraction(1)
@@ -553,29 +565,36 @@ def _norm_scale(place, normalization):
     raise BadParameter("unknown normalization %r" % (normalization,))
 
 
-def arch_abs(field, place, a, precision=17):
-    """|sigma(a)| for the chosen archimedean embedding (extension value)."""
+def arch_value(field, place, a, precision=17):
+    """sigma(a) for the chosen archimedean embedding, by one Horner pass at
+    the embedding of theta.  At precision <= 17 a float when a is rational
+    or the embedding real; otherwise an mpf/mpc at mpmath's working
+    precision, which the caller sets (arch_abs runs it at precision + 5)."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
-    if not a:
-        return mpmath.mpf(0) if precision > 17 else 0.0
     if a.is_rational_value or field.degree == 1:
         q = a.coeffs[0]
         if precision <= 17:
-            return abs(q.numerator / q.denominator)
-        with mpmath.workdps(precision + 5):
-            return abs(mpmath.mpf(q.numerator) / q.denominator)
+            return q.numerator / q.denominator
+        return mpmath.mpf(q.numerator) / q.denominator
     theta = place.embedding_value(precision)
     if precision <= 17 and place.is_real:
         acc = 0.0
         for c in reversed(a.coeffs):
             acc = acc * theta + c.numerator / c.denominator
-        return abs(acc)
+        return acc
+    acc = mpmath.mpf(0)
+    for c in reversed(a.coeffs):
+        acc = acc * theta + mpmath.mpf(c.numerator) / c.denominator
+    return acc
+
+
+def arch_abs(field, place, a, precision=17):
+    """|sigma(a)| for the chosen archimedean embedding (extension value)."""
+    if precision <= 17 and place.is_real:
+        return abs(arch_value(field, place, a, precision))
     with mpmath.workdps(precision + 5):
-        acc = mpmath.mpf(0)
-        for c in reversed(a.coeffs):
-            acc = acc * theta + mpmath.mpf(c.numerator) / c.denominator
-        return abs(acc)
+        return abs(arch_value(field, place, a, precision))
 
 
 def abs_value(field, place, a, precision=40, normalization="extension"):
@@ -599,25 +618,33 @@ def abs_value(field, place, a, precision=40, normalization="extension"):
 
 
 def log_abs(field, place, a, precision=17, normalization="extension"):
-    """log of the normalized absolute value, as float (mpf above 17 digits)."""
-    scale = _norm_scale(place, normalization)
+    """log of the normalized absolute value, as float (mpf above 17 digits).
+
+    The mpf path runs at precision + 5 digits, or at the caller's working
+    precision when that is higher.
+    """
+    scale = None if normalization == "extension" else _norm_scale(place, normalization)
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if not a:
         raise ValueError("log of zero absolute value")
     if place.kind == "nonarch":
-        t = nonarch_exponent(field, place, a) * scale
-        if t == 0:
-            return 0.0
+        t = nonarch_exponent(field, place, a)
+        if scale is not None:
+            t *= scale
         if precision <= 17:
-            return -float(t) * math.log(place.prime)
-        with mpmath.workdps(precision + 5):
+            return -float(t) * math.log(place.prime) if t else 0.0
+        if not t:
+            return mpmath.mp.zero
+        with working_dps(precision + 5):
             return -mpmath.mpf(t.numerator) / t.denominator * mpmath.log(place.prime)
     mag = arch_abs(field, place, a, precision)
     if precision <= 17:
-        return float(scale) * math.log(mag)
-    with mpmath.workdps(precision + 5):
-        return mpmath.mpf(scale.numerator) / scale.denominator * mpmath.log(mag)
+        lg = math.log(mag)
+        return lg if scale is None else float(scale) * lg
+    with working_dps(precision + 5):
+        lg = mpmath.log(mag)
+        return lg if scale is None else mpmath.mpf(scale.numerator) / scale.denominator * lg
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,21 @@ H_Q(x) = prod over v in S of max_i |l_vi(x)|_{v,K} Q^(-c_vi), times |x|_v
 for the places outside S.  For primitive integer coordinates the finite
 part outside S is 1, leaving only the max|x_i| factor when the infinite
 place is not in S.  Everything is evaluated in log space.
+
+FormSystemSpec holds a field, the places S and n+1 independent forms per
+place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.
 """
 
 import contextlib
+import copy
 import math
 from fractions import Fraction
 
 import mpmath
 
-from .errors import AllFormsVanish, BadParameter, OnSupport
-from .fieldarith import FieldElement
-from .heights import LinearForm, log_height
-from .places import INF, arch_abs, nonarch_exponent, places_above
+from .errors import AllFormsVanish, BadParameter
+from .heights import LinearForm, log_height, resolve_place, weil_value
+from .places import INF, log_abs, working_dps
 
 
 def _field_det(field, rows):
@@ -50,32 +53,27 @@ def _normalize_v(v):
     return int(v)
 
 
-class TwistedHeightSpec:
-    """Field, places, per-place form systems and zero-sum weight rows.
+class FormSystemSpec:
+    """Field, places and per-place form systems: the spec of the schmidt/fw
+    filters and the base of TwistedHeightSpec.
 
-    forms and weights are dicts keyed by place of Q (or parallel lists in
-    S-order); each place carries n+1 forms, checked linearly independent
-    by an exact determinant, and n+1 rational weights summing to 0.
+    forms is a dict keyed by place of Q (or a list in S-order); each place
+    carries n+1 forms, checked linearly independent by an exact determinant.
     """
 
-    def __init__(self, field, S, forms, weights, epsilon, Q=1,
-                 w_choices=None, precision=40):
+    def __init__(self, field, S, forms, w_choices=None, precision=40):
         self.field = field
         self.S = [_normalize_v(v) for v in S]
-        if len(set(self.S)) != len(self.S):
-            raise BadParameter("duplicate places in S")
+        if not self.S or len(set(self.S)) != len(self.S):
+            raise BadParameter("S must be nonempty, without duplicate places")
         if isinstance(forms, (list, tuple)):
             forms = dict(zip(self.S, forms))
-        if isinstance(weights, (list, tuple)) and weights and \
-                not isinstance(weights, dict):
-            weights = dict(zip(self.S, weights))
         self.forms = {}
-        self.weights = {}
         n_vars = None
         for v in self.S:
-            if v not in forms or v not in weights:
-                raise BadParameter("missing forms or weights for place %r" % (v,))
-            fs = list(forms[v])
+            fs = list(forms.get(v, ()))
+            if not fs:
+                raise BadParameter("missing forms for place %r" % (v,))
             for f in fs:
                 if not isinstance(f, LinearForm) or f.field != field:
                     raise BadParameter("forms must be LinearForms over the spec field")
@@ -85,59 +83,86 @@ class TwistedHeightSpec:
                 raise BadParameter(
                     "place %r needs exactly %d forms in %d variables" % (v, n_vars, n_vars)
                 )
-            det = _field_det(field, [f.coeffs for f in fs])
-            if not det:
+            if not _field_det(field, [f.coeffs for f in fs]):
                 raise BadParameter("forms at place %r are linearly dependent" % (v,))
-            ws = [Fraction(c) for c in weights[v]]
-            if len(ws) != n_vars:
+            self.forms[v] = tuple(fs)
+        self.n = n_vars - 1
+        self.w_choices = dict(w_choices or {})
+        self.precision = precision
+        self._place_objs = None
+
+    def places(self):
+        """The place of index w_choices[v] (default 0) above each v in S."""
+        if self._place_objs is None:
+            self._place_objs = {
+                v: resolve_place(self.field, v, self.w_choices.get(v, 0), self.precision)
+                for v in self.S
+            }
+        return self._place_objs
+
+    def digest_data(self):
+        form_part = []
+        for v in self.S:
+            rows = tuple(
+                tuple(tuple(str(cc) for cc in coef.coeffs) for coef in f.coeffs)
+                for f in self.forms[v]
+            )
+            form_part.append((v, rows))
+        return ("formsys", tuple(self.field.min_poly), tuple(self.S),
+                tuple(form_part), tuple(sorted(self.w_choices.items(), key=str)))
+
+
+def _at_least_one(Q):
+    Q = Fraction(Q)
+    if Q < 1:
+        raise BadParameter("Q must be >= 1")
+    return Q
+
+
+class TwistedHeightSpec(FormSystemSpec):
+    """A form system with zero-sum weight rows, epsilon and Q.
+
+    weights is a dict keyed by place of Q (or a list in S-order); each
+    place carries n+1 rational weights summing to 0.
+    """
+
+    def __init__(self, field, S, forms, weights, epsilon, Q=1,
+                 w_choices=None, precision=40):
+        super().__init__(field, S, forms, w_choices, precision)
+        if isinstance(weights, (list, tuple)):
+            weights = dict(zip(self.S, weights))
+        self.weights = {}
+        for v in self.S:
+            if v not in weights:
+                raise BadParameter("missing weights for place %r" % (v,))
+            ws = tuple(Fraction(c) for c in weights[v])
+            if len(ws) != self.n + 1:
                 raise BadParameter("weight row at %r has wrong length" % (v,))
             if sum(ws) != 0:
                 raise BadParameter(
                     "weight row at %r sums to %s, not 0" % (v, sum(ws))
                 )
-            self.forms[v] = tuple(fs)
-            self.weights[v] = tuple(ws)
-        self.n = n_vars - 1
+            self.weights[v] = ws
         self.epsilon = Fraction(epsilon)
-        self.Q = Fraction(Q)
-        if self.Q < 1:
-            raise BadParameter("Q must be >= 1")
-        self.w_choices = dict(w_choices or {})
-        self.precision = precision
-        self._place_objs = None
+        self.Q = _at_least_one(Q)
 
     def with_Q(self, Q):
-        clone = object.__new__(TwistedHeightSpec)
-        clone.__dict__.update(self.__dict__)
-        clone.Q = Fraction(Q)
-        if clone.Q < 1:
-            raise BadParameter("Q must be >= 1")
+        clone = copy.copy(self)
+        clone.Q = _at_least_one(Q)
         return clone
 
-    def places(self):
-        if self._place_objs is None:
-            out = {}
-            for v in self.S:
-                prec = max(30, self.precision) if v == INF else max(40, self.precision)
-                ws = places_above(self.field, v, prec)
-                idx = self.w_choices.get(v, 0)
-                hit = [w for w in ws if w.w_index == idx]
-                if not hit:
-                    raise BadParameter("no place of index %d above %r" % (idx, v))
-                out[v] = hit[0]
-            self._place_objs = out
-        return self._place_objs
+
+def _real(q, precision):
+    """A rational as a float at precision <= 17, else as an mpf at the
+    caller's working precision."""
+    if precision <= 17:
+        return float(q)
+    return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _log_form_abs(field, place, val, precision):
-    """log|val|_{v,K}; val a nonzero field element."""
-    if place.kind == "nonarch":
-        t = nonarch_exponent(field, place, val)
-        if precision <= 17:
-            return -float(t) * math.log(place.prime)
-        return -mpmath.mpf(t.numerator) / t.denominator * mpmath.log(place.prime)
-    mag = arch_abs(field, place, val, precision)
-    return math.log(mag) if precision <= 17 else mpmath.log(mag)
+def _log_Q(Q, precision):
+    """log Q, as float or mpf like _real."""
+    return math.log(Q) if precision <= 17 else mpmath.log(_real(Q, precision))
 
 
 def _working_precision(precision):
@@ -145,20 +170,15 @@ def _working_precision(precision):
     (never lowered), restored on exit.  The float path leaves mpmath alone."""
     if precision <= 17:
         return contextlib.nullcontext()
-    return mpmath.workdps(max(mpmath.mp.dps, precision + 10))
+    return working_dps(precision + 10)
 
 
 def log_twisted_height(spec, x, precision=17):
     """log H_Q(x), evaluated in log space at the working precision."""
-    field = spec.field
     places = spec.places()
     with _working_precision(precision):
-        if precision <= 17:
-            logQ = math.log(spec.Q)
-            total = 0.0
-        else:
-            logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
-            total = mpmath.mpf(0)
+        logQ = _log_Q(spec.Q, precision)
+        total = 0.0 if precision <= 17 else mpmath.mpf(0)
         for v in spec.S:
             w = places[v]
             best = None
@@ -166,7 +186,7 @@ def log_twisted_height(spec, x, precision=17):
                 val = form.evaluate(x)
                 if not val:
                     continue
-                term = _log_form_abs(field, w, val, precision) - float(c) * logQ
+                term = log_abs(spec.field, w, val, precision) - _real(c, precision) * logQ
                 if best is None or term > best:
                     best = term
             if best is None:
@@ -187,18 +207,6 @@ def twisted_height(spec, x, precision=17):
         return math.exp(lg) if precision <= 17 else mpmath.exp(lg)
 
 
-def _weil_value(spec, place, form, x, precision):
-    val = form.evaluate(x)
-    if not val:
-        raise OnSupport("point %r on the support of %r" % (x, form))
-    mx = max(abs(c) for c in x.coords)
-    if place.kind == "nonarch":
-        # max_j |x_j|_p = 1 by primitivity
-        return -_log_form_abs(spec.field, place, val, precision)
-    lmx = math.log(mx) if precision <= 17 else mpmath.log(mx)
-    return lmx - _log_form_abs(spec.field, place, val, precision)
-
-
 def log_twisted_report(spec, x, precision=17):
     """Per-place minima, the twisted inequality verdict, identity residual.
 
@@ -208,24 +216,16 @@ def log_twisted_report(spec, x, precision=17):
     """
     places = spec.places()
     with _working_precision(precision):
-        if precision <= 17:
-            logQ = math.log(spec.Q)
-        else:
-            logQ = mpmath.log(mpmath.mpf(spec.Q.numerator) / spec.Q.denominator)
+        logQ = _log_Q(spec.Q, precision)
         per_place = {}
         lhs = 0.0 if precision <= 17 else mpmath.mpf(0)
         for v in spec.S:
-            w = places[v]
-            vals = []
-            for form, c in zip(spec.forms[v], spec.weights[v]):
-                lam = _weil_value(spec, w, form, x, precision)
-                vals.append(lam + float(c) * logQ)
-            m = min(vals)
+            m = min(weil_value(form, x, places[v], precision) + _real(c, precision) * logQ
+                    for form, c in zip(spec.forms[v], spec.weights[v]))
             per_place[v] = m
             lhs = lhs + m
         h = log_height(x, precision)
-        rhs = h + float(spec.epsilon) * logQ if precision <= 17 else \
-            h + mpmath.mpf(spec.epsilon.numerator) / spec.epsilon.denominator * logQ
+        rhs = h + _real(spec.epsilon, precision) * logQ
         neg_log_hq = -log_twisted_height(spec, x, precision)
         residual = abs(neg_log_hq - (lhs - h))
     return {
@@ -254,15 +254,12 @@ def q_sweep(spec_template, Q_grid, points, precision=17, indeterminate_tol=None)
     for q in grid:
         spec = spec_template.with_Q(q)
         with _working_precision(precision):
-            if precision <= 17:
-                logQ = math.log(q)
-            else:
-                logQ = mpmath.log(mpmath.mpf(q.numerator) / q.denominator)
+            logQ = _log_Q(q, precision)
             sols, indet = [], []
             for x in sorted(set(points)):
                 try:
                     margin = log_twisted_height(spec, x, precision) \
-                        + float(spec.epsilon) * logQ
+                        + _real(spec.epsilon, precision) * logQ
                 except AllFormsVanish:
                     continue
                 if abs(margin) <= indeterminate_tol:

@@ -153,6 +153,40 @@ def test_filter_validation():
         filter_solutions("parametric", spec, height_bound=10)
 
 
+def test_height_bound_below_one_rejected():
+    # streaming path (schmidt, S = {inf}, n = 1) and enumeration paths
+    _, spec = sqrt2_spec()
+    K3 = FormSystemSpec(RATIONALS, [INF, 3], {
+        INF: [LinearForm(RATIONALS, [1, 0]), LinearForm(RATIONALS, [0, 1])],
+        3: [LinearForm(RATIONALS, [1, 1]), LinearForm(RATIONALS, [0, 1])]})
+    for bound in (0, -3):
+        with pytest.raises(errors.BadParameter):
+            filter_solutions("schmidt", spec, height_bound=bound, epsilon="3/10")
+        with pytest.raises(errors.BadParameter):
+            filter_solutions("schmidt", K3, height_bound=bound, epsilon="3/10")
+        with pytest.raises(errors.BadParameter):
+            filter_solutions("fw", spec, height_bound=bound, d_weights=[[0, 0]])
+
+
+def test_parametric_digest_covers_forms_and_weights():
+    def spec(forms, weights):
+        return TwistedHeightSpec(RATIONALS, [INF], {INF: forms}, {INF: weights},
+                                 epsilon="1/10", Q=2)
+
+    coord = [LinearForm(RATIONALS, [1, 0]), LinearForm(RATIONALS, [0, 1])]
+    other = [LinearForm(RATIONALS, [1, -1]), LinearForm(RATIONALS, [1, 1])]
+    pts = [ProjectivePoint(c) for c in ([1, 0], [2, 3], [1, 1])]
+
+    def digest(s):
+        return filter_solutions("parametric", s, points=pts).spec_digest
+
+    base = digest(spec(coord, [1, -1]))
+    assert digest(spec(coord, [1, -1])) == base
+    assert digest(spec(other, [1, -1])) != base  # forms only
+    assert digest(spec(coord, [-1, 1])) != base  # weights only
+    assert digest(spec(other, [1, -1])) != digest(spec(coord, [-1, 1]))
+
+
 def test_form_system_validation():
     K = nf_create([-2, 0, 1])
     dep = [LinearForm(K, [1, 0]), LinearForm(K, [2, 0])]

@@ -6,10 +6,12 @@ import mpmath
 import pytest
 
 from linscat import errors, nf_create
+from linscat.exceptional import _lambda_matrix
 from linscat.fieldarith import RATIONALS
-from linscat.heights import LinearForm, ProjectivePoint
-from linscat.places import INF
+from linscat.heights import LinearForm, ProjectivePoint, weil_hyperplane
+from linscat.places import INF, places_above
 from linscat.twisted import (
+    FormSystemSpec,
     TwistedHeightSpec,
     log_twisted_height,
     log_twisted_report,
@@ -173,3 +175,102 @@ def test_high_precision_leaves_mpmath_dps_alone():
     with mpmath.workdps(80):
         assert abs(lg - mpmath.log(12)) < mpmath.mpf(10) ** -55
         assert abs(rep["neg_log_HQ"] + mpmath.log(12)) < mpmath.mpf(10) ** -55
+
+
+def test_spec_missing_place_forms_is_bad_parameter():
+    forms = coord_forms(RATIONALS, 1)
+    with pytest.raises(errors.BadParameter):
+        FormSystemSpec(RATIONALS, [INF, 2], {INF: forms})
+    with pytest.raises(errors.BadParameter):
+        TwistedHeightSpec(RATIONALS, [INF, 2], {INF: forms},
+                          {INF: [1, -1], 2: [1, -1]}, 1)
+
+
+def _ord(q, p):
+    q = Fraction(q)
+    k, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, k = num // p, k + 1
+    while den % p == 0:
+        den, k = den // p, k - 1
+    return k
+
+
+def _sqrt2_mod(p, r, digits):
+    """The root of x^2 = 2 in Z_p that is r mod p, to p^digits (Newton)."""
+    mod = p ** digits
+    for _ in range(digits.bit_length() + 1):
+        r = (r - (r * r - 2) * pow(2 * r, -1, mod)) % mod
+    return r, mod
+
+
+def _ref_log_abs(v, sign_or_root, a, b):
+    """log|a + b sqrt2|_{v,K} at 60 digits, from the two rational coordinates.
+
+    At infinity sign_or_root is the sign of the embedded sqrt2; at 3 (inert)
+    the value is |N(alpha)|_3^(1/2); at 7 (split) it is the residue mod 7 of
+    the 7-adic sqrt2 that defines the place.
+    """
+    if v == INF:
+        s2 = sign_or_root * mpmath.sqrt(2)
+        return mpmath.log(abs(mpmath.mpf(a.numerator) / a.denominator
+                              + mpmath.mpf(b.numerator) / b.denominator * s2))
+    if v == 3:
+        return -mpmath.mpf(_ord(a * a - 2 * b * b, 3)) / 2 * mpmath.log(3)
+    r, mod = _sqrt2_mod(7, sign_or_root, 40)
+    den = a.denominator * b.denominator
+    assert den % 7
+    val = (int(a * den) + int(b * den) * r) % mod
+    return -_ord(val, 7) * mpmath.log(7)
+
+
+def test_high_precision_weil_values_match_reference():
+    """At precision 50, weil_hyperplane, _lambda_matrix and log_twisted_report
+    agree to 1e-45 with an independent 60-digit reference over Q(sqrt2), at
+    both real embeddings, the split prime 7 and the inert prime 3."""
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    coeffs = [(Fraction(1), Fraction(0), Fraction(0), Fraction(1)),     # x0 + sqrt2 x1
+              (Fraction(1, 3), Fraction(0), Fraction(-2), Fraction(1))]  # x0/3 + (sqrt2 - 2) x1
+    forms = [LinearForm(K, [a0 + b0 * th, a1 + b1 * th]) for a0, b0, a1, b1 in coeffs]
+    S = [INF, 3, 7]
+    weights = {INF: [Fraction(1, 2), Fraction(-1, 2)], 3: [Fraction(-2, 3), Fraction(2, 3)],
+               7: [Fraction(1, 5), Fraction(-1, 5)]}
+    eps, Q = Fraction(1, 7), Fraction(5, 2)
+    tol = mpmath.mpf(10) ** -45
+    points = [ProjectivePoint(c) for c in ([3, 1], [4, -1], [1, 3], [5, 2], [17, 12], [10, 7])]
+    for w_inf, w_7 in ((0, 0), (1, 1)):
+        residue7 = next(w.root % 7 for w in places_above(K, 7) if w.w_index == w_7)
+        ref_place = {INF: (-1, 1)[w_inf], 3: None, 7: residue7}
+        fspec = FormSystemSpec(K, S, {v: forms for v in S}, w_choices={INF: w_inf, 7: w_7})
+        tspec = TwistedHeightSpec(K, S, {v: forms for v in S}, weights, eps, Q,
+                                  w_choices={INF: w_inf, 7: w_7})
+        for x in points:
+            # all three run at mpmath's default 15 digits outside the reference
+            got = {v: [weil_hyperplane(f, x, v, w_index=fspec.w_choices.get(v, 0),
+                                       precision=50) for f in forms] for v in S}
+            rows, _ = _lambda_matrix(fspec, x, 50)
+            rep = log_twisted_report(tspec, x, precision=50)
+            with mpmath.workdps(60):
+                h = mpmath.log(max(abs(c) for c in x.coords))
+                logQ = mpmath.log(mpmath.mpf(5) / 2)
+                lhs = neg_log_hq = mpmath.mpf(0)
+                for k, v in enumerate(S):
+                    lam = []
+                    for i, (a0, b0, a1, b1) in enumerate(coeffs):
+                        la = _ref_log_abs(v, ref_place[v], a0 * x[0] + a1 * x[1],
+                                          b0 * x[0] + b1 * x[1])
+                        lam.append((h if v == INF else 0) - la)
+                        assert abs(got[v][i] - lam[i]) < tol, (v, i, x)
+                        assert abs(rows[k][i] - lam[i]) < tol, (v, i, x)
+                    cs = [mpmath.mpf(c.numerator) / c.denominator for c in weights[v]]
+                    per = min(l + c * logQ for l, c in zip(lam, cs))
+                    assert abs(rep["per_place"][v] - per) < tol, (v, x)
+                    lhs += per
+                    neg_log_hq -= max((h if v == INF else 0) - l - c * logQ
+                                      for l, c in zip(lam, cs))
+                rhs = h + mpmath.mpf(1) / 7 * logQ
+                assert abs(rep["h"] - h) < tol
+                assert abs(rep["lhs"] - lhs) < tol
+                assert abs(rep["rhs"] - rhs) < tol
+                assert abs(rep["neg_log_HQ"] - neg_log_hq) < tol
