@@ -33,7 +33,6 @@ from .twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
     log_twisted_report,
-    q_sweep,
     twisted_height,
 )
 from .scattering import (
@@ -53,6 +52,7 @@ from .exceptional import (
     density_report,
     enumerate_points,
     filter_solutions,
+    q_sweep,
     subspace_cover,
 )
 from .ruvojta import (

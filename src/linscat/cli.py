@@ -11,12 +11,13 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import random
 import sys
 from fractions import Fraction
 
 from . import exceptional, ruvojta, scattering
-from .errors import ConfigInvalid, LinscatError
+from .errors import BadParameter, ConfigInvalid, LinscatError
 from .fieldarith import nf_create
 from .heights import (
     HyperplanePresentation,
@@ -26,8 +27,8 @@ from .heights import (
     mult_height,
     weil_hyperplane,
 )
-from .places import INF, places_above, product_formula_defect
-from .twisted import TwistedHeightSpec, log_twisted_report, q_sweep, twisted_height
+from .places import INF, normalize_place, places_above, product_formula_defect
+from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report, twisted_height
 
 SCHEMA = 1
 
@@ -44,13 +45,10 @@ def _frac(s, where=""):
 
 
 def _normalize_place(v, where=""):
-    if v in ("inf", "oo", "infinity"):
-        return INF
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str) and v.isdigit():
-        return int(v)
-    raise ConfigInvalid("bad place %r at %s" % (v, where))
+    try:
+        return normalize_place(v)
+    except BadParameter:
+        raise ConfigInvalid("bad place %r at %s" % (v, where))
 
 
 def _place_key(v):
@@ -138,21 +136,13 @@ def _get_weights(cfg, S):
         key = _place_key(v)
         if key not in cfg["weights"]:
             raise ConfigInvalid("no weight row for place %s" % key)
-        row = [_frac(c, "weights[%s]" % key) for c in cfg["weights"][key]]
-        if sum(row) != 0:
-            raise ConfigInvalid(
-                "weight row at place %s sums to %s, not 0" % (key, sum(row)))
-        out[v] = row
+        out[v] = [_frac(c, "weights[%s]" % key) for c in cfg["weights"][key]]
     return out
 
 
 def _get_w_choices(cfg):
     return {_normalize_place(k, "w_choices"): int(ix)
             for k, ix in cfg.get("w_choices", {}).items()}
-
-
-def _float(x):
-    return float(x)
 
 
 def _report(payload, cfg_digest, precision, out_path=None):
@@ -207,7 +197,7 @@ def cmd_height(cfg, digest, precision, outdir):
     if not pts:
         raise ConfigInvalid("'points' must be nonempty")
     rows = [{"point": list(p.coords), "H": str(mult_height(p)),
-             "h": _float(log_height(p, precision))} for p in sorted(set(pts))]
+             "h": float(log_height(p, precision))} for p in sorted(set(pts))]
     return _report({"heights": rows}, digest, precision, _out(outdir, "height.json"))
 
 
@@ -224,21 +214,25 @@ def cmd_weil(cfg, digest, precision, outdir):
     for p in sorted(set(pts)):
         lam = {}
         for v in S:
-            lam[_place_key(v)] = _float(weil_hyperplane(
+            lam[_place_key(v)] = float(weil_hyperplane(
                 pres, p, v, w_index=w_choices.get(v, 0), precision=precision))
         rows.append({"point": list(p.coords),
-                     "h": _float(log_height(p, precision)), "lambda": lam})
+                     "h": float(log_height(p, precision)), "lambda": lam})
     return _report({"weil": rows}, digest, precision, _out(outdir, "weil.json"))
 
 
-def _twisted_spec(cfg, precision):
+def _spec(cfg, precision, weighted=True):
+    """The config's form system: a TwistedHeightSpec with its weights,
+    epsilon and Q, or without weighted a plain FormSystemSpec."""
     field = _get_field(cfg)
     S = _get_S(cfg)
     forms = _get_forms(cfg, field, S)
-    weights = _get_weights(cfg, S)
     try:
+        if not weighted:
+            return FormSystemSpec(field, S, forms, w_choices=_get_w_choices(cfg),
+                                  precision=precision)
         return TwistedHeightSpec(
-            field, S, forms, weights,
+            field, S, forms, _get_weights(cfg, S),
             epsilon=_frac(cfg.get("epsilon", "1/10"), "epsilon"),
             Q=_frac(cfg.get("Q", 1), "Q"),
             w_choices=_get_w_choices(cfg), precision=precision)
@@ -247,18 +241,18 @@ def _twisted_spec(cfg, precision):
 
 
 def cmd_twisted(cfg, digest, precision, outdir):
-    spec = _twisted_spec(cfg, precision)
+    spec = _spec(cfg, precision)
     pts = _get_points(cfg)
     rows = []
     for p in sorted(set(pts)):
         rep = log_twisted_report(spec, p, precision)
         rows.append({
             "point": list(p.coords),
-            "H_Q": _float(twisted_height(spec, p, precision)),
-            "per_place": {_place_key(v): _float(val)
+            "H_Q": float(twisted_height(spec, p, precision)),
+            "per_place": {_place_key(v): float(val)
                           for v, val in rep["per_place"].items()},
-            "lhs": _float(rep["lhs"]), "rhs": _float(rep["rhs"]),
-            "h": _float(rep["h"]),
+            "lhs": float(rep["lhs"]), "rhs": float(rep["rhs"]),
+            "h": float(rep["h"]),
             "verdict": rep["verdict"],
             "identity_residual": rep["identity_residual"],
         })
@@ -268,14 +262,14 @@ def cmd_twisted(cfg, digest, precision, outdir):
 
 
 def cmd_sweep(cfg, digest, precision, outdir):
-    spec = _twisted_spec(cfg, precision)
+    spec = _spec(cfg, precision)
     grid = [_frac(q, "Q_grid") for q in cfg.get("Q_grid", [])]
     if not grid:
         raise ConfigInvalid("'Q_grid' must be a nonempty ascending list")
     pts = _get_points(cfg)
     if not pts and "height_bound" in cfg:
         pts = exceptional.enumerate_points(spec.n, int(cfg["height_bound"]))
-    rows = q_sweep(spec, grid, pts, precision)
+    rows = exceptional.q_sweep(spec, grid, pts, precision)
     payload = [{"Q": str(r["Q"]),
                 "solutions": [list(p.coords) for p in r["solutions"]],
                 "indeterminate": [list(p.coords) for p in r["indeterminate"]]}
@@ -291,35 +285,18 @@ def cmd_solve(cfg, digest, precision, outdir):
     slack = _frac(cfg.get("slack", 0), "slack")
     pts = _get_points(cfg) or None
     bound = int(cfg["height_bound"]) if "height_bound" in cfg else None
-    if mode == "parametric":
-        spec = _twisted_spec(cfg, precision)
-        ss = exceptional.filter_solutions(
-            "parametric", spec, points=pts, height_bound=bound,
-            slack=float(slack), precision=precision)
-    else:
-        field = _get_field(cfg)
-        S = _get_S(cfg)
-        forms = _get_forms(cfg, field, S)
-        try:
-            fspec = exceptional.FormSystemSpec(
-                field, S, forms, w_choices=_get_w_choices(cfg),
-                precision=precision)
-        except LinscatError as exc:
-            raise ConfigInvalid(str(exc))
-        if mode == "schmidt":
-            ss = exceptional.filter_solutions(
-                "schmidt", fspec, points=pts, height_bound=bound,
-                epsilon=_frac(cfg.get("epsilon", "1/10"), "epsilon"),
-                slack=float(slack), precision=precision)
-        else:
-            S_norm = fspec.S
-            dmat = [[_frac(c, "d_weights") for c in cfg["d_weights"][_place_key(v)]]
-                    for v in S_norm] if "d_weights" in cfg else None
-            if dmat is None:
-                raise ConfigInvalid("fw mode needs 'd_weights'")
-            ss = exceptional.filter_solutions(
-                "fw", fspec, points=pts, height_bound=bound, d_weights=dmat,
-                slack=float(slack), precision=precision)
+    spec = _spec(cfg, precision, weighted=mode == "parametric")
+    params = {}
+    if mode == "schmidt":
+        params["epsilon"] = _frac(cfg.get("epsilon", "1/10"), "epsilon")
+    elif mode == "fw":
+        if "d_weights" not in cfg:
+            raise ConfigInvalid("fw mode needs 'd_weights'")
+        params["d_weights"] = [
+            [_frac(c, "d_weights") for c in cfg["d_weights"][_place_key(v)]]
+            for v in spec.S]
+    ss = exceptional.filter_solutions(mode, spec, points=pts, height_bound=bound,
+                                      slack=float(slack), precision=precision, **params)
     payload = {
         "mode": mode,
         "solutions": [list(p.coords) for p in ss.points],
@@ -469,7 +446,6 @@ def _random_zero_row(rng, nvars):
 def _out(outdir, name):
     if not outdir:
         return None
-    import os
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
 

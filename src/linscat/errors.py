@@ -31,7 +31,7 @@ class OnSupport(LinscatError):
     undefined there."""
 
 
-class AllFormsVanish(LinscatError):
+class AllFormsVanish(OnSupport):
     """Every form of a place vanished at the point; the form system cannot
     be linearly independent."""
 

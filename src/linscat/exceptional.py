@@ -9,9 +9,11 @@ The filter evaluates one of three inequality systems at every point:
 
 Points on the support of some form are excluded and reported separately;
 verdicts inside the floating error band are flagged indeterminate rather
-than decided.
+than decided.  filter_solutions and q_sweep make every verdict in one loop,
+_settle.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -20,16 +22,11 @@ from fractions import Fraction
 import mpmath
 
 from . import kernels
-from .errors import (
-    AllFormsVanish,
-    BadParameter,
-    BudgetExceeded,
-    Infeasible,
-    OnSupport,
-)
+from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
 from .heights import ProjectivePoint, weil_value
 from .places import INF, arch_value
-from .twisted import FormSystemSpec, TwistedHeightSpec, _log_Q, _real, log_twisted_height
+from .twisted import (FormSystemSpec, TwistedHeightSpec, _log_Q, _real,
+                      _working_precision, log_twisted_height)
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -69,6 +66,12 @@ def enumerate_points(n, height_bound, budget=DEFAULT_BUDGET):
             if budget is not None and len(raw) > budget:
                 raise BudgetExceeded("enumeration exceeded budget %d" % budget)
         raw.sort()
+    return _points(raw)
+
+
+def _points(raw):
+    """ProjectivePoints from primitive, canonically signed tuples, without
+    re-normalizing them."""
     pts = [ProjectivePoint.__new__(ProjectivePoint) for _ in raw]
     for p, tup in zip(pts, raw):
         p.coords = tuple(tup)
@@ -118,14 +121,14 @@ def _digest(*parts):
     return h.hexdigest()[:16]
 
 
-def _schmidt_margin(spec, x, epsilon, slack, dps):
+def _schmidt_margin(spec, epsilon, slack, x, dps):
     rows, lmx = _lambda_matrix(spec, x, dps)
     with mpmath.workdps(dps):
         total = mpmath.fsum(v for row in rows for v in row)
         return total - ((spec.n + 1 + _real(epsilon, dps)) * lmx - slack)
 
 
-def _fw_margin(spec, x, d_weights, slack, dps):
+def _fw_margin(spec, d_weights, slack, x, dps):
     rows, lmx = _lambda_matrix(spec, x, dps)
     with mpmath.workdps(dps):
         worst = None
@@ -137,6 +140,42 @@ def _fw_margin(spec, x, d_weights, slack, dps):
         return worst
 
 
+def _parametric_margin(spec, slack, x, dps):
+    # slack - (log H_Q + eps log Q), negated last: Fraction - mpf is undefined
+    with mpmath.workdps(dps):
+        lq = _log_Q(spec.Q, dps)
+        return -(log_twisted_height(spec, x, dps) + _real(spec.epsilon, dps) * lq - slack)
+
+
+def _settle(points, margin, precision, escalate=True):
+    """The one verdict loop: (solutions, indeterminate, support), each sorted.
+
+    margin(x, dps) is positive on solutions and raises OnSupport on the
+    support of the form system.  A margin inside the band
+    10^-(max(precision, 17) - 10) is recomputed at the next precision of the
+    schedule (dps1, dps2), or, without escalate, is final at the caller's
+    precision; a margin still inside the band is indeterminate.
+    """
+    band = 10.0 ** (-(max(precision, 17) - 10))
+    schedule = ((max(30, precision + 10), max(50, precision + 25)) if escalate
+                else (precision,))
+    sols, indet, supp = [], [], []
+    for x in points:
+        try:
+            for dps in schedule:
+                m = margin(x, dps)
+                if abs(m) > band:
+                    break
+        except OnSupport:
+            supp.append(x)
+            continue
+        if abs(m) <= band:
+            indet.append(x)
+        elif m > 0:
+            sols.append(x)
+    return sorted(sols), sorted(indet), sorted(supp)
+
+
 def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                      d_weights=None, slack=0, precision=17, budget=DEFAULT_BUDGET):
     """Evaluate the named inequality system over a point set.
@@ -145,93 +184,76 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     the schmidt system with all-archimedean S on P^1/P^2 and no explicit
     points, the float prefilter in linscat.kernels scans only the windows
     around the forms' roots; its candidates are then re-evaluated exactly.
+    Every candidate is settled by _settle, escalating dps1 -> dps2 inside
+    the band.
     """
     if height_bound is not None and height_bound < 1:
         raise BadParameter("need height_bound >= 1")
-    band = 10.0 ** (-(max(precision, 17) - 10))
-    dps1, dps2 = max(30, precision + 10), max(50, precision + 25)
-
     if kind == "parametric":
         if not isinstance(spec, TwistedHeightSpec):
             raise BadParameter("parametric filtering needs a TwistedHeightSpec")
-        if points is None:
-            points = enumerate_points(spec.n, height_bound, budget)
         digest = _digest("parametric", spec.digest_data(),
                          tuple(tuple(str(c) for c in spec.weights[v]) for v in spec.S),
                          str(spec.Q), str(spec.epsilon), str(slack))
-        sols, indet, supp = [], [], []
-        for x in points:
-            try:
-                with mpmath.workdps(dps1):
-                    lq = _log_Q(spec.Q, dps1)
-                    margin = log_twisted_height(spec, x, dps1) \
-                        + _real(spec.epsilon, dps1) * lq - slack
-            except AllFormsVanish:
-                supp.append(x)
-                continue
-            if abs(margin) <= band:
-                indet.append(x)
-            elif margin < 0:
-                sols.append(x)
-        return SolutionSet(digest, sorted(sols), slack, sorted(indet), sorted(supp))
-
-    if kind not in ("schmidt", "fw"):
-        raise BadParameter("unknown filter kind %r" % (kind,))
-    if not isinstance(spec, FormSystemSpec):
-        raise BadParameter("schmidt/fw filtering needs a FormSystemSpec")
-    if kind == "schmidt":
-        if epsilon is None:
-            raise BadParameter("schmidt filtering needs epsilon")
-        epsilon = Fraction(epsilon)
+        margin = functools.partial(_parametric_margin, spec, slack)
+    elif kind in ("schmidt", "fw"):
+        if not isinstance(spec, FormSystemSpec):
+            raise BadParameter("schmidt/fw filtering needs a FormSystemSpec")
+        if kind == "schmidt":
+            if epsilon is None:
+                raise BadParameter("schmidt filtering needs epsilon")
+            epsilon = Fraction(epsilon)
+            margin = functools.partial(_schmidt_margin, spec, epsilon, slack)
+        else:
+            if d_weights is None:
+                raise BadParameter("fw filtering needs d-weights")
+            d_weights = [[Fraction(c) for c in row] for row in d_weights]
+            margin = functools.partial(_fw_margin, spec, d_weights, slack)
+        digest = _digest(kind, spec.digest_data(), str(epsilon),
+                         tuple(tuple(str(c) for c in r) for r in (d_weights or [])),
+                         str(slack))
     else:
-        if d_weights is None:
-            raise BadParameter("fw filtering needs d-weights")
-        d_weights = [[Fraction(c) for c in row] for row in d_weights]
-
-    digest = _digest(kind, spec.digest_data(), str(epsilon),
-                     tuple(tuple(str(c) for c in r) for r in (d_weights or [])),
-                     str(slack))
-
-    candidates = points
-    if candidates is None:
+        raise BadParameter("unknown filter kind %r" % (kind,))
+    if points is None:
         if height_bound is None:
             raise BadParameter("need points or a height bound")
-        stream = (kind == "schmidt" and spec.S == [INF] and spec.n in (1, 2))
-        if stream:
+        if kind == "schmidt" and spec.S == [INF] and spec.n in (1, 2):
             w = spec.places()[INF]
             if not w.is_real:
                 raise BadParameter("streaming prefilter needs a real embedding choice")
             coeffs = [tuple(arch_value(spec.field, w, c) for c in form.coeffs)
                       for form in spec.forms[INF]]
             pre = kernels.prefilter_p1 if spec.n == 1 else kernels.prefilter_p2
-            raw = pre(height_bound, coeffs, -float(epsilon), float(slack))
-            candidates = []
-            for tup in raw:
-                p = ProjectivePoint.__new__(ProjectivePoint)
-                p.coords = tuple(tup)
-                candidates.append(p)
+            points = _points(pre(height_bound, coeffs, -float(epsilon), float(slack)))
         else:
-            candidates = enumerate_points(spec.n, height_bound, budget)
+            points = enumerate_points(spec.n, height_bound, budget)
+    sols, indet, supp = _settle(points, margin, precision)
+    return SolutionSet(digest, sols, slack, indet, supp)
 
-    sols, indet, supp = [], [], []
-    for x in candidates:
-        try:
-            if kind == "schmidt":
-                margin = _schmidt_margin(spec, x, epsilon, slack, dps1)
-                if abs(margin) <= band:
-                    margin = _schmidt_margin(spec, x, epsilon, slack, dps2)
-            else:
-                margin = _fw_margin(spec, x, d_weights, slack, dps1)
-                if abs(margin) <= band:
-                    margin = _fw_margin(spec, x, d_weights, slack, dps2)
-        except OnSupport:
-            supp.append(x)
-            continue
-        if abs(margin) <= band:
-            indet.append(x)
-        elif margin > 0:
-            sols.append(x)
-    return SolutionSet(digest, sorted(sols), slack, sorted(indet), sorted(supp))
+
+def q_sweep(spec_template, Q_grid, points, precision=17):
+    """Per-Q solution sets of H_Q(x) <= Q^(-epsilon).
+
+    Each Q settles the points in one pass at the caller's precision (no
+    escalation); margins inside the band are listed as indeterminate and
+    points on the support are dropped.
+    """
+    grid = [Fraction(q) for q in Q_grid]
+    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
+        raise BadParameter("Q grid must be nonempty and ascending")
+    points = sorted(set(points))
+    out = []
+    for q in grid:
+        spec = spec_template.with_Q(q)
+        with _working_precision(precision):
+            eps_log_q = _real(spec.epsilon, precision) * _log_Q(q, precision)
+
+            def margin(x, dps):
+                return -(log_twisted_height(spec, x, dps) + eps_log_q)
+
+            sols, indet, _ = _settle(points, margin, precision, escalate=False)
+        out.append({"Q": q, "solutions": sols, "indeterminate": indet})
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import mpmath
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS
-from .places import INF, log_abs, places_above, working_dps
+from .places import INF, log_abs, normalize_place, places_above, working_dps
 
 
 class ProjectivePoint:
@@ -135,7 +135,8 @@ class HyperplanePresentation:
 def resolve_place(field, v, w_index, precision):
     """The place of index w_index above v (a rational prime or "inf"),
     with at least 30 digits at infinity and 40 p-adic digits."""
-    floor = 30 if v in (INF, "oo", None) else 40
+    v = normalize_place(v)
+    floor = 30 if v == INF else 40
     for w in places_above(field, v, max(floor, precision)):
         if w.w_index == w_index:
             return w

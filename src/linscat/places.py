@@ -439,18 +439,26 @@ def _nonarch_places(field, p, precision):
     return places
 
 
+def normalize_place(v):
+    """A place of Q as INF or an integer: "inf", "oo", "infinity" and None
+    mean INF, and an integer or a digit string means that integer.  Whether
+    the integer is prime is left to places_above."""
+    if v in (INF, "oo", "infinity", None):
+        return INF
+    if isinstance(v, int) or (isinstance(v, str) and v.isdigit()):
+        return int(v)
+    raise BadParameter("bad place %r" % (v,))
+
+
 def places_above(field, v, precision=40):
     """All places of the field above v (a rational prime, or "inf").
 
     precision counts p-adic digits for finite v and decimal digits for the
     archimedean embeddings.  Results are cached on the field.
     """
-    if v in (INF, "oo", None):
-        v = INF
-    else:
-        v = int(v)
-        if not sympy.isprime(v):
-            raise BadParameter("v must be a prime or 'inf', got %r" % (v,))
+    v = normalize_place(v)
+    if v != INF and not sympy.isprime(v):
+        raise BadParameter("v must be a prime or 'inf', got %r" % (v,))
     key = (v, precision)
     cache = field._places_cache
     if key not in cache:

@@ -6,7 +6,8 @@ part outside S is 1, leaving only the max|x_i| factor when the infinite
 place is not in S.  Everything is evaluated in log space.
 
 FormSystemSpec holds a field, the places S and n+1 independent forms per
-place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.
+place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.  Q-sweeps
+live in exceptional.py, beside the filters whose verdict loop they share.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import mpmath
 
 from .errors import AllFormsVanish, BadParameter
 from .heights import LinearForm, log_height, resolve_place, weil_value
-from .places import INF, log_abs, working_dps
+from .places import INF, log_abs, normalize_place, working_dps
 
 
 def _field_det(field, rows):
@@ -47,10 +48,13 @@ def _field_det(field, rows):
     return det
 
 
-def _normalize_v(v):
-    if v in (INF, "oo", "infinity", None):
-        return INF
-    return int(v)
+def _per_place(table, S):
+    """A per-place table as a dict keyed by normalized place: a list is
+    read in S-order, a dict may spell its places any way normalize_place
+    accepts."""
+    if isinstance(table, (list, tuple)):
+        return dict(zip(S, table))
+    return {normalize_place(v): row for v, row in table.items()}
 
 
 class FormSystemSpec:
@@ -63,11 +67,10 @@ class FormSystemSpec:
 
     def __init__(self, field, S, forms, w_choices=None, precision=40):
         self.field = field
-        self.S = [_normalize_v(v) for v in S]
+        self.S = [normalize_place(v) for v in S]
         if not self.S or len(set(self.S)) != len(self.S):
             raise BadParameter("S must be nonempty, without duplicate places")
-        if isinstance(forms, (list, tuple)):
-            forms = dict(zip(self.S, forms))
+        forms = _per_place(forms, self.S)
         self.forms = {}
         n_vars = None
         for v in self.S:
@@ -87,7 +90,7 @@ class FormSystemSpec:
                 raise BadParameter("forms at place %r are linearly dependent" % (v,))
             self.forms[v] = tuple(fs)
         self.n = n_vars - 1
-        self.w_choices = dict(w_choices or {})
+        self.w_choices = _per_place(dict(w_choices or {}), self.S)
         self.precision = precision
         self._place_objs = None
 
@@ -129,8 +132,7 @@ class TwistedHeightSpec(FormSystemSpec):
     def __init__(self, field, S, forms, weights, epsilon, Q=1,
                  w_choices=None, precision=40):
         super().__init__(field, S, forms, w_choices, precision)
-        if isinstance(weights, (list, tuple)):
-            weights = dict(zip(self.S, weights))
+        weights = _per_place(weights, self.S)
         self.weights = {}
         for v in self.S:
             if v not in weights:
@@ -237,34 +239,3 @@ def log_twisted_report(spec, x, precision=17):
         "identity_residual": float(residual),
         "neg_log_HQ": neg_log_hq,
     }
-
-
-def q_sweep(spec_template, Q_grid, points, precision=17, indeterminate_tol=None):
-    """Per-Q solution sets of H_Q(x) <= Q^(-epsilon).
-
-    Verdicts whose log-margin falls inside the indeterminate band are
-    listed separately rather than decided by floating noise.
-    """
-    grid = [Fraction(q) for q in Q_grid]
-    if not grid or any(b < a for a, b in zip(grid, grid[1:])):
-        raise BadParameter("Q grid must be nonempty and ascending")
-    if indeterminate_tol is None:
-        indeterminate_tol = 10.0 ** (-(max(precision, 17) - 10))
-    out = []
-    for q in grid:
-        spec = spec_template.with_Q(q)
-        with _working_precision(precision):
-            logQ = _log_Q(q, precision)
-            sols, indet = [], []
-            for x in sorted(set(points)):
-                try:
-                    margin = log_twisted_height(spec, x, precision) \
-                        + _real(spec.epsilon, precision) * logQ
-                except AllFormsVanish:
-                    continue
-                if abs(margin) <= indeterminate_tol:
-                    indet.append(x)
-                elif margin < 0:
-                    sols.append(x)
-        out.append({"Q": q, "solutions": sols, "indeterminate": indet})
-    return out

@@ -11,6 +11,7 @@ from linscat.exceptional import (
     density_report,
     enumerate_points,
     filter_solutions,
+    q_sweep,
     span_subspace,
     subspace_cover,
 )
@@ -137,6 +138,10 @@ def test_parametric_filter():
     ss = filter_solutions("parametric", spec, points=pts)
     assert [p.coords for p in ss.points] == [(1, 0)]
     assert not ss.indeterminate
+    # at Q = 1, log H_Q([1:1]) = 0 = -eps log Q: exactly on the boundary
+    at_one = filter_solutions("parametric", spec.with_Q(1), points=pts)
+    assert ProjectivePoint([1, 1]) in at_one.indeterminate
+    assert not at_one.points and not at_one.support
 
 
 def test_filter_validation():
@@ -151,6 +156,11 @@ def test_filter_validation():
         filter_solutions("bogus", spec, height_bound=10)
     with pytest.raises(errors.BadParameter):
         filter_solutions("parametric", spec, height_bound=10)
+    twisted = TwistedHeightSpec(RATIONALS, [INF], {INF: [
+        LinearForm(RATIONALS, [1, 0]), LinearForm(RATIONALS, [0, 1])]},
+        {INF: [1, -1]}, epsilon="1/10", Q=2)
+    with pytest.raises(errors.BadParameter):
+        filter_solutions("parametric", twisted)  # no points, no bound
 
 
 def test_height_bound_below_one_rejected():
@@ -166,6 +176,24 @@ def test_height_bound_below_one_rejected():
             filter_solutions("schmidt", K3, height_bound=bound, epsilon="3/10")
         with pytest.raises(errors.BadParameter):
             filter_solutions("fw", spec, height_bound=bound, d_weights=[[0, 0]])
+
+
+def test_q_sweep_matches_parametric_filter():
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    spec = TwistedHeightSpec(
+        K, [INF, 3], {INF: [LinearForm(K, [-th, 1]), LinearForm(K, [1, 0])],
+                      3: [LinearForm(K, [1, 0]), LinearForm(K, [1, 1])]},
+        {INF: ["1/2", "-1/2"], 3: ["-1/3", "1/3"]}, epsilon="1/10",
+        w_choices={INF: 1})
+    pts = enumerate_points(1, 20)
+    rows = q_sweep(spec, [1, 2, 100], pts)
+    assert [r["Q"] for r in rows] == [1, 2, 100]
+    assert any(r["solutions"] for r in rows) and any(r["indeterminate"] for r in rows)
+    for r in rows:
+        ss = filter_solutions("parametric", spec.with_Q(r["Q"]), points=pts)
+        assert r["solutions"] == ss.points
+        assert r["indeterminate"] == ss.indeterminate
 
 
 def test_parametric_digest_covers_forms_and_weights():

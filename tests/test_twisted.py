@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from linscat import errors, nf_create
-from linscat.exceptional import _lambda_matrix
+from linscat.exceptional import _lambda_matrix, q_sweep
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint, weil_hyperplane
 from linscat.places import INF, places_above
@@ -15,7 +15,6 @@ from linscat.twisted import (
     TwistedHeightSpec,
     log_twisted_height,
     log_twisted_report,
-    q_sweep,
     twisted_height,
 )
 
@@ -184,6 +183,28 @@ def test_spec_missing_place_forms_is_bad_parameter():
     with pytest.raises(errors.BadParameter):
         TwistedHeightSpec(RATIONALS, [INF, 2], {INF: forms},
                           {INF: [1, -1], 2: [1, -1]}, 1)
+
+
+def test_place_spellings_normalized():
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    form = LinearForm(K, [-th, 1])
+    x = ProjectivePoint([5, 7])
+    # places_above and weil_hyperplane read "infinity" as INF
+    assert places_above(K, "infinity") == places_above(K, INF)
+    assert weil_hyperplane(form, x, "infinity") == weil_hyperplane(form, x, INF)
+    # w_choices keyed "oo" picks embedding 1, not the default 0
+    fs = [form, LinearForm(K, [1, 0])]
+    spec = FormSystemSpec(K, ["oo"], {INF: fs}, w_choices={"oo": 1})
+    assert spec.w_choices == {INF: 1}
+    assert spec.places()[INF].w_index == 1
+    # forms and weights keyed "oo" or "infinity" are found under INF
+    qfs = coord_forms(RATIONALS, 1)
+    assert FormSystemSpec(RATIONALS, ["oo"], {"oo": qfs}).forms[INF] == tuple(qfs)
+    tspec = TwistedHeightSpec(RATIONALS, ["oo"], {"infinity": qfs}, {"oo": [1, -1]}, 1)
+    assert tspec.weights == {INF: (1, -1)}
+    with pytest.raises(errors.BadParameter):
+        FormSystemSpec(RATIONALS, ["x"], {"x": qfs})
 
 
 def _ord(q, p):
