@@ -141,8 +141,13 @@ def _get_weights(cfg, S):
 
 
 def _get_w_choices(cfg):
-    return {_normalize_place(k, "w_choices"): int(ix)
-            for k, ix in cfg.get("w_choices", {}).items()}
+    out = {}
+    for k, ix in cfg.get("w_choices", {}).items():
+        try:
+            out[_normalize_place(k, "w_choices")] = int(ix)
+        except (TypeError, ValueError):
+            raise ConfigInvalid("w_choices[%s] must be an integer, got %r" % (k, ix))
+    return out
 
 
 def _report(payload, cfg_digest, precision, out_path=None):
@@ -292,9 +297,13 @@ def cmd_solve(cfg, digest, precision, outdir):
     elif mode == "fw":
         if "d_weights" not in cfg:
             raise ConfigInvalid("fw mode needs 'd_weights'")
-        params["d_weights"] = [
-            [_frac(c, "d_weights") for c in cfg["d_weights"][_place_key(v)]]
-            for v in spec.S]
+        params["d_weights"] = []
+        for v in spec.S:
+            key = _place_key(v)
+            if key not in cfg["d_weights"]:
+                raise ConfigInvalid("no d_weights row for place %s" % key)
+            params["d_weights"].append(
+                [_frac(c, "d_weights") for c in cfg["d_weights"][key]])
     ss = exceptional.filter_solutions(mode, spec, points=pts, height_bound=bound,
                                       slack=float(slack), precision=precision, **params)
     payload = {

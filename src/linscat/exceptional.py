@@ -305,23 +305,6 @@ def _nullspace(rows):
     return normed
 
 
-def _canon_equations(eqs):
-    """Canonical integer form of a rational equation matrix."""
-    out = []
-    for row in eqs:
-        den = 1
-        for c in row:
-            den = math.lcm(den, Fraction(c).denominator)
-        ints = [int(Fraction(c) * den) for c in row]
-        g = math.gcd(*[abs(c) for c in ints]) or 1
-        ints = [c // g for c in ints]
-        lead = next((c for c in ints if c), 0)
-        if lead < 0:
-            ints = [-c for c in ints]
-        out.append(tuple(ints))
-    return tuple(sorted(out))
-
-
 class Subspace:
     """Proper linear subspace of P^n given by exact defining equations."""
 
@@ -347,7 +330,9 @@ def span_subspace(points, ambient_n):
     eqs = _nullspace([list(p.coords) for p in points])
     if not eqs:
         return None
-    return Subspace(_canon_equations(eqs), ambient_n)
+    # an equation row is a point of the dual P^n: normalize it like one
+    return Subspace(tuple(sorted(ProjectivePoint(row).coords for row in eqs)),
+                    ambient_n)
 
 
 class SubspaceCover:
@@ -370,32 +355,35 @@ class SubspaceCover:
 
 
 def _candidate_subspaces(points, n):
-    """Distinct proper subspaces spanned by <= n of the points, each with
-    the set of points it covers."""
-    seen = {}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(points, size):
-            sub = span_subspace(list(subset), n)
-            if sub is None or sub.equations in seen:
-                continue
-            covered = frozenset(i for i, p in enumerate(points) if sub.contains(p))
-            seen[sub.equations] = (sub, covered)
-    # keep only maximal covered sets (dominated candidates never help)
-    items = list(seen.values())
-    maximal = []
-    for sub, cov in items:
-        if not any(cov < cov2 for _, cov2 in items):
-            maximal.append((sub, cov))
-    maximal.sort(key=lambda t: (-len(t[1]), t[0].dim, t[0].equations))
-    return maximal
+    """Cover candidates, each with the set of point indices it covers.
+
+    If the points do not span P^n, their span is the one candidate.
+    Otherwise the candidates are the hyperplanes spanned by n of the
+    points.  Every smaller span extends through the points to one of them,
+    and none covers a strict subset of another's points (the shared points
+    would lie in a flat of rank n - 1), so no candidate is dominated.  A
+    point on such a hyperplane lies in some n-subset spanning it, so one
+    pass over the n-subsets collects each full point set.
+    """
+    whole = span_subspace(points, n)
+    if whole is not None:
+        return [(whole, frozenset(range(len(points))))]
+    found = {}
+    for idx in itertools.combinations(range(len(points)), n):
+        sub = span_subspace([points[i] for i in idx], n)
+        if len(sub.equations) == 1:
+            found.setdefault(sub.equations, (sub, []))[1].extend(idx)
+    candidates = [(sub, frozenset(cov)) for sub, cov in found.values()]
+    candidates.sort(key=lambda t: (-len(t[1]), t[0].equations))
+    return candidates
 
 
-def _greedy_cover(points, candidates, n):
+def _greedy_cover(points, candidates):
     uncovered = set(range(len(points)))
     chosen = []
     while uncovered:
         best = max(candidates,
-                   key=lambda t: (len(t[1] & uncovered), -t[0].dim,
+                   key=lambda t: (len(t[1] & uncovered),
                                   tuple(-c for eq in t[0].equations for c in eq)))
         gain = best[1] & uncovered
         if not gain:  # pragma: no cover
@@ -438,9 +426,10 @@ def _exact_cover(points, candidates):
 def subspace_cover(solutions, mode="exact", max_subspaces=None):
     """Cover the solution points by proper linear subspaces.
 
-    exact mode searches the minimum-cardinality cover over subspaces
-    spanned by solution points (point sets above the cap fall back to
-    greedy); greedy takes the most-covering candidate first.
+    exact mode searches a minimum-cardinality cover over the hyperplanes
+    spanned by solution points (or their span, if it is proper), which is
+    also a minimum over all proper subspaces; point sets above the cap fall
+    back to greedy.  greedy takes the most-covering candidate first.
     """
     points = sorted(set(solutions.points if isinstance(solutions, SolutionSet)
                         else solutions))
@@ -454,7 +443,7 @@ def subspace_cover(solutions, mode="exact", max_subspaces=None):
     if used_mode == "exact":
         chosen = _exact_cover(points, candidates)
     elif used_mode == "greedy":
-        chosen = _greedy_cover(points, candidates, n)
+        chosen = _greedy_cover(points, candidates)
     else:
         raise BadParameter("mode must be exact or greedy")
     if max_subspaces is not None and len(chosen) > max_subspaces:

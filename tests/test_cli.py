@@ -154,6 +154,18 @@ def test_error_exit_codes(tmp_path, capsys):
     notjson.write_text("{nope")
     assert main(["places", "--config", str(notjson)]) == 1
     capsys.readouterr()
+    fw = {"mode": "fw", "field": [0, 1], "S": ["inf", 3],
+          "forms": {"inf": [["1", "0"], ["0", "1"]], "3": [["1", "0"], ["0", "1"]]},
+          "d_weights": {"inf": ["0", "0"]},  # no row for 3
+          "points": [[1, 2]]}
+    bad_w = dict(fw, d_weights={"inf": ["0", "0"], "3": ["0", "0"]},
+                 w_choices={"inf": "first"})
+    for cfg, text in ((fw, "no d_weights row for place 3"),
+                      (bad_w, "w_choices[inf] must be an integer")):
+        assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bundled_configs(capsys):

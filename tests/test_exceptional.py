@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from linscat import errors, nf_create
 from linscat.exceptional import (
     FormSystemSpec,
+    _candidate_subspaces,
     density_report,
     enumerate_points,
     filter_solutions,
@@ -294,3 +296,77 @@ def test_density_report():
     assert rep["max_points_per_subspace"] >= 1
     assert "non-dense" in rep["verdict_text"]
     assert density_report([])["point_count"] == 0
+
+
+def _reference_candidates(points, n):
+    """Oracle: every distinct span of <= n points, scanned against every
+    point, then only the candidates whose covered set is maximal."""
+    seen = {}
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(points, size):
+            sub = span_subspace(list(subset), n)
+            if sub is None or sub.equations in seen:
+                continue
+            covered = frozenset(i for i, p in enumerate(points) if sub.contains(p))
+            seen[sub.equations] = (sub, covered)
+    items = list(seen.values())
+    maximal = [(sub, cov) for sub, cov in items
+               if not any(cov < cov2 for _, cov2 in items)]
+    maximal.sort(key=lambda t: (-len(t[1]), t[0].dim, t[0].equations))
+    return maximal
+
+
+def _random_points(rng, n, count, box):
+    pts = set()
+    while len(pts) < count:
+        c = [rng.randint(-box, box) for _ in range(n + 1)]
+        if any(c):
+            pts.add(ProjectivePoint(c))
+    return sorted(pts)
+
+
+def _on_flat(rng, basis, count, box=3):
+    """count distinct points in the span of the basis vectors."""
+    pts = set()
+    while len(pts) < count:
+        t = [rng.randint(-box, box) for _ in basis]
+        c = [sum(a * b[j] for a, b in zip(t, basis)) for j in range(len(basis[0]))]
+        if any(c):
+            pts.add(ProjectivePoint(c))
+    return sorted(pts)
+
+
+def _as_lists(cands):
+    return [(sub.equations, sub.dim, sorted(cov)) for sub, cov in cands]
+
+
+def test_candidates_match_reference():
+    rng = random.Random(7)
+    cases = []
+    for n, count, box in ((1, 6, 5), (2, 9, 3), (3, 8, 2), (4, 7, 2)):
+        for _ in range(6):
+            cases.append((_random_points(rng, n, rng.randint(1, count), box), n))
+    # rank-deficient sets: one point, collinear points in P^2, coplanar in P^3
+    cases.append(([ProjectivePoint([2, -1, 5])], 2))
+    cases.append(([ProjectivePoint([1, 3, -2, 1])], 3))
+    cases.append((_on_flat(rng, [(1, 2, 0), (0, 1, -3)], 6), 2))
+    cases.append((_on_flat(rng, [(1, 0, 2, 1), (0, 1, 1, -1), (1, 1, 0, 2)], 9), 3))
+    cases.append((_on_flat(rng, [(1, 1, 0, 0), (0, 1, 2, 1)], 5), 3))
+    # a planted line plus scattered points in P^2
+    planted = _on_flat(rng, [(1, 0, 1), (0, 1, 1)], 5)
+    cases.append((sorted(set(planted + _random_points(rng, 2, 4, 3))), 2))
+    for pts, n in cases:
+        got = _candidate_subspaces(pts, n)
+        assert _as_lists(got) == _as_lists(_reference_candidates(pts, n)), (n, pts)
+        assert all(len(sub.equations) == 1 for sub, _ in got) or len(got) == 1
+
+
+def test_collinear_set_is_one_subspace():
+    rng = random.Random(11)
+    pts = _on_flat(rng, [(1, -1, 2), (0, 3, 1)], 7)
+    for mode in ("exact", "greedy"):
+        cover = subspace_cover(pts, mode=mode)
+        assert cover.mode == mode
+        assert len(cover) == 1
+        assert cover.subspaces[0].equations == ((7, 1, -3),)
+        assert set(cover.assignment.values()) == {0}
