@@ -23,7 +23,9 @@ class PrecisionExhausted(LinscatError):
 
 
 class UnsupportedRamification(LinscatError):
-    """Ramified prime on a field of degree > 2; outside supported scope."""
+    """A prime dividing disc(min_poly) on a field of degree > 2; outside
+    supported scope.  This includes unramified index divisors, such as 2
+    in Dedekind's cubic field of x^3 + x^2 - 2x + 8."""
 
 
 class OnSupport(LinscatError):

@@ -17,7 +17,7 @@ USING_COMPILED = False
 
 def enum_p1(bound):
     """All canonical points of P^1(Q) with max|coordinate| <= bound."""
-    out = [(0, 1)]
+    out = [(0, 1)] if bound >= 1 else []
     for a in range(1, bound + 1):
         for b in range(-bound, bound + 1):
             if math.gcd(a, abs(b)) == 1:
@@ -69,7 +69,7 @@ def _primitive_count(bound, dim):
 def count_p1(bound):
     """len(enum_p1(bound)) in O(bound): half the primitive pairs."""
     if bound < 1:
-        return 1
+        return 0
     return _primitive_count(bound, 2) // 2
 
 
@@ -207,7 +207,7 @@ def prefilter_p1(bound, coeffs, exponent, log_slack, margin=1e-6, tiny=1e-12):
             m = mb
         return prod <= thresholds[m]
 
-    if check(0, 1):
+    if bound >= 1 and check(0, 1):
         out.append((0, 1))
     for a in range(1, bound + 1):
         consts = [(c0 * a, c1) for c0, c1 in coeffs]

@@ -18,16 +18,18 @@ from fractions import Fraction
 
 import mpmath
 import sympy
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dup_resultant
 from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
 
 from .errors import BadParameter, PrecisionExhausted, UnsupportedRamification
-from .fieldarith import charpoly_norm
 
 INF = "inf"
 
 _LIFT_CAP = 256  # residue cap in the p-adic lifting BFS
+_REFINE_STEPS = 4  # precision doublings before a valuation is undecided
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +194,14 @@ def refine_interval(coeffs, interval, digits):
 # ---------------------------------------------------------------------------
 # p-adic root lifting
 
-def lift_padic_roots(coeffs, p, digits, expected=None):
-    """All p-adic roots of an ascending integer poly, to the given precision.
+def lift_padic_roots(coeffs, p, digits, expected):
+    """The expected number of p-adic roots of an ascending integer poly, to
+    the given precision.
 
     Returns (reps, certified) where reps represent the root clusters of the
     solution set mod p^digits and certified is the number of leading digits
-    on which a representative agrees with its true root.  When the number
-    of roots is known in advance pass it as expected; otherwise the cluster
-    count is taken from the longest stable plateau over the precision range
-    (solutions mod p^k can both merge at small k and split spuriously near
-    k = digits).
+    on which a representative agrees with its true root: the highest level
+    k at which the solutions mod p^k fall into exactly expected classes.
     """
     mod = p
     residues = [r for r in range(p) if _poly_eval_int(coeffs, r, p) == 0]
@@ -234,24 +234,12 @@ def lift_padic_roots(coeffs, p, digits, expected=None):
     if not residues:
         return [], digits
     classes = {k: sorted({r % p ** k for r in residues}) for k in range(1, digits + 1)}
-    if expected is not None:
-        certified = max((k for k in classes if len(classes[k]) == expected), default=None)
-        if certified is None:
-            raise PrecisionExhausted(
-                "no precision level shows %d roots at p=%d (digits=%d)"
-                % (expected, p, digits)
-            )
-    else:
-        runs = []  # (length, max_k, count) per constant-count run
-        k = digits
-        while k >= 1:
-            j = k
-            while j > 1 and len(classes[j - 1]) == len(classes[k]):
-                j -= 1
-            runs.append((k - j + 1, k, len(classes[k])))
-            k = j - 1
-        runs.sort(key=lambda t: (t[0], t[1]))
-        certified = runs[-1][1]
+    certified = max((k for k in classes if len(classes[k]) == expected), default=None)
+    if certified is None:
+        raise PrecisionExhausted(
+            "no precision level shows %d roots at p=%d (digits=%d)"
+            % (expected, p, digits)
+        )
     reps = [min(r for r in residues if r % p ** certified == rep)
             for rep in classes[certified]]
     return reps, certified
@@ -263,26 +251,25 @@ def lift_padic_roots(coeffs, p, digits, expected=None):
 class Place:
     """A place of a number field above a place of Q.
 
-    Non-archimedean places carry an approximate local factor of the minimal
-    polynomial over Q_p (exact enough for valuations up to the certified
-    precision).  Archimedean places carry a certified real enclosure or a
-    complex approximation of the corresponding root.
+    Non-archimedean places carry the monic local factor of the minimal
+    polynomial over Q_p, ascending, whose coefficients agree with the true
+    factor to certified p-adic digits.  Archimedean places carry a certified
+    real enclosure or a complex approximation of the corresponding root;
+    their w_index is the embedding index of _complex_embedding.
     """
 
-    def __init__(self, field, kind, *, prime=None, w_index=0, embedding_index=None,
+    def __init__(self, field, kind, *, prime=None, w_index=0,
                  e=1, f=1, local_degree=1, precision=0, local_factor=None,
-                 root=None, certified=0, real_interval=None, is_real=True):
+                 certified=0, real_interval=None, is_real=True):
         self.field = field
         self.kind = kind  # "arch" | "nonarch"
         self.prime = prime
         self.w_index = w_index
-        self.embedding_index = embedding_index
         self.e = e
         self.f = f
         self.local_degree = local_degree
         self.precision = precision
         self.local_factor = local_factor
-        self.root = root
         self.certified = certified
         self.is_real = is_real
         self._real_interval = real_interval
@@ -323,7 +310,7 @@ class Place:
                     val = (mpmath.mpf(lo.numerator) / lo.denominator
                            + mpmath.mpf(hi.numerator) / hi.denominator) / 2
         else:
-            val = _complex_embedding(self.field, self.embedding_index, dps)
+            val = _complex_embedding(self.field, self.w_index, dps)
         self._approx[key] = val
         return val
 
@@ -336,7 +323,7 @@ class Place:
         return "Place(v=%s, w=%d, e=%d, f=%d)" % (v, self.w_index, self.e, self.f)
 
 
-def _complex_embedding(field, embedding_index, dps):
+def _complex_embedding(field, w_index, dps):
     """Complex root (imag > 0) for the given embedding index.
 
     Embedding indices enumerate real roots first (ascending), then complex
@@ -348,28 +335,26 @@ def _complex_embedding(field, embedding_index, dps):
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
         upper = [r for r in roots if mpmath.im(r) > 1e-20]
         upper.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        k = embedding_index - n_real
+        k = w_index - n_real
         if k < 0 or k >= len(upper):
-            raise BadParameter("bad embedding index %d" % embedding_index)
+            raise BadParameter("bad embedding index %d" % w_index)
         return upper[k]
 
 
 def _arch_places(field, precision):
     n = field.degree
     if n == 1:
-        return [Place(field, "arch", w_index=0, embedding_index=0,
-                      local_degree=1, precision=precision)]
+        return [Place(field, "arch", w_index=0, local_degree=1, precision=precision)]
     intervals = isolate_real_roots(list(field.min_poly))
     places = []
     for i, iv in enumerate(intervals):
-        places.append(Place(field, "arch", w_index=i, embedding_index=i,
-                            local_degree=1, precision=precision,
-                            real_interval=iv, is_real=True))
+        places.append(Place(field, "arch", w_index=i, local_degree=1,
+                            precision=precision, real_interval=iv, is_real=True))
     n_pairs = (n - len(intervals)) // 2
     for k in range(n_pairs):
         idx = len(intervals) + k
-        places.append(Place(field, "arch", w_index=idx, embedding_index=idx,
-                            local_degree=2, precision=precision, is_real=False))
+        places.append(Place(field, "arch", w_index=idx, local_degree=2,
+                            precision=precision, is_real=False))
     return places
 
 
@@ -400,7 +385,7 @@ def _nonarch_places(field, p, precision):
             return [
                 Place(field, "nonarch", prime=p, w_index=i, e=1, f=1,
                       local_degree=1, precision=precision,
-                      local_factor=(-r, 1), root=r, certified=certified)
+                      local_factor=(-r, 1), certified=certified)
                 for i, r in enumerate(sorted(reps))
             ]
         if kind == "inert":
@@ -424,19 +409,11 @@ def _nonarch_places(field, p, precision):
     else:
         lifted = dup_zz_hensel_lift(p, f_desc, factors, precision, ZZ)
     mod = p ** precision
-    places = []
-    lifted_asc = [tuple(int(c) % mod for c in reversed(g)) for g in lifted]
-    lifted_asc.sort()
-    for i, g in enumerate(lifted_asc):
-        deg = len(g) - 1
-        root = None
-        if deg == 1:
-            # monic x + c: root is -c mod p^precision
-            root = (-g[0]) % mod
-        places.append(Place(field, "nonarch", prime=p, w_index=i, e=1, f=deg,
-                            local_degree=deg, precision=precision,
-                            local_factor=g, root=root, certified=precision))
-    return places
+    lifted_asc = sorted(tuple(int(c) % mod for c in reversed(g)) for g in lifted)
+    return [Place(field, "nonarch", prime=p, w_index=i, e=1, f=len(g) - 1,
+                  local_degree=len(g) - 1, precision=precision,
+                  local_factor=g, certified=precision)
+            for i, g in enumerate(lifted_asc)]
 
 
 def normalize_place(v):
@@ -470,12 +447,19 @@ def places_above(field, v, precision=40):
 
 
 def _refreshed(place, precision):
-    """Same place at a higher non-archimedean precision."""
-    fresh = places_above(place.field, place.prime, precision)
-    for cand in fresh:
-        if cand.w_index == place.w_index:
-            return cand
-    raise PrecisionExhausted("place disappeared on refinement")  # pragma: no cover
+    """Same place at a higher non-archimedean precision: the one whose local
+    factor is congruent to this place's to the digits both certify.  w_index
+    is no guide, since split places are sorted by their factors mod
+    p^precision and that order changes with the precision."""
+    p, g = place.prime, place.local_factor
+    same = [cand for cand in places_above(place.field, p, precision)
+            if len(cand.local_factor) == len(g)
+            and all((x - y) % p ** min(place.certified, cand.certified) == 0
+                    for x, y in zip(cand.local_factor, g))]
+    if len(same) != 1:
+        raise PrecisionExhausted(
+            "place above %d not matched on refinement" % place.prime)  # pragma: no cover
+    return same[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +491,22 @@ def _integer_rep(a):
     return [int(c * den) for c in a.coeffs], den
 
 
-def nonarch_exponent(field, place, a, _depth=0):
-    """Exact exponent t with |a|_{v,K} = p^(-t), extension normalization."""
+def _local_norm(g, coeffs):
+    """Res(g, A) for a monic g and an integer poly A, both ascending: the
+    product of A over the roots of g.  For g the minimal polynomial this is
+    N(A(theta)); for g a local factor, the local norm N_{K_w/Q_p}(A(theta))."""
+    return dup_resultant(list(reversed(g)), dup_strip(list(reversed(coeffs))), ZZ)
+
+
+def nonarch_exponent(field, place, a):
+    """Exact exponent t with |a|_{v,K} = p^(-t), extension normalization.
+
+    With a = A(theta)/den, t = ord_p Res(g_w, A) / d_w - ord_p(den).  When
+    the place is the whole completion g_w is the minimal polynomial and the
+    norm is exact.  Otherwise g_w agrees with the p-adic factor to certified
+    digits, so an order below that is final and a higher one refines the
+    place, doubling its precision up to _REFINE_STEPS times.
+    """
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if not a:
@@ -517,41 +515,20 @@ def nonarch_exponent(field, place, a, _depth=0):
     if a.is_rational_value:
         return Fraction(ord_p_fraction(a.rational_value(), p))
     coeffs, den = _integer_rep(a)
-    shift = Fraction(ord_p_int(den, p)) if den % p == 0 else Fraction(0)
+    shift = ord_p_int(den, p) if den % p == 0 else 0
     d = place.local_degree
-    if d == field.degree:
-        # one place covering the whole completion: local norm = global norm
-        elem = field.element([Fraction(c) for c in coeffs])
-        _, nm, _ = charpoly_norm(elem)
-        return Fraction(ord_p_fraction(nm, p), d) - shift
-    if place.root is not None:
-        mod = p ** place.precision
-        val = _poly_eval_int(coeffs, place.root, mod)
-        if val == 0 or (val % p == 0 and ord_p_int(val, p) >= place.certified):
-            if _depth >= 4:
-                raise PrecisionExhausted(
-                    "valuation at p=%d undecided at precision %d" % (p, place.precision)
-                )
-            finer = _refreshed(place, 2 * place.precision)
-            return nonarch_exponent(field, finer, a, _depth + 1)
-        return Fraction(ord_p_int(val, p)) - shift
-    # general local factor: p-order of the resultant with a's representative
-    mod = p ** place.precision
-    g = sympy.Poly(list(reversed(place.local_factor)), _RES_X)
-    h = sympy.Poly(list(reversed(coeffs)), _RES_X)
-    res = int(g.resultant(h))
-    res %= mod
-    if res == 0:
-        if _depth >= 4:
-            raise PrecisionExhausted(
-                "resultant order undecided at p=%d precision %d" % (p, place.precision)
-            )
-        finer = _refreshed(place, 2 * place.precision)
-        return nonarch_exponent(field, finer, a, _depth + 1)
-    return Fraction(ord_p_int(res, p), d) - shift
-
-
-_RES_X = sympy.Symbol("_linscat_res_x")
+    exact = d == field.degree
+    g = field.min_poly if exact else place.local_factor
+    for step in range(_REFINE_STEPS + 1):
+        if step:
+            place = _refreshed(place, 2 * place.precision)
+            g = place.local_factor
+        res = _local_norm(g, coeffs)
+        if exact or res % p ** place.certified:
+            return Fraction(ord_p_int(res, p), d) - shift
+    raise PrecisionExhausted(
+        "valuation at p=%d undecided at precision %d" % (p, place.precision)
+    )
 
 
 _UNCHANGED = contextlib.nullcontext()
@@ -660,14 +637,8 @@ def log_abs(field, place, a, precision=17, normalization="extension"):
 
 def _support_primes(field, a):
     coeffs, den = _integer_rep(a)
-    primes = set(sympy.factorint(den))
-    elem = field.element([Fraction(c) for c in coeffs])
-    _, nm, _ = charpoly_norm(elem)
-    nm = Fraction(nm)
-    if nm.numerator != 0:
-        primes |= set(sympy.factorint(abs(nm.numerator)))
-    primes |= set(sympy.factorint(nm.denominator))
-    return sorted(primes)
+    nm = _local_norm(field.min_poly, coeffs)
+    return sorted(set(sympy.factorint(den)) | set(sympy.factorint(abs(nm))))
 
 
 def product_formula_defect(field, a, precision=30):

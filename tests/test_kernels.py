@@ -47,6 +47,14 @@ def test_counts_match_enumeration():
         assert kernels.count_p2(bound) == len(kernels.enum_p2(bound)), bound
 
 
+def test_bound_zero_is_empty():
+    """No point of P^1 or P^2 has height 0; every kernel agrees."""
+    assert kernels.enum_p1(0) == [] and kernels.count_p1(0) == 0
+    assert kernels.enum_p2(0) == [] and kernels.count_p2(0) == 0
+    assert kernels.prefilter_p1(0, COEFFS_P1, -0.3, 0.0) == []
+    assert kernels.prefilter_p2(0, ((1.0, -1.0, 0.5),), -0.3, 0.0) == []
+
+
 def test_prefilter_superset_of_tight_threshold():
     # shrinking the slack can only shrink the candidate set
     loose = set(map(tuple, kernels.prefilter_p1(30, COEFFS_P1, -0.3, 1.0)))

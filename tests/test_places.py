@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from linscat import errors, nf_create, places_above, product_formula_defect
+from linscat.fieldarith import charpoly_norm, norm
 from linscat.places import (
     INF,
     abs_value,
@@ -14,6 +15,7 @@ from linscat.places import (
     log_abs,
     nonarch_exponent,
     ord_p_fraction,
+    ord_p_int,
     squarefree_part,
 )
 
@@ -89,7 +91,7 @@ def test_non_maximal_order_traps():
 
 
 def test_padic_root_certification():
-    reps, cert = lift_padic_roots([-2, 0, 1], 7, 20)
+    reps, cert = lift_padic_roots([-2, 0, 1], 7, 20, expected=2)
     assert len(reps) == 2 and cert >= 19
     for r in reps:
         assert (r * r - 2) % 7 ** cert == 0
@@ -133,17 +135,18 @@ def test_arch_places_shapes():
 
 
 def test_valuation_norm_consistency():
-    """Sum of d_w * t_w over w | p equals ord_p of the norm."""
+    """Sum of d_w * t_w over w | p equals ord_p of the norm, for both cubic
+    fields also at primes where they split into linear factors."""
     rng = random.Random(19)
-    for mp in ([-2, 0, 1], [-17, 0, 1], [-2, 0, 0, 1]):
+    for mp in ([-2, 0, 1], [-17, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1]):
         K = nf_create(mp)
-        from linscat.fieldarith import norm
+        primes = (2, 3, 5, 7, 11) if K.degree == 2 else (2, 3, 5, 7, 11, 13, 17, 19, 31)
         for _ in range(12):
             a = K.element([Fraction(rng.randint(-9, 9)) for _ in range(K.degree)])
             if not a:
                 continue
             nm = norm(a)
-            for p in (2, 3, 5, 7, 11):
+            for p in primes:
                 if K.degree > 2 and K.poly_disc % p == 0:
                     continue
                 total = sum(w.local_degree * nonarch_exponent(K, w, a)
@@ -168,6 +171,108 @@ def test_extension_vs_field_normalization():
         log_abs(K, ws[1], th, normalization="bogus")
 
 
+def _reference_exponent(field, place, a, _depth=0):
+    """nonarch_exponent as it was before the local-norm rewrite, kept as an
+    oracle.  Three formulas: the global norm by charpoly_norm when the place
+    is the whole completion, A(r) mod p^precision at a p-adic root r, and
+    sympy's Poly.resultant with any other local factor.  An undecided value
+    is recomputed at the place with the same w_index at twice the precision."""
+    if isinstance(a, (int, Fraction)):
+        a = field.from_rational(a)
+    p = place.prime
+    if a.is_rational_value:
+        return Fraction(ord_p_fraction(a.rational_value(), p))
+    den = a.denominator_lcm()
+    coeffs = [int(c * den) for c in a.coeffs]
+    shift = Fraction(ord_p_int(den, p)) if den % p == 0 else Fraction(0)
+    d = place.local_degree
+
+    def finer():
+        if _depth >= 4:
+            raise errors.PrecisionExhausted("reference undecided")
+        w = next(w for w in places_above(field, p, 2 * place.precision)
+                 if w.w_index == place.w_index)
+        return _reference_exponent(field, w, a, _depth + 1)
+
+    if d == field.degree:
+        _, nm, _ = charpoly_norm(field.element([Fraction(c) for c in coeffs]))
+        return Fraction(ord_p_fraction(nm, p), d) - shift
+    mod = p ** place.precision
+    if d == 1:
+        root = -place.local_factor[0] % mod
+        val = sum(c * pow(root, i, mod) for i, c in enumerate(coeffs)) % mod
+        if val == 0 or ord_p_int(val, p) >= place.certified:
+            return finer()
+        return Fraction(ord_p_int(val, p)) - shift
+    x = sympy.Symbol("x")
+    g = sympy.Poly(list(reversed(place.local_factor)), x)
+    h = sympy.Poly(list(reversed(coeffs)), x)
+    res = int(g.resultant(h)) % mod
+    if res == 0:
+        return finer()
+    return Fraction(ord_p_int(res, p), d) - shift
+
+
+REFERENCE_FIELDS = {
+    "Q(sqrt2)": [-2, 0, 1],
+    "Q(i)": [1, 0, 1],
+    "Q(sqrt5)": [-5, 0, 1],     # 2 inert, and 2 divides the index of Z[sqrt5]
+    "Q(sqrt17)": [-17, 0, 1],   # 2 split, and 2 divides the index of Z[sqrt17]
+    "x^3-2": [-2, 0, 0, 1],
+    "x^3-3x+1": [1, -3, 0, 1],
+}
+
+
+def _random_element(K, p, rng):
+    """b * c^k with small random b, c and k <= 3; each coefficient of b and
+    c has denominator 1, p, p^2 or a random integer up to 30."""
+    def small():
+        dens = (1, p, p * p, rng.randint(1, 30))
+        return K.element([Fraction(rng.randint(-60, 60), rng.choice(dens))
+                          for _ in range(K.degree)])
+    return small() * small() ** rng.randint(0, 3)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+def test_exponent_matches_reference(name):
+    """The local-norm exponent equals the three-formula oracle at every place
+    above every prime <= 13 that places_above accepts."""
+    K = nf_create(REFERENCE_FIELDS[name])
+    rng = random.Random(sum(map(ord, name)))
+    values = []
+    for p in (2, 3, 5, 7, 11, 13):
+        try:
+            ws = places_above(K, p, 40)
+        except errors.UnsupportedRamification:
+            continue
+        for _ in range(60):
+            a = _random_element(K, p, rng)
+            if not a:
+                continue
+            for w in ws:
+                t = nonarch_exponent(K, w, a)
+                assert t == _reference_exponent(K, w, a), (p, w, a)
+                values.append(t)
+    assert len(values) >= 300 and min(values) < 0 < max(values)
+
+
+def test_refinement_keeps_the_place():
+    """a = theta - r, r the 7-adic sqrt2 = 3 mod 7 to 60 digits, has
+    valuation 60 at the place of r and 0 at the other.  40 digits do not
+    decide it, and at 80 digits the split places above 7 are sorted the
+    other way round, so the refined value must follow the local factor, not
+    the w_index."""
+    K = nf_create([-2, 0, 1])
+    reps, _ = lift_padic_roots([-2, 0, 1], 7, 61, expected=2)
+    r = next(x for x in reps if x % 7 == 3) % 7 ** 60
+    a = K.gen() - r
+    ws = places_above(K, 7, 40)
+    at_r = [-w.local_factor[0] % 7 == 3 for w in ws]
+    assert at_r != [-w.local_factor[0] % 7 == 3 for w in places_above(K, 7, 80)]
+    assert [nonarch_exponent(K, w, a) for w in ws] == [60 if m else 0 for m in at_r]
+    assert sum(nonarch_exponent(K, w, a) for w in ws) == ord_p_fraction(norm(a), 7) == 60
+
+
 def test_precision_escalation_at_split_prime():
     K = nf_create([-17, 0, 1])
     th = K.gen()
@@ -175,6 +280,8 @@ def test_precision_escalation_at_split_prime():
     ws = places_above(K, 2, precision=24)
     vals = sorted(nonarch_exponent(K, w, a) for w in ws)
     assert vals == [9, 27]
+    # both refine to 48 digits, where the two places keep their order
+    assert [nonarch_exponent(K, w, a) for w in ws] == [_reference_exponent(K, w, a) for w in ws]
 
 
 def test_unsupported_ramification():

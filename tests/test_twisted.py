@@ -261,7 +261,8 @@ def test_high_precision_weil_values_match_reference():
     tol = mpmath.mpf(10) ** -45
     points = [ProjectivePoint(c) for c in ([3, 1], [4, -1], [1, 3], [5, 2], [17, 12], [10, 7])]
     for w_inf, w_7 in ((0, 0), (1, 1)):
-        residue7 = next(w.root % 7 for w in places_above(K, 7) if w.w_index == w_7)
+        residue7 = next(-w.local_factor[0] % 7 for w in places_above(K, 7)
+                        if w.w_index == w_7)
         ref_place = {INF: (-1, 1)[w_inf], 3: None, 7: residue7}
         fspec = FormSystemSpec(K, S, {v: forms for v in S}, w_choices={INF: w_inf, 7: w_7})
         tspec = TwistedHeightSpec(K, S, {v: forms for v in S}, weights, eps, Q,
