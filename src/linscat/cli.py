@@ -305,7 +305,7 @@ def cmd_solve(cfg, digest, precision, outdir):
             params["d_weights"].append(
                 [_frac(c, "d_weights") for c in cfg["d_weights"][key]])
     ss = exceptional.filter_solutions(mode, spec, points=pts, height_bound=bound,
-                                      slack=float(slack), precision=precision, **params)
+                                      slack=slack, precision=precision, **params)
     payload = {
         "mode": mode,
         "solutions": [list(p.coords) for p in ss.points],

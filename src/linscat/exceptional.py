@@ -23,7 +23,7 @@ import mpmath
 
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
-from .heights import ProjectivePoint, weil_value
+from .heights import ProjectivePoint, _weil_row
 from .places import INF, arch_value
 from .twisted import (FormSystemSpec, TwistedHeightSpec, _log_Q, _real,
                       _working_precision, log_twisted_height)
@@ -84,16 +84,18 @@ def _points(raw):
 def _lambda_matrix(spec, x, dps):
     """Weil values lambda_vi(x) at all (v, i), and log max|x_j|, as mpf.
 
-    weil_value(..., dps) works at dps + 5 digits; setting that precision
-    once here spares it a context per form.
+    _weil_row(..., dps) works at dps + 5 digits; setting that precision
+    once here spares it a context per place, and above 17 digits log
+    max|x_j| is taken once for all places (the float path takes math.log).
 
     Raises OnSupport listing nothing; callers bucket such points.
     """
     places = spec.places()
     with mpmath.workdps(dps + 5):
-        rows = [[weil_value(form, x, places[v], dps) for form in spec.forms[v]]
-                for v in spec.S]
-        return rows, mpmath.log(max(abs(c) for c in x.coords))
+        lmx = mpmath.log(max(abs(c) for c in x.coords))
+        shared = lmx if dps > 17 else None
+        rows = [_weil_row(spec.forms[v], x, places[v], dps, shared) for v in spec.S]
+        return rows, lmx
 
 
 class SolutionSet:

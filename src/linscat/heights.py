@@ -4,11 +4,13 @@ Points carry primitive integer coordinates with a canonical sign, so the
 multiplicative height is exactly max|x_i| and all finite-place terms of the
 height are zero.  Linear forms may have coefficients in a number field; the
 local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
-extension absolute value at a chosen place w above v; weil_value is its one
-definition, built on places.log_abs.
+extension absolute value at a chosen place w above v.  _weil_row is its one
+definition, for all forms of one place at one point, built on
+places.log_abs; weil_value is its one-form case.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -75,9 +77,13 @@ def log_height(x, precision=17):
 
 
 class LinearForm:
-    """Linear form sum_j a_j x_j with coefficients in a number field."""
+    """Linear form sum_j a_j x_j with coefficients in a number field.
 
-    __slots__ = ("field", "coeffs")
+    The form is precompiled at construction: _rows[k][j] is the numerator of
+    the theta^k coefficient of a_j over the common denominator _den.
+    """
+
+    __slots__ = ("field", "coeffs", "_rows", "_den")
 
     def __init__(self, field, coeffs):
         elems = []
@@ -92,6 +98,11 @@ class LinearForm:
             raise BadParameter("linear form needs a nonzero coefficient")
         self.field = field
         self.coeffs = tuple(elems)
+        self._den = math.lcm(*(a.denominator_lcm() for a in elems))
+        self._rows = tuple(
+            tuple(a.coeffs[k].numerator * (self._den // a.coeffs[k].denominator)
+                  for a in elems)
+            for k in range(field.degree))
 
     @property
     def n_vars(self):
@@ -102,17 +113,17 @@ class LinearForm:
         return all(c.is_rational_value for c in self.coeffs)
 
     def evaluate(self, x):
-        """Value at a projective point, as a field element."""
-        if len(x.coords) != len(self.coeffs):
+        """Value at a projective point, as a field element: one integer dot
+        product per power-basis slot, reduced over the common denominator."""
+        coords = x.coords
+        if len(coords) != len(self.coeffs):
             raise BadParameter(
                 "form in %d variables applied to a point of P^%d"
                 % (len(self.coeffs), x.n)
             )
-        out = self.field.zero()
-        for a, xi in zip(self.coeffs, x.coords):
-            if xi:
-                out = out + a * xi
-        return out
+        den = self._den
+        return FieldElement(self.field, [
+            Fraction(sum(map(operator.mul, row, coords)), den) for row in self._rows])
 
     def __repr__(self):
         return "LinearForm(%r)" % (list(self.coeffs),)
@@ -143,27 +154,41 @@ def resolve_place(field, v, w_index, precision):
     raise BadParameter("no place with index %d above %r" % (w_index, v))
 
 
-def weil_value(form, x, place, precision=17):
-    """lambda_{L,w}(x) = log max_j|x_j|_v - log|L(x)|_{v,K} at the place w.
+def _weil_row(forms, x, place, precision=17, log_max=None):
+    """[lambda_{L,w}(x) for L in forms] at the place w, where
+    lambda_{L,w}(x) = log max_j|x_j|_v - log|L(x)|_{v,K}.
 
     Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
-    integer coordinates the finite-place max is 1.  A float at precision
-    <= 17, else an mpf at precision + 5 digits (or the caller's working
-    precision when that is higher).
+    integer coordinates the finite-place max is 1.  At infinity
+    log max_j|x_j| is taken once for the row, or is log_max when the caller
+    already holds it in the same context.  Floats at precision <= 17, else
+    mpfs at precision + 5 digits (or the caller's working precision when
+    that is higher).
     """
-    val = form.evaluate(x)
-    if not val:
-        raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
-    la = log_abs(form.field, place, val, precision)
-    arch = place.kind == "arch"
-    # off infinity log max_j|x_j|_v is 0, so a unit's lambda is log_abs's
-    # +0.0 (or mpf zero) and any other is 0 - log_abs
-    if not (arch or la):
-        return la
+    las = []
+    for form in forms:
+        val = form.evaluate(x)
+        if not val:
+            raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
+        las.append(log_abs(form.field, place, val, precision))
+    if place.kind != "arch":
+        # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
+        # log_abs's +0.0 (or mpf zero) and any other is 0 - log_abs
+        if precision <= 17:
+            return [0 - la if la else la for la in las]
+        with working_dps(precision + 5):
+            return [0 - la if la else la for la in las]
     if precision <= 17:
-        return (math.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+        lmx = math.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
+        return [lmx - la for la in las]
     with working_dps(precision + 5):
-        return (mpmath.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+        lmx = mpmath.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
+        return [lmx - la for la in las]
+
+
+def weil_value(form, x, place, precision=17):
+    """lambda_{L,w}(x) for one form: the one-form row of _weil_row."""
+    return _weil_row((form,), x, place, precision)[0]
 
 
 def weil_hyperplane(pres, x, v, w_index=0, precision=17, place=None):

@@ -386,7 +386,7 @@ def _nonarch_places(field, p, precision):
                 Place(field, "nonarch", prime=p, w_index=i, e=1, f=1,
                       local_degree=1, precision=precision,
                       local_factor=(-r, 1), certified=certified)
-                for i, r in enumerate(sorted(reps))
+                for i, (r,) in enumerate(_first_difference_order([(r,) for r in reps], p))
             ]
         if kind == "inert":
             return [Place(field, "nonarch", prime=p, w_index=0, e=1, f=2,
@@ -409,11 +409,25 @@ def _nonarch_places(field, p, precision):
     else:
         lifted = dup_zz_hensel_lift(p, f_desc, factors, precision, ZZ)
     mod = p ** precision
-    lifted_asc = sorted(tuple(int(c) % mod for c in reversed(g)) for g in lifted)
+    lifted_asc = [tuple(int(c) % mod for c in reversed(g)) for g in lifted]
     return [Place(field, "nonarch", prime=p, w_index=i, e=1, f=len(g) - 1,
                   local_degree=len(g) - 1, precision=precision,
                   local_factor=g, certified=precision)
-            for i, g in enumerate(lifted_asc)]
+            for i, g in enumerate(_first_difference_order(lifted_asc, p))]
+
+
+def _first_difference_order(keys, p):
+    """Tuples of p-adic integers (a root, or a local factor's coefficients)
+    sorted by their reductions mod p^s, where s is the smallest level at
+    which those reductions are pairwise distinct.  s and the reductions are
+    fixed by the true roots or factors, which every certified precision
+    determines to at least s digits; so the order, and with it each split
+    place's w_index, is the same at every precision."""
+    s = 1
+    while len({tuple(c % p ** s for c in k) for k in keys}) < len(keys):
+        s += 1
+    mod = p ** s
+    return sorted(keys, key=lambda k: tuple(c % mod for c in k))
 
 
 def normalize_place(v):
@@ -447,19 +461,9 @@ def places_above(field, v, precision=40):
 
 
 def _refreshed(place, precision):
-    """Same place at a higher non-archimedean precision: the one whose local
-    factor is congruent to this place's to the digits both certify.  w_index
-    is no guide, since split places are sorted by their factors mod
-    p^precision and that order changes with the precision."""
-    p, g = place.prime, place.local_factor
-    same = [cand for cand in places_above(place.field, p, precision)
-            if len(cand.local_factor) == len(g)
-            and all((x - y) % p ** min(place.certified, cand.certified) == 0
-                    for x, y in zip(cand.local_factor, g))]
-    if len(same) != 1:
-        raise PrecisionExhausted(
-            "place above %d not matched on refinement" % place.prime)  # pragma: no cover
-    return same[0]
+    """Same place at a higher non-archimedean precision: w_index names the
+    same place at every precision (_first_difference_order)."""
+    return places_above(place.field, place.prime, precision)[place.w_index]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import AllFormsVanish, BadParameter
-from .heights import LinearForm, log_height, resolve_place, weil_value
+from .heights import LinearForm, _weil_row, log_height, resolve_place
 from .places import INF, log_abs, normalize_place, working_dps
 
 
@@ -222,8 +222,9 @@ def log_twisted_report(spec, x, precision=17):
         per_place = {}
         lhs = 0.0 if precision <= 17 else mpmath.mpf(0)
         for v in spec.S:
-            m = min(weil_value(form, x, places[v], precision) + _real(c, precision) * logQ
-                    for form, c in zip(spec.forms[v], spec.weights[v]))
+            row = _weil_row(spec.forms[v], x, places[v], precision)
+            m = min(lam + _real(c, precision) * logQ
+                    for lam, c in zip(row, spec.weights[v]))
             per_place[v] = m
             lhs = lhs + m
         h = log_height(x, precision)

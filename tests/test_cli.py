@@ -1,7 +1,12 @@
 import json
 import os
+from fractions import Fraction
 
+from linscat import nf_create
 from linscat.cli import main
+from linscat.exceptional import FormSystemSpec, filter_solutions
+from linscat.heights import LinearForm
+from linscat.places import INF
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,6 +94,32 @@ def test_solve_command_with_outdir(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert lines[0] == "point,h,bucket"
     assert any(line.startswith("1:1,") for line in lines)
+
+
+def test_solve_slack_stays_exact(tmp_path, capsys):
+    """A config's slack reaches the filter as the Fraction it spells: the
+    report settles the points as the API call given Fraction(1, 3) does,
+    with the same spec digest."""
+    forms = [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "0"]]]
+    cfg = write_cfg(tmp_path, "slack.json", {
+        "mode": "schmidt", "field": [-2, 0, 1], "S": ["inf"],
+        "w_choices": {"inf": 1}, "forms": {"inf": forms},
+        "epsilon": "3/10", "slack": "1/3", "height_bound": 60,
+        "precision": 17, "cover": False,
+    })
+    code, doc = run(capsys, "solve", "--config", cfg)
+    assert code == 0 and doc["slack"] == "1/3"
+    K = nf_create([-2, 0, 1])
+    spec = FormSystemSpec(
+        K, [INF], {INF: [LinearForm(K, [K.element(c) for c in f]) for f in forms]},
+        w_choices={INF: 1}, precision=17)
+    kwargs = {"height_bound": 60, "epsilon": Fraction(3, 10), "precision": 17}
+    ss = filter_solutions("schmidt", spec, slack=Fraction(1, 3), **kwargs)
+    assert doc["spec_digest"] == ss.spec_digest
+    assert doc["solutions"] == [list(p.coords) for p in ss.points]
+    assert doc["indeterminate"] == [list(p.coords) for p in ss.indeterminate]
+    assert doc["support"] == [list(p.coords) for p in ss.support]
+    assert len(ss) > len(filter_solutions("schmidt", spec, slack=0, **kwargs))
 
 
 def test_report_determinism(tmp_path, capsys):

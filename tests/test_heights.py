@@ -2,9 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from linscat import errors, nf_create
+from linscat import errors, nf_create, twisted
+from linscat.exceptional import _lambda_matrix
 from linscat.fieldarith import RATIONALS
 from linscat.heights import (
     HyperplanePresentation,
@@ -15,8 +17,10 @@ from linscat.heights import (
     mult_height,
     proximity,
     weil_hyperplane,
+    weil_value,
 )
-from linscat.places import INF
+from linscat.places import INF, log_abs, places_above, working_dps
+from linscat.twisted import TwistedHeightSpec, log_twisted_report
 
 
 def test_point_canonicalization():
@@ -113,3 +117,164 @@ def test_high_precision_path():
     x = ProjectivePoint([3, 4])
     v = weil_hyperplane(pres, x, INF, precision=50)
     assert abs(float(v) - math.log(4 / 3)) < 1e-15
+
+
+def _reference_evaluate(form, x):
+    """LinearForm.evaluate as it was before the integer rows, kept as an
+    oracle: a Fraction accumulation of a_j * x_j in the field."""
+    if len(x.coords) != len(form.coeffs):
+        raise errors.BadParameter("length mismatch")
+    out = form.field.zero()
+    for a, xi in zip(form.coeffs, x.coords):
+        if xi:
+            out = out + a * xi
+    return out
+
+
+def _reference_weil_value(form, x, place, precision):
+    """weil_value as it was before the one-log row: one log max|x_j| per
+    form, on the reference evaluation."""
+    val = _reference_evaluate(form, x)
+    if not val:
+        raise errors.OnSupport("on the hyperplane")
+    la = log_abs(form.field, place, val, precision)
+    arch = place.kind == "arch"
+    if not (arch or la):
+        return la
+    if precision <= 17:
+        return (math.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+    with working_dps(precision + 5):
+        return (mpmath.log(max(abs(c) for c in x.coords)) if arch else 0) - la
+
+
+def _reference_row(forms, x, place, precision=17, log_max=None):
+    """heights._weil_row as a list of reference weil values."""
+    return [_reference_weil_value(form, x, place, precision) for form in forms]
+
+
+def _reference_lambda_matrix(spec, x, dps):
+    """exceptional._lambda_matrix as it was before the one-log row."""
+    places = spec.places()
+    with mpmath.workdps(dps + 5):
+        rows = [[_reference_weil_value(form, x, places[v], dps) for form in spec.forms[v]]
+                for v in spec.S]
+        return rows, mpmath.log(max(abs(c) for c in x.coords))
+
+
+ORACLE_FIELDS = {"Q": [0, 1], "Q(sqrt2)": [-2, 0, 1], "Q(i)": [1, 0, 1],
+                 "x^3-3x+1": [1, -3, 0, 1]}
+
+
+def _random_coeff(K, p, rng):
+    dens = (1, p, p * p, rng.randint(1, 30))
+    if rng.random() < 0.3:
+        return K.from_rational(Fraction(rng.randint(-9, 9), rng.choice(dens)))
+    return K.element([Fraction(rng.randint(-9, 9), rng.choice(dens))
+                      for _ in range(K.degree)])
+
+
+def _cases(K, rng, count):
+    """(form, point) pairs on P^1 and P^2 with denominators 1, p, p^2 and
+    random ones; every third point lies on the form's hyperplane."""
+    out = []
+    for k in range(count):
+        p = rng.choice((2, 3, 5, 7))
+        n = 1 + k % 2
+        if k % 3:
+            coeffs = [_random_coeff(K, p, rng) for _ in range(n + 1)]
+            if not any(coeffs):
+                coeffs[0] = K.one()
+            coords = [rng.randint(-500, 500) for _ in range(n + 1)]
+            if not any(coords):
+                coords[0] = 1
+        else:
+            # c times a rational form q, at an integer point of q = 0
+            q = [Fraction(rng.randint(-9, 9), rng.choice((1, p, p * p))) for _ in range(n + 1)]
+            q[0] = q[0] or Fraction(1, p)
+            c = _random_coeff(K, p, rng) or K.one()
+            coeffs = [c * qj for qj in q]
+            if n == 1:
+                coords = [q[1], -q[0]]
+            else:
+                u = [rng.randint(-5, 5) for _ in range(3)]
+                coords = [q[1] * u[2] - q[2] * u[1], q[2] * u[0] - q[0] * u[2],
+                          q[0] * u[1] - q[1] * u[0]]
+                if not any(coords):
+                    coords = [q[1], -q[0], 0]
+        out.append((LinearForm(K, coeffs), ProjectivePoint(coords)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_evaluate_matches_reference(name):
+    """The integer-row evaluation returns the reference's reduced value,
+    zero on the hyperplane and nonzero elsewhere."""
+    K = nf_create(ORACLE_FIELDS[name])
+    rng = random.Random(sum(map(ord, name)))
+    zeros = 0
+    for form, x in _cases(K, rng, 300):
+        got = form.evaluate(x)
+        want = _reference_evaluate(form, x)
+        assert got == want and got.coeffs == want.coeffs, (form, x)
+        assert all(c.denominator == w.denominator for c, w in zip(got.coeffs, want.coeffs))
+        zeros += not got
+    assert 90 <= zeros < 300
+
+
+def _oracle_spec(K, S, rng):
+    forms = {}
+    for v in S:
+        p = 7 if v == INF else v
+        while True:
+            fs = [LinearForm(K, [_random_coeff(K, p, rng) or K.one() for _ in range(3)])
+                  for _ in range(3)]
+            try:
+                TwistedHeightSpec(K, [v], {v: fs}, {v: [0, 0, 0]}, 0)
+                break
+            except errors.BadParameter:
+                continue
+        forms[v] = fs
+    weights = {v: [Fraction(1, 2), Fraction(-1, 3), Fraction(-1, 6)] for v in S}
+    return TwistedHeightSpec(K, S, forms, weights, Fraction(1, 5), Fraction(7, 2),
+                             w_choices={INF: len(places_above(K, INF, 30)) - 1})
+
+
+@pytest.mark.parametrize("precision", [17, 50])
+def test_weil_values_match_reference_run(precision, monkeypatch):
+    """weil_value, _lambda_matrix and log_twisted_report equal (==) a run on
+    the reference evaluation with one log max|x_j| per form."""
+    cases = [(nf_create([-2, 0, 1]), [INF, 7, 3]), (nf_create([1, 0, 1]), [INF, 5, 2]),
+             (nf_create([0, 1]), [INF, 2, 3])]
+    rng = random.Random(precision)
+    runs = []
+    for K, S in cases:
+        spec = _oracle_spec(K, S, rng)
+        points = [ProjectivePoint([rng.randint(-300, 300) for _ in range(3)])
+                  for _ in range(25)]
+        runs.append((spec, points))
+    seen = 0
+    for spec, points in runs:
+        places = spec.places()
+        for x in points:
+            for v in spec.S:
+                for form in spec.forms[v]:
+                    try:
+                        want = _reference_weil_value(form, x, places[v], precision)
+                    except errors.OnSupport:
+                        continue
+                    assert weil_value(form, x, places[v], precision) == want
+                    seen += 1
+            try:
+                want = _reference_lambda_matrix(spec, x, precision)
+            except errors.OnSupport:
+                with pytest.raises(errors.OnSupport):
+                    _lambda_matrix(spec, x, precision)
+                continue
+            assert _lambda_matrix(spec, x, precision) == want
+    reports = [[log_twisted_report(spec, x, precision) for x in points]
+               for spec, points in runs]
+    monkeypatch.setattr(LinearForm, "evaluate", _reference_evaluate)
+    monkeypatch.setattr(twisted, "_weil_row", _reference_row)
+    assert reports == [[log_twisted_report(spec, x, precision) for x in points]
+                       for spec, points in runs]
+    assert seen > 500

@@ -259,18 +259,47 @@ def test_exponent_matches_reference(name):
 def test_refinement_keeps_the_place():
     """a = theta - r, r the 7-adic sqrt2 = 3 mod 7 to 60 digits, has
     valuation 60 at the place of r and 0 at the other.  40 digits do not
-    decide it, and at 80 digits the split places above 7 are sorted the
-    other way round, so the refined value must follow the local factor, not
-    the w_index."""
+    decide it, so the value comes from the same place at 80 digits, which
+    has the same w_index."""
     K = nf_create([-2, 0, 1])
     reps, _ = lift_padic_roots([-2, 0, 1], 7, 61, expected=2)
     r = next(x for x in reps if x % 7 == 3) % 7 ** 60
     a = K.gen() - r
     ws = places_above(K, 7, 40)
     at_r = [-w.local_factor[0] % 7 == 3 for w in ws]
-    assert at_r != [-w.local_factor[0] % 7 == 3 for w in places_above(K, 7, 80)]
+    assert at_r == [-w.local_factor[0] % 7 == 3 for w in places_above(K, 7, 80)]
     assert [nonarch_exponent(K, w, a) for w in ws] == [60 if m else 0 for m in at_r]
     assert sum(nonarch_exponent(K, w, a) for w in ws) == ord_p_fraction(norm(a), 7) == 60
+
+
+@pytest.mark.parametrize("min_poly, p", [
+    ([-2, 0, 1], 7),        # swapped w_index 0 and 1 between 60 and 80 digits
+    ([-17, 0, 1], 2),       # swapped between 17 and 40; the roots agree mod 2
+    ([1, -3, 0, 1], 17),    # three linear factors
+    ([-2, 0, 0, 1], 5),     # a linear and a quadratic factor
+])
+def test_w_index_is_precision_free(min_poly, p):
+    """Each w_index names the same place at every precision: its local
+    factor is the same mod p^s, s the first level at which the factors of
+    the places above p differ, and the places are sorted by the root
+    (degree 2) or the factor (degree 3) mod p^s."""
+    K = nf_create(min_poly)
+    top = [w.local_factor for w in places_above(K, p, 100)]
+    s = 1
+    while len({tuple(c % p ** s for c in g) for g in top}) < len(top):
+        s += 1
+
+    def keys(ws):
+        return [tuple(c % p ** s for c in w.local_factor) for w in ws]
+
+    want = keys(places_above(K, p, 100))
+    for precision in (17, 40, 60, 80):
+        assert keys(places_above(K, p, precision)) == want, precision
+    if K.degree == 2:
+        roots = [-g[0] % p ** s for g in want]
+        assert roots == sorted(roots)
+    else:
+        assert want == sorted(want)
 
 
 def test_precision_escalation_at_split_prime():

@@ -4,6 +4,12 @@ uninstall it here."""
 
 import importlib.util
 import os
+from fractions import Fraction
+
+from linscat import nf_create
+from linscat.heights import LinearForm, ProjectivePoint
+from linscat.places import INF
+from linscat.twisted import TwistedHeightSpec, log_twisted_report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,3 +36,25 @@ def test_tracer_installs_and_restores():
         t.uninstall()
     for (owner, attr), fn in zip(targets, originals):
         assert vars(owner)[attr] is fn, (owner, attr)
+
+
+def test_tracer_counts_the_form_layers():
+    """One traced log_twisted_report over Q(sqrt2) with S = {inf, 7} shows
+    calls of form evaluation and of both absolute values, so the benchmark's
+    per-layer metrics cannot silently read 0."""
+    tracer = _load_tracer()
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    forms = [LinearForm(K, [1, -th]), LinearForm(K, [th + 1, Fraction(1, 7)])]
+    spec = TwistedHeightSpec(K, [INF, 7], {INF: forms, 7: forms},
+                             {INF: [1, -1], 7: [Fraction(1, 2), Fraction(-1, 2)]},
+                             Fraction(1, 10), Q=2)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        log_twisted_report(spec, ProjectivePoint([5, 3]))
+    finally:
+        t.uninstall()
+    for name in ("heights.evaluate", "places.arch_abs", "places.nonarch_exponent"):
+        calls, _ = t.total("setup", name)
+        assert calls > 0, name
