@@ -44,6 +44,13 @@ def _frac(s, where=""):
     raise ConfigInvalid("expected a rational string at %s, got %r" % (where, s))
 
 
+def _int(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigInvalid("%s must be an integer, got %r" % (where, value))
+
+
 def _normalize_place(v, where=""):
     try:
         return normalize_place(v)
@@ -141,13 +148,8 @@ def _get_weights(cfg, S):
 
 
 def _get_w_choices(cfg):
-    out = {}
-    for k, ix in cfg.get("w_choices", {}).items():
-        try:
-            out[_normalize_place(k, "w_choices")] = int(ix)
-        except (TypeError, ValueError):
-            raise ConfigInvalid("w_choices[%s] must be an integer, got %r" % (k, ix))
-    return out
+    return {_normalize_place(k, "w_choices"): _int(ix, "w_choices[%s]" % k)
+            for k, ix in cfg.get("w_choices", {}).items()}
 
 
 def _report(payload, cfg_digest, precision, out_path=None):
@@ -273,7 +275,8 @@ def cmd_sweep(cfg, digest, precision, outdir):
         raise ConfigInvalid("'Q_grid' must be a nonempty ascending list")
     pts = _get_points(cfg)
     if not pts and "height_bound" in cfg:
-        pts = exceptional.enumerate_points(spec.n, int(cfg["height_bound"]))
+        pts = exceptional.enumerate_points(
+            spec.n, _int(cfg["height_bound"], "height_bound"))
     rows = exceptional.q_sweep(spec, grid, pts, precision)
     payload = [{"Q": str(r["Q"]),
                 "solutions": [list(p.coords) for p in r["solutions"]],
@@ -289,7 +292,7 @@ def cmd_solve(cfg, digest, precision, outdir):
         raise ConfigInvalid("'mode' must be schmidt, fw or parametric")
     slack = _frac(cfg.get("slack", 0), "slack")
     pts = _get_points(cfg) or None
-    bound = int(cfg["height_bound"]) if "height_bound" in cfg else None
+    bound = _int(cfg["height_bound"], "height_bound") if "height_bound" in cfg else None
     spec = _spec(cfg, precision, weighted=mode == "parametric")
     params = {}
     if mode == "schmidt":
@@ -339,14 +342,20 @@ def cmd_scatter(cfg, digest, precision, outdir):
     if "profiles" not in cfg:
         raise ConfigInvalid("scatter needs 'profiles' "
                             "(label, lambda matrix, h) entries")
+    if "n" not in cfg:
+        raise ConfigInvalid("scatter needs 'n', the dimension of P^n")
+    if not cfg["profiles"] and "S_size" not in cfg:
+        raise ConfigInvalid("scatter needs 'S_size' when 'profiles' is empty")
     profiles = []
     for k, prof in enumerate(cfg["profiles"]):
+        if "lambda" not in prof or "h" not in prof:
+            raise ConfigInvalid("profiles[%d] needs 'lambda' and 'h'" % k)
         lam = [[_frac(c, "profiles[%d]" % k) for c in row]
                for row in prof["lambda"]]
         profiles.append((prof.get("label", "p%d" % k), lam,
                          _frac(prof["h"], "profiles[%d].h" % k)))
-    n = int(cfg["n"])
-    S_size = int(cfg.get("S_size", len(profiles[0][1])))
+    n = _int(cfg["n"], "n")
+    S_size = _int(cfg["S_size"], "S_size") if "S_size" in cfg else len(profiles[0][1])
     eps = _frac(cfg.get("epsilon", "1/2"), "epsilon")
     slack = _frac(cfg.get("slack", 0), "slack")
     d_v = [_frac(c, "d_v") for c in cfg["d_v"]] if "d_v" in cfg else None
@@ -358,8 +367,8 @@ def cmd_scatter(cfg, digest, precision, outdir):
 
 
 def cmd_ruvojta(cfg, digest, precision, outdir):
-    n = int(cfg.get("n", 1))
-    m_max = int(cfg.get("m_max", 10))
+    n = _int(cfg.get("n", 1), "n")
+    m_max = _int(cfg.get("m_max", 10), "m_max")
     table, gamma, beta_sup = ruvojta.gamma_beta(n, m_max)
     payload = {
         "n": n,
@@ -369,18 +378,19 @@ def cmd_ruvojta(cfg, digest, precision, outdir):
     }
     if "betas" in cfg and "b" in cfg:
         betas = [_frac(x, "betas") for x in cfg["betas"]]
-        tuples = ruvojta.delta_sigma(betas, int(cfg["b"]))
+        b = _int(cfg["b"], "b")
+        tuples = ruvojta.delta_sigma(betas, b)
         payload["delta_sigma"] = [[str(a) for a in tup] for tup in tuples]
         if "m" in cfg and "epsilon1" in cfg and "epsilon" in cfg:
             ok, lhs, rhs = ruvojta.feasibility(
-                n, int(cfg["m"]), betas, int(cfg["b"]),
+                n, _int(cfg["m"], "m"), betas, b,
                 _frac(cfg["epsilon1"], "epsilon1"), _frac(cfg["epsilon"], "epsilon"))
             payload["feasible"] = ok
             payload["feasibility_lhs"] = str(lhs)
             payload["feasibility_rhs"] = str(rhs)
     if "m" in cfg and "sigma" in cfg and "a" in cfg:
         prof = ruvojta.filtration_dims(
-            n, int(cfg["m"]), [int(i) for i in cfg["sigma"]],
+            n, _int(cfg["m"], "m"), [_int(i, "sigma") for i in cfg["sigma"]],
             [_frac(x, "a") for x in cfg["a"]])
         payload["filtration"] = prof.serial()
     return _report(payload, digest, precision, _out(outdir, "ruvojta.json"))
@@ -388,12 +398,12 @@ def cmd_ruvojta(cfg, digest, precision, outdir):
 
 def cmd_audit(cfg, digest, precision, outdir):
     """Identity and product-formula audits over seeded random samples."""
-    seed = int(cfg.get("seed", 0))
+    seed = _int(cfg.get("seed", 0), "seed")
     rng = random.Random(seed)
     payload = {"seed": seed}
-    fields = [nf_create([int(c) for c in f]) for f in
+    fields = [nf_create([_int(c, "fields") for c in f]) for f in
               cfg.get("fields", [[0, 1], [-2, 0, 1]])]
-    n_pf = int(cfg.get("product_formula_samples", 50))
+    n_pf = _int(cfg.get("product_formula_samples", 50), "product_formula_samples")
     worst_pf = 0.0
     for field in fields:
         for _ in range(n_pf):
@@ -408,7 +418,7 @@ def cmd_audit(cfg, digest, precision, outdir):
             worst_pf = max(worst_pf, d)
     payload["product_formula_max_defect"] = worst_pf
 
-    n_id = int(cfg.get("identity_samples", 40))
+    n_id = _int(cfg.get("identity_samples", 40), "identity_samples")
     worst_id = 0.0
     for _ in range(n_id):
         field = rng.choice(fields)
@@ -485,7 +495,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
-        precision = int(cfg.get("precision", args.precision))
+        precision = _int(cfg.get("precision", args.precision), "precision")
         doc = COMMANDS[args.command](cfg, digest, precision, args.out)
     except LinscatError as exc:
         print("error: %s" % exc, file=sys.stderr)

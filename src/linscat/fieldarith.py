@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.euclidtools import dup_invert
 
 from .errors import BadParameter, FieldMismatch, NonMonic, Reducible
 
@@ -30,23 +32,6 @@ def _poly_mul(a, b):
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of fraction-coefficient polys (ascending)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and _trim(a):
-        da = len(a) - 1
-        c = a[-1] / lb
-        q[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] -= c * b[j]
-        a = _trim(a) or [Fraction(0)]
-        if a == [Fraction(0)]:
-            break
-    return q, a
 
 
 class NumberField:
@@ -224,26 +209,11 @@ class FieldElement:
         n = self.field.degree
         if n == 1:
             return FieldElement(self.field, [1 / self.coeffs[0]])
-        # extended Euclid in Q[x]: s*a + t*f = gcd = const
-        f = [Fraction(c) for c in self.field.min_poly]
-        r0, r1 = f, _trim(list(self.coeffs))
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            qs1 = _poly_mul(q, s1)
-            s = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                s[i] += c
-            for i, c in enumerate(qs1):
-                s[i] -= c
-            r0, r1 = r1, (_trim(r) or [Fraction(0)])
-            s0, s1 = s1, _trim(s) or [Fraction(0)]
-            if r1 == [Fraction(0)]:
-                raise ZeroDivisionError("element not invertible (min_poly reducible?)")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        inv = (inv + [Fraction(0)] * n)[:n]
-        return FieldElement(self.field, inv)
+        f = [QQ(c) for c in reversed(self.field.min_poly)]
+        a = [QQ(c.numerator, c.denominator) for c in reversed(_trim(self.coeffs))]
+        inv = [Fraction(int(c.numerator), int(c.denominator))
+               for c in reversed(dup_invert(a, f, QQ))]
+        return FieldElement(self.field, inv + [Fraction(0)] * (n - len(inv)))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -199,19 +199,28 @@ def weil_hyperplane(pres, x, v, w_index=0, precision=17, place=None):
     return weil_value(form, x, place, precision)
 
 
+def _per_place(table, S):
+    """A per-place table as a dict keyed by normalized place: a list is
+    read in S-order, a dict may spell its places any way normalize_place
+    accepts."""
+    if isinstance(table, (list, tuple)):
+        return dict(zip(S, table))
+    return {normalize_place(v): row for v, row in table.items()}
+
+
 def proximity(pres, x, S, w_choices=None, precision=17):
     """Sum of the local Weil function over the places in S.
 
     S lists places of Q ("inf" or primes); w_choices optionally gives the
-    index of the place of the coefficient field used above each v.
+    index of the place of the coefficient field used above each v, as a
+    list in S-order or a dict keyed by place.
     """
+    S = [normalize_place(v) for v in S]
+    w_choices = _per_place(w_choices or {}, S)
     total = 0.0
-    for k, v in enumerate(S):
-        w_index = 0
-        if w_choices is not None:
-            w_index = w_choices[k] if not isinstance(w_choices, dict) else w_choices.get(v, 0)
-        term = weil_hyperplane(pres, x, v, w_index=w_index, precision=precision)
-        total = total + term
+    for v in S:
+        total = total + weil_hyperplane(pres, x, v, w_index=w_choices.get(v, 0),
+                                        precision=precision)
     return total
 
 

@@ -8,8 +8,8 @@ Two normalizations are exposed and every caller must name one:
   for which the product over all places of F is 1.
 
 Non-archimedean values are exact rational powers of p.  Archimedean values
-come from real embeddings isolated by Sturm sequences (certified rational
-enclosures) or from complex conjugate root pairs.
+come from real embeddings isolated by sympy's continued-fraction method
+(certified rational enclosures) or from complex conjugate root pairs.
 """
 
 import contextlib
@@ -19,10 +19,11 @@ from fractions import Fraction
 import mpmath
 import sympy
 from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
 from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
+from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
 
 from .errors import BadParameter, PrecisionExhausted, UnsupportedRamification
 
@@ -80,115 +81,26 @@ def _poly_eval_int(coeffs, x, mod=None):
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and real root isolation (exact rational arithmetic)
+# real roots (sympy's certified isolation, exact rational endpoints)
 
-def _frac_poly(coeffs):
-    return [Fraction(c) for c in coeffs]
-
-
-def _poly_eval_frac(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def _poly_rem(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - 1 - db
-        for j in range(db + 1):
-            a[shift + j] -= c * b[j]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def sturm_chain(coeffs):
-    """Sturm chain of a squarefree rational polynomial (ascending coeffs)."""
-    chain = [_frac_poly(coeffs)]
-    d = _poly_deriv(chain[0])
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        r = _poly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_changes(chain, x):
-    signs = []
-    for poly in chain:
-        v = _poly_eval_frac(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
+def _to_fraction(q):
+    return Fraction(int(q.numerator), int(q.denominator))
 
 
 def isolate_real_roots(coeffs):
-    """Disjoint rational intervals (lo, hi], one per real root."""
-    chain = sturm_chain(coeffs)
-    bound = Fraction(1) + max(abs(Fraction(c)) for c in coeffs[:-1]) / abs(Fraction(coeffs[-1]))
-    lo, hi = -bound, bound
-
-    def count(a, b):
-        return _sign_changes(chain, a) - _sign_changes(chain, b)
-
-    out = []
-    stack = [(lo, hi, count(lo, hi))]
-    while stack:
-        a, b, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if _poly_eval_frac(_frac_poly(coeffs), mid) == 0:
-            # nudge the split point off the root
-            mid = mid + (b - a) / 4
-        ka = count(a, mid)
-        stack.append((a, mid, ka))
-        stack.append((mid, b, k - ka))
-    out.sort()
-    return out
+    """Disjoint rational isolating intervals, one per real root, ascending,
+    of a squarefree ascending integer polynomial."""
+    f = [ZZ(c) for c in reversed(coeffs)]
+    return [(_to_fraction(a), _to_fraction(b))
+            for a, b in dup_isolate_real_roots_sqf(f, ZZ)]
 
 
 def refine_interval(coeffs, interval, digits):
-    """Bisect an isolating interval until its width is below 10^-digits."""
-    f = _frac_poly(coeffs)
-    a, b = interval
-    target = Fraction(1, 10 ** digits)
-    fa = _poly_eval_frac(f, a)
-    if fa == 0:
-        return (a, a)
-    while b - a > target:
-        mid = (a + b) / 2
-        fm = _poly_eval_frac(f, mid)
-        if fm == 0:
-            return (mid, mid)
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return (a, b)
+    """Refine an isolating interval until its width is below 10^-digits."""
+    f = [ZZ(c) for c in reversed(coeffs)]
+    a, b = (QQ(q.numerator, q.denominator) for q in interval)
+    a, b = dup_refine_real_root(f, a, b, ZZ, eps=QQ(1, 10 ** digits))
+    return (_to_fraction(a), _to_fraction(b))
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +165,16 @@ class Place:
 
     Non-archimedean places carry the monic local factor of the minimal
     polynomial over Q_p, ascending, whose coefficients agree with the true
-    factor to certified p-adic digits.  Archimedean places carry a certified
-    real enclosure or a complex approximation of the corresponding root;
-    their w_index is the embedding index of _complex_embedding.
+    factor to certified p-adic digits.  Archimedean places carry their root:
+    a real root's isolating interval, or a complex pair's rank among the
+    roots of positive imaginary part (_complex_embedding).  Embedding
+    indices w_index enumerate the real roots first, ascending, then the
+    complex pairs.
     """
 
     def __init__(self, field, kind, *, prime=None, w_index=0,
                  e=1, f=1, local_degree=1, precision=0, local_factor=None,
-                 certified=0, real_interval=None, is_real=True):
+                 certified=0, root=None, is_real=True):
         self.field = field
         self.kind = kind  # "arch" | "nonarch"
         self.prime = prime
@@ -272,7 +186,7 @@ class Place:
         self.local_factor = local_factor
         self.certified = certified
         self.is_real = is_real
-        self._real_interval = real_interval
+        self._root = root
         self._approx = {}
 
     @property
@@ -288,7 +202,7 @@ class Place:
         key = ("encl", digits)
         if key not in self._approx:
             self._approx[key] = refine_interval(
-                list(self.field.min_poly), self._real_interval, digits
+                list(self.field.min_poly), self._root, digits
             )
         return self._approx[key]
 
@@ -310,7 +224,7 @@ class Place:
                     val = (mpmath.mpf(lo.numerator) / lo.denominator
                            + mpmath.mpf(hi.numerator) / hi.denominator) / 2
         else:
-            val = _complex_embedding(self.field, self.w_index, dps)
+            val = _complex_embedding(self.field, self._root, dps)
         self._approx[key] = val
         return val
 
@@ -323,21 +237,14 @@ class Place:
         return "Place(v=%s, w=%d, e=%d, f=%d)" % (v, self.w_index, self.e, self.f)
 
 
-def _complex_embedding(field, w_index, dps):
-    """Complex root (imag > 0) for the given embedding index.
-
-    Embedding indices enumerate real roots first (ascending), then complex
-    conjugate pairs sorted by (real part, imaginary part).
-    """
-    n_real = len(isolate_real_roots(list(field.min_poly)))
+def _complex_embedding(field, k, dps):
+    """The k-th root of positive imaginary part, the roots sorted by
+    (real part, imaginary part)."""
     with mpmath.workdps(dps + 15):
         coeffs = [mpmath.mpf(c) for c in reversed(field.min_poly)]
         roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
         upper = [r for r in roots if mpmath.im(r) > 1e-20]
         upper.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        k = w_index - n_real
-        if k < 0 or k >= len(upper):
-            raise BadParameter("bad embedding index %d" % w_index)
         return upper[k]
 
 
@@ -346,15 +253,13 @@ def _arch_places(field, precision):
     if n == 1:
         return [Place(field, "arch", w_index=0, local_degree=1, precision=precision)]
     intervals = isolate_real_roots(list(field.min_poly))
-    places = []
-    for i, iv in enumerate(intervals):
-        places.append(Place(field, "arch", w_index=i, local_degree=1,
-                            precision=precision, real_interval=iv, is_real=True))
-    n_pairs = (n - len(intervals)) // 2
-    for k in range(n_pairs):
-        idx = len(intervals) + k
-        places.append(Place(field, "arch", w_index=idx, local_degree=2,
-                            precision=precision, is_real=False))
+    n_real = len(intervals)
+    places = [Place(field, "arch", w_index=i, local_degree=1,
+                    precision=precision, root=iv, is_real=True)
+              for i, iv in enumerate(intervals)]
+    places += [Place(field, "arch", w_index=n_real + k, local_degree=2,
+                     precision=precision, root=k, is_real=False)
+               for k in range((n - n_real) // 2)]
     return places
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import AllFormsVanish, BadParameter
-from .heights import LinearForm, _weil_row, log_height, resolve_place
+from .heights import LinearForm, _per_place, _weil_row, log_height, resolve_place
 from .places import INF, log_abs, normalize_place, working_dps
 
 
@@ -46,15 +46,6 @@ def _field_det(field, rows):
                 for c in range(col, size):
                     m[r][c] = m[r][c] - factor * m[col][c]
     return det
-
-
-def _per_place(table, S):
-    """A per-place table as a dict keyed by normalized place: a list is
-    read in S-order, a dict may spell its places any way normalize_place
-    accepts."""
-    if isinstance(table, (list, tuple)):
-        return dict(zip(S, table))
-    return {normalize_place(v): row for v, row in table.items()}
 
 
 class FormSystemSpec:
@@ -90,7 +81,7 @@ class FormSystemSpec:
                 raise BadParameter("forms at place %r are linearly dependent" % (v,))
             self.forms[v] = tuple(fs)
         self.n = n_vars - 1
-        self.w_choices = _per_place(dict(w_choices or {}), self.S)
+        self.w_choices = _per_place(w_choices or {}, self.S)
         self.precision = precision
         self._place_objs = None
 

@@ -199,6 +199,45 @@ def test_error_exit_codes(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_bad_integer_values_exit_1(tmp_path, capsys):
+    solve = {"mode": "schmidt", "field": [0, 1], "S": ["inf"],
+             "forms": {"inf": [["1", "0"], ["0", "1"]]}}
+    scatter = {"epsilon": "1/2", "S_size": 1,
+               "profiles": [{"label": "a", "lambda": [["26", "4"]], "h": "10"}]}
+    cases = [
+        ("solve", dict(solve, height_bound="abc"), "height_bound must be an integer"),
+        ("solve", dict(solve, height_bound=5, precision="x"),
+         "precision must be an integer"),
+        ("sweep", dict(solve, weights={"inf": ["1", "-1"]}, Q_grid=["1"],
+                       height_bound=[3]), "height_bound must be an integer"),
+        ("scatter", scatter, "scatter needs 'n'"),
+        ("scatter", {"n": 1, "profiles": []},
+         "scatter needs 'S_size' when 'profiles' is empty"),
+        ("scatter", dict(scatter, n="one"), "n must be an integer"),
+        ("scatter", dict(scatter, n=1, S_size=None), "S_size must be an integer"),
+        ("scatter", dict(scatter, n=1, profiles=[{"lambda": [["1", "1"]]}]),
+         "profiles[0] needs 'lambda' and 'h'"),
+        ("ruvojta", {"n": ""}, "n must be an integer"),
+        ("ruvojta", {"m_max": "many"}, "m_max must be an integer"),
+        ("ruvojta", {"betas": ["1"], "b": "two"}, "b must be an integer"),
+        ("ruvojta", {"betas": ["1"], "b": 1, "m": "x", "epsilon1": "1/100",
+                     "epsilon": "1/2"}, "m must be an integer"),
+        ("ruvojta", {"m": 2, "sigma": ["s"], "a": ["1"]}, "sigma must be an integer"),
+        ("audit", {"seed": "s"}, "seed must be an integer"),
+        ("audit", {"fields": [["a", 1]]}, "fields must be an integer"),
+        ("audit", {"product_formula_samples": {}},
+         "product_formula_samples must be an integer"),
+        ("audit", {"product_formula_samples": 0, "identity_samples": "many"},
+         "identity_samples must be an integer"),
+    ]
+    for command, cfg, text in cases:
+        path = write_cfg(tmp_path, "i.json", cfg)
+        assert main([command, "--config", path]) == 1, (command, cfg)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err, (command, err)
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bundled_configs(capsys):
     roth = os.path.join(ROOT, "configs", "roth_sqrt2.json")
     code, doc = run(capsys, "solve", "--config", roth)

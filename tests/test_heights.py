@@ -278,3 +278,14 @@ def test_weil_values_match_reference_run(precision, monkeypatch):
     assert reports == [[log_twisted_report(spec, x, precision) for x in points]
                        for spec, points in runs]
     assert seen > 500
+
+
+def test_proximity_normalizes_place_spellings():
+    K = nf_create([-2, 0, 1])
+    pres = HyperplanePresentation(LinearForm(K, [-K.gen(), 1]))
+    x = ProjectivePoint([5, 7])
+    by_list = proximity(pres, x, ["inf", 7], w_choices=[1, 0])
+    assert by_list != proximity(pres, x, ["inf", 7])
+    for choices in ({"oo": 1}, {INF: 1, "7": 0}, {"infinity": 1, 7: 0}):
+        assert proximity(pres, x, ["inf", 7], w_choices=choices) == by_list
+        assert proximity(pres, x, ["oo", "7"], w_choices=choices) == by_list

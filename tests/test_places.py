@@ -112,6 +112,30 @@ def test_real_root_isolation_against_sympy():
             assert float(lo) <= r <= float(hi)
 
 
+@pytest.mark.parametrize("min_poly", [
+    [-2, 0, 1],          # Q(sqrt 2)
+    [-17, 0, 1],         # Q(sqrt 17)
+    [1, -3, 0, 1],       # x^3 - 3x + 1, totally real
+    [8, -2, 1, 1],       # Dedekind's x^3 + x^2 - 2x + 8
+    [1, 0, -10, 0, 1],   # x^4 - 10x^2 + 1, totally real
+])
+def test_real_embeddings_against_sympy(min_poly):
+    K = nf_create(min_poly)
+    x = sympy.Symbol("x")
+    f = sympy.Poly(list(reversed(min_poly)), x)
+    roots = sympy.real_roots(f)
+    for digits in (17, 40, 60):
+        real = [w for w in places_above(K, INF, digits) if w.is_real]
+        assert [w.w_index for w in real] == list(range(len(roots)))
+        for w, root in zip(real, roots):
+            lo, hi = w.real_enclosure(digits)
+            assert 0 < hi - lo <= Fraction(1, 10 ** digits)
+            assert f.eval(sympy.Rational(lo)) * f.eval(sympy.Rational(hi)) < 0
+            approx = root.evalf(digits + 20)
+            assert sympy.Rational(lo) < approx < sympy.Rational(hi)
+            assert w.embedding_value(17) == float(root)
+
+
 def test_real_enclosure_refinement():
     K = nf_create([-2, 0, 1])
     ws = places_above(K, INF, 30)

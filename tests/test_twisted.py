@@ -296,3 +296,17 @@ def test_high_precision_weil_values_match_reference():
                 assert abs(rep["lhs"] - lhs) < tol
                 assert abs(rep["rhs"] - rhs) < tol
                 assert abs(rep["neg_log_HQ"] - neg_log_hq) < tol
+
+
+def test_w_choices_list_and_dict_resolve_the_same_places():
+    K = nf_create([-2, 0, 1])
+    forms = {INF: coord_forms(K, 1), 7: coord_forms(K, 1)}
+    by_list = FormSystemSpec(K, [INF, 7], forms, w_choices=[1, 1])
+    by_dict = FormSystemSpec(K, ["oo", "7"], forms, w_choices={"inf": 1, 7: 1})
+    assert by_list.w_choices == by_dict.w_choices == {INF: 1, 7: 1}
+    assert by_list.places() == by_dict.places()
+    assert [w.w_index for w in by_list.places().values()] == [1, 1]
+    assert by_list.digest_data() == by_dict.digest_data()
+    short = FormSystemSpec(K, [INF, 7], forms, w_choices=[1])
+    assert short.places()[INF] is by_list.places()[INF]
+    assert short.places()[7].w_index == 0
