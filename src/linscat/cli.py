@@ -92,9 +92,10 @@ def _get_field(cfg):
 def _get_points(cfg, key="points"):
     pts = []
     for row in cfg.get(key, []):
+        if not isinstance(row, list):
+            raise ConfigInvalid("a point must be a list of coordinates, got %r" % (row,))
         try:
-            pts.append(ProjectivePoint([_frac(c, key) if isinstance(c, str) else c
-                                        for c in row]))
+            pts.append(ProjectivePoint([_frac(c, key) for c in row]))
         except LinscatError as exc:
             raise ConfigInvalid("bad point %r: %s" % (row, exc))
     return pts
@@ -147,9 +148,16 @@ def _get_weights(cfg, S):
     return out
 
 
-def _get_w_choices(cfg):
+def _get_w_choices(cfg, S):
+    """Place indices: a dict keyed by place, or a list read in S-order."""
+    table = cfg.get("w_choices", {})
+    if isinstance(table, list):
+        table = dict(zip(S, table))
+    if not isinstance(table, dict):
+        raise ConfigInvalid("'w_choices' must be an object keyed by place "
+                            "or a list in S-order")
     return {_normalize_place(k, "w_choices"): _int(ix, "w_choices[%s]" % k)
-            for k, ix in cfg.get("w_choices", {}).items()}
+            for k, ix in table.items()}
 
 
 def _report(payload, cfg_digest, precision, out_path=None):
@@ -215,7 +223,7 @@ def cmd_weil(cfg, digest, precision, outdir):
         raise ConfigInvalid("config needs a 'form'")
     form = _parse_form(field, cfg["form"], "form")
     pres = HyperplanePresentation(form)
-    w_choices = _get_w_choices(cfg)
+    w_choices = _get_w_choices(cfg, S)
     pts = _get_points(cfg)
     rows = []
     for p in sorted(set(pts)):
@@ -236,13 +244,13 @@ def _spec(cfg, precision, weighted=True):
     forms = _get_forms(cfg, field, S)
     try:
         if not weighted:
-            return FormSystemSpec(field, S, forms, w_choices=_get_w_choices(cfg),
+            return FormSystemSpec(field, S, forms, w_choices=_get_w_choices(cfg, S),
                                   precision=precision)
         return TwistedHeightSpec(
             field, S, forms, _get_weights(cfg, S),
             epsilon=_frac(cfg.get("epsilon", "1/10"), "epsilon"),
             Q=_frac(cfg.get("Q", 1), "Q"),
-            w_choices=_get_w_choices(cfg), precision=precision)
+            w_choices=_get_w_choices(cfg, S), precision=precision)
     except LinscatError as exc:
         raise ConfigInvalid(str(exc))
 

@@ -210,6 +210,11 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             if d_weights is None:
                 raise BadParameter("fw filtering needs d-weights")
             d_weights = [[Fraction(c) for c in row] for row in d_weights]
+            if (len(d_weights) != len(spec.S)
+                    or any(len(row) != spec.n + 1 for row in d_weights)):
+                raise BadParameter(
+                    "fw d-weights need one row of %d entries per place of S"
+                    % (spec.n + 1))
             margin = functools.partial(_fw_margin, spec, d_weights, slack)
         digest = _digest(kind, spec.digest_data(), str(epsilon),
                          tuple(tuple(str(c) for c in r) for r in (d_weights or [])),

@@ -2,36 +2,39 @@
 
 Elements live in the power basis of the generator theta.  All coefficients
 are fractions.Fraction; everything here is exact and deterministic.
+Products, inverses, determinants and characteristic polynomials come from
+sympy (dense QQ polynomials and DomainMatrix); _to_dup and _from_dup are
+the one conversion between coefficient tuples and sympy's polynomials.
 """
 
 import math
 from fractions import Fraction
 
 import sympy
+from sympy.polys.densearith import dup_lshift, dup_mul, dup_rem
+from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import QQ
 from sympy.polys.euclidtools import dup_invert
+from sympy.polys.matrices import DomainMatrix
 
 from .errors import BadParameter, FieldMismatch, NonMonic, Reducible
 
 MAX_DEGREE = 8
 
 _x = sympy.Symbol("x")
+_QQX = QQ[_x]
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def _to_dup(coeffs):
+    """Ascending rational coefficients as a dense QQ polynomial (descending,
+    leading zeros stripped)."""
+    return dup_strip([QQ(c.numerator, c.denominator) for c in reversed(coeffs)])
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+def _from_dup(poly, n):
+    """A dense QQ polynomial of degree < n as n ascending Fractions."""
+    out = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(poly)]
+    return out + [Fraction(0)] * (n - len(out))
 
 
 class NumberField:
@@ -43,8 +46,8 @@ class NumberField:
 
     def __init__(self, min_poly):
         min_poly = [int(c) for c in min_poly]
-        min_poly_t = _trim(list(min_poly))
-        if not min_poly_t or len(min_poly_t) < 2:
+        min_poly_t = dup_strip(min_poly[::-1])[::-1]
+        if len(min_poly_t) < 2:
             raise BadParameter("min_poly must have degree >= 1")
         if min_poly_t[-1] != 1:
             raise NonMonic("min_poly must be monic: %r" % (min_poly,))
@@ -57,29 +60,12 @@ class NumberField:
         self.min_poly = tuple(min_poly_t)
         self.degree = degree
         self.poly_disc = int(sympy.discriminant(poly.as_expr(), _x)) if degree > 1 else 1
-        # theta^k reduced mod min_poly, for k = degree .. 2*degree-2
-        self._high_powers = self._power_table()
+        self._dup = _to_dup(self.min_poly)
         self._places_cache = {}
 
-    def _power_table(self):
-        n = self.degree
-        table = []
-        # theta^n = -(c_0 + c_1 theta + ...)
-        cur = [Fraction(-c) for c in self.min_poly[:n]]
-        table.append(list(cur))
-        for _ in range(n - 2):
-            nxt = [Fraction(0)] + cur[: n - 1]
-            if cur[n - 1]:
-                lead = cur[n - 1]
-                for i in range(n):
-                    nxt[i] += lead * table[0][i]
-            cur = nxt
-            table.append(list(cur))
-        return table
-
-    @property
-    def is_rational(self):
-        return self.degree == 1
+    def _reduce(self, poly):
+        """A dense QQ polynomial reduced mod min_poly, as a FieldElement."""
+        return FieldElement(self, _from_dup(dup_rem(poly, self._dup, QQ), self.degree))
 
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -174,19 +160,8 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             return FieldElement(self.field, [a * other for a in self.coeffs])
         other = self._check(other)
-        n = self.field.degree
-        if n == 1:
-            return FieldElement(self.field, [self.coeffs[0] * other.coeffs[0]])
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs))
-        out = list(prod[:n]) + [Fraction(0)] * (n - min(n, len(prod)))
-        table = self.field._high_powers
-        for k in range(n, len(prod)):
-            ck = prod[k]
-            if ck:
-                red = table[k - n]
-                for i in range(n):
-                    out[i] += ck * red[i]
-        return FieldElement(self.field, out)
+        return self.field._reduce(
+            dup_mul(_to_dup(self.coeffs), _to_dup(other.coeffs), QQ))
 
     __rmul__ = __mul__
 
@@ -206,14 +181,9 @@ class FieldElement:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        n = self.field.degree
-        if n == 1:
-            return FieldElement(self.field, [1 / self.coeffs[0]])
-        f = [QQ(c) for c in reversed(self.field.min_poly)]
-        a = [QQ(c.numerator, c.denominator) for c in reversed(_trim(self.coeffs))]
-        inv = [Fraction(int(c.numerator), int(c.denominator))
-               for c in reversed(dup_invert(a, f, QQ))]
-        return FieldElement(self.field, inv + [Fraction(0)] * (n - len(inv)))
+        field = self.field
+        return FieldElement(
+            field, _from_dup(dup_invert(_to_dup(self.coeffs), field._dup, QQ), field.degree))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -245,6 +215,15 @@ class FieldElement:
         return "FieldElement(%s)" % (list(self.coeffs),)
 
 
+def _field_det(field, rows):
+    """Exact determinant of a square matrix of field elements: the
+    determinant over QQ[x] of the entries' power-basis polynomials, reduced
+    mod min_poly."""
+    mat = DomainMatrix([[_QQX.ring.from_list(_to_dup(a.coeffs)) for a in row]
+                        for row in rows], (len(rows), len(rows)), _QQX)
+    return field._reduce(mat.det().to_dense())
+
+
 def charpoly_norm(a):
     """Characteristic polynomial (ascending, monic), norm and trace of a.
 
@@ -254,28 +233,15 @@ def charpoly_norm(a):
     """
     field = a.field
     n = field.degree
-    if n == 1:
-        v = a.coeffs[0]
-        return (-v, Fraction(1)), v, v
-    if n == 2:
-        b = Fraction(field.min_poly[1])
-        c = Fraction(field.min_poly[0])
-        u, v = a.coeffs
-        tr = 2 * u - b * v
-        nm = u * u - b * u * v + c * v * v
-        return (nm, -tr, Fraction(1)), nm, tr
-    # multiplication matrix in the power basis
-    cols = []
-    theta = field.gen()
-    cur = a
-    for _ in range(n):
-        cols.append(cur.coeffs)
-        cur = cur * theta
-    mat = sympy.Matrix(n, n, lambda i, j: sympy.Rational(cols[j][i]))
-    poly = mat.charpoly(_x)
-    coeffs_desc = [Fraction(int(c.p), int(c.q)) for c in poly.all_coeffs()]
-    coeffs = tuple(reversed(coeffs_desc))
-    norm = (Fraction(-1) ** n) * coeffs[0]
+    # row j is a * theta^j in the power basis: the transpose of the
+    # multiplication matrix, which has the same characteristic polynomial
+    poly = _to_dup(a.coeffs)
+    rows = []
+    for j in range(n):
+        row = dup_rem(dup_lshift(poly, j, QQ), field._dup, QQ)[::-1]
+        rows.append(row + [QQ(0)] * (n - len(row)))
+    coeffs = tuple(_from_dup(DomainMatrix(rows, (n, n), QQ).charpoly(), n + 1))
+    norm = (-1) ** n * coeffs[0]
     trace = -coeffs[n - 1]
     return coeffs, norm, trace
 

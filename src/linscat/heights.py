@@ -108,10 +108,6 @@ class LinearForm:
     def n_vars(self):
         return len(self.coeffs)
 
-    @property
-    def is_rational(self):
-        return all(c.is_rational_value for c in self.coeffs)
-
     def evaluate(self, x):
         """Value at a projective point, as a field element: one integer dot
         product per power-basis slot, reduced over the common denominator."""
@@ -191,11 +187,10 @@ def weil_value(form, x, place, precision=17):
     return _weil_row((form,), x, place, precision)[0]
 
 
-def weil_hyperplane(pres, x, v, w_index=0, precision=17, place=None):
+def weil_hyperplane(pres, x, v, w_index=0, precision=17):
     """max_j log|x_j / l(x)|_{v,K} at the place w of index w_index above v."""
     form = pres.form if isinstance(pres, HyperplanePresentation) else pres
-    if place is None:
-        place = resolve_place(form.field, v, w_index, precision)
+    place = resolve_place(form.field, v, w_index, precision)
     return weil_value(form, x, place, precision)
 
 

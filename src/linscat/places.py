@@ -50,13 +50,12 @@ def ord_p_fraction(q, p):
     q = Fraction(q)
     if q == 0:
         raise ValueError("ord_p of zero")
-    k = 0
     num, den = q.numerator, q.denominator
     if num % p == 0:
         return ord_p_int(num, p)
     if den % p == 0:
         return -ord_p_int(den, p)
-    return k
+    return 0
 
 
 def squarefree_part(n):
@@ -466,7 +465,7 @@ def arch_value(field, place, a, precision=17):
     precision, which the caller sets (arch_abs runs it at precision + 5)."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
-    if a.is_rational_value or field.degree == 1:
+    if a.is_rational_value:
         q = a.coeffs[0]
         if precision <= 17:
             return q.numerator / q.denominator
@@ -559,8 +558,8 @@ def product_formula_defect(field, a, precision=30):
         a = field.from_rational(a)
     if not a:
         raise ValueError("product formula needs a nonzero element")
-    if field.degree == 1 or a.is_rational_value:
-        q = Fraction(a.rational_value() if field.degree > 1 else a.coeffs[0])
+    if a.is_rational_value:
+        q = a.rational_value()
         rebuilt = Fraction(1)
         for p in set(sympy.factorint(abs(q.numerator))) | set(sympy.factorint(q.denominator)):
             rebuilt *= Fraction(p) ** ord_p_fraction(q, p)

@@ -16,7 +16,7 @@ from .errors import (
     SumCheckFailed,
     ThresholdNotMet,
 )
-from .twisted import _field_det
+from .fieldarith import _field_det
 
 
 class WeightSystem:

@@ -18,34 +18,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import AllFormsVanish, BadParameter
+from .fieldarith import _field_det
 from .heights import LinearForm, _per_place, _weil_row, log_height, resolve_place
 from .places import INF, log_abs, normalize_place, working_dps
-
-
-def _field_det(field, rows):
-    """Exact determinant of a square matrix of field elements."""
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = field.one()
-    for col in range(size):
-        piv = None
-        for r in range(col, size):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, size):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for c in range(col, size):
-                    m[r][c] = m[r][c] - factor * m[col][c]
-    return det
 
 
 class FormSystemSpec:

@@ -189,14 +189,36 @@ def test_error_exit_codes(tmp_path, capsys):
           "forms": {"inf": [["1", "0"], ["0", "1"]], "3": [["1", "0"], ["0", "1"]]},
           "d_weights": {"inf": ["0", "0"]},  # no row for 3
           "points": [[1, 2]]}
-    bad_w = dict(fw, d_weights={"inf": ["0", "0"], "3": ["0", "0"]},
-                 w_choices={"inf": "first"})
+    full = dict(fw, d_weights={"inf": ["0", "0"], "3": ["0", "0"]})
+    bad_w = dict(full, w_choices={"inf": "first"})
+    short = dict(fw, d_weights={"inf": ["3/2"], "3": ["0", "0"]})
     for cfg, text in ((fw, "no d_weights row for place 3"),
-                      (bad_w, "w_choices[inf] must be an integer")):
+                      (bad_w, "w_choices[inf] must be an integer"),
+                      (dict(full, w_choices=1), "'w_choices' must be"),
+                      (short, "one row of 2 entries per place of S"),
+                      (dict(full, points=[[0.1, 1]]), "got 0.1"),
+                      (dict(full, points=[[None, 1]]), "got None"),
+                      (dict(full, points=[3]), "a point must be a list")):
         assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_w_choices_list_in_S_order(tmp_path, capsys):
+    """w_choices as a list in S-order gives the report of the equivalent
+    dict."""
+    base = {"field": [-2, 0, 1], "S": ["inf", 7], "form": [["1", "1"], "3"],
+            "points": [[3, 4], [5, 7]]}
+    docs = []
+    for w_choices in ([1, 1], {"inf": 1, "7": 1}, {}):
+        cfg = write_cfg(tmp_path, "wc.json", dict(base, w_choices=w_choices))
+        code, doc = run(capsys, "weil", "--config", cfg)
+        assert code == 0
+        del doc["config_digest"]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert docs[0] != docs[2]  # the indices are read, not ignored
 
 
 def test_bad_integer_values_exit_1(tmp_path, capsys):

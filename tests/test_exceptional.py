@@ -152,6 +152,10 @@ def test_filter_validation():
         filter_solutions("schmidt", spec, height_bound=10)  # missing epsilon
     with pytest.raises(errors.BadParameter):
         filter_solutions("fw", spec, height_bound=10)  # missing d-weights
+    # one d-weight row per place of S, each with n+1 entries
+    for rows in ([[Fraction(3, 2)]], [], [[0, 0], [0, 0]], [[0, 0, 0]]):
+        with pytest.raises(errors.BadParameter):
+            filter_solutions("fw", spec, height_bound=10, d_weights=rows)
     with pytest.raises(errors.BadParameter):
         filter_solutions("schmidt", spec, epsilon=1)  # no points, no bound
     with pytest.raises(errors.BadParameter):
