@@ -23,6 +23,7 @@ from .heights import (
     HyperplanePresentation,
     LinearForm,
     ProjectivePoint,
+    _per_place,
     log_height,
     mult_height,
     weil_hyperplane,
@@ -34,10 +35,9 @@ SCHEMA = 1
 
 
 def _frac(s, where=""):
+    # a JSON true is a Python int, and a float is not exact: refuse both
     try:
-        if isinstance(s, str):
-            return Fraction(s)
-        if isinstance(s, int):
+        if isinstance(s, (str, int)) and not isinstance(s, bool):
             return Fraction(s)
     except (ValueError, ZeroDivisionError):
         pass
@@ -46,9 +46,11 @@ def _frac(s, where=""):
 
 def _int(value, where):
     try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigInvalid("%s must be an integer, got %r" % (where, value))
+        if not isinstance(value, (bool, float)):
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigInvalid("%s must be an integer, got %r" % (where, value))
 
 
 def _normalize_place(v, where=""):
@@ -82,10 +84,10 @@ def _get_field(cfg):
     if "field" not in cfg:
         raise ConfigInvalid("config needs a 'field' minimal polynomial")
     try:
-        return nf_create([int(c) for c in cfg["field"]])
+        return nf_create([_int(c, "field") for c in cfg["field"]])
     except LinscatError:
         raise
-    except (TypeError, ValueError):
+    except TypeError:
         raise ConfigInvalid("'field' must be a list of integers")
 
 
@@ -151,13 +153,14 @@ def _get_weights(cfg, S):
 def _get_w_choices(cfg, S):
     """Place indices: a dict keyed by place, or a list read in S-order."""
     table = cfg.get("w_choices", {})
-    if isinstance(table, list):
-        table = dict(zip(S, table))
-    if not isinstance(table, dict):
+    if not isinstance(table, (list, dict)):
         raise ConfigInvalid("'w_choices' must be an object keyed by place "
                             "or a list in S-order")
-    return {_normalize_place(k, "w_choices"): _int(ix, "w_choices[%s]" % k)
-            for k, ix in table.items()}
+    try:
+        table = _per_place(table, S)
+    except BadParameter as exc:
+        raise ConfigInvalid("bad 'w_choices': %s" % exc)
+    return {v: _int(ix, "w_choices[%s]" % _place_key(v)) for v, ix in table.items()}
 
 
 def _report(payload, cfg_digest, precision, out_path=None):

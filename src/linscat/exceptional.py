@@ -264,52 +264,34 @@ def q_sweep(spec_template, Q_grid, points, precision=17):
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra for subspaces
+# integer linear algebra for subspaces
 
-def _rref(rows):
-    """Reduced row echelon form over Q; returns (rref rows, pivot columns)."""
-    m = [[Fraction(c) for c in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _echelon(rows, ncols):
+    """Reduced echelon form of integer rows by fraction-free Gauss-Jordan
+    elimination (after Bareiss, Math. Comp. 1968): (rows, pivot columns),
+    each row primitive with a positive pivot, so unique for the row space.
+
+    An update cross-multiplies by the pivot and divides by the row's gcd,
+    which keeps pivots positive and every row primitive.
+    """
+    m = [list(row) for row in rows]
     pivots = []
-    r = 0
     for col in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [c * inv for c in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        g = math.gcd(*m[piv]) if m[piv][col] > 0 else -math.gcd(*m[piv])
+        m[piv], m[r] = m[r], [a // g for a in m[piv]]
+        prow, p = m[r], m[r][col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return [row for row in m[:r]], pivots
-
-
-def _nullspace(rows):
-    """Basis of the right nullspace of a rational matrix, as RREF rows."""
-    rref, pivots = _rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in zip(rref, pivots):
-            vec[pc] = -r[fc]
-        basis.append(vec)
-    normed, _ = _rref(basis)
-    return normed
+    return m[:len(pivots)], pivots
 
 
 class Subspace:
@@ -333,13 +315,27 @@ class Subspace:
 
 
 def span_subspace(points, ambient_n):
-    """Projective span of a point set, or None if it is all of P^n."""
-    eqs = _nullspace([list(p.coords) for p in points])
-    if not eqs:
+    """Projective span of a point set, or None if it is all of P^n.
+
+    Its equations span the integer nullspace of the coordinate matrix; in
+    reduced echelon form and sorted, they are unique for the subspace.
+    """
+    ncols = ambient_n + 1
+    rows, pivots = _echelon([p.coords for p in points], ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    if not free:
         return None
-    # an equation row is a point of the dual P^n: normalize it like one
-    return Subspace(tuple(sorted(ProjectivePoint(row).coords for row in eqs)),
-                    ambient_n)
+    # L e_f - sum of (L r[f] / r[p]) e_p over the pivots p solves each row r
+    lcm = math.lcm(*(row[pc] for row, pc in zip(rows, pivots)))
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = lcm
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * lcm // row[pc]
+        basis.append(vec)
+    eqs, _ = _echelon(basis, ncols)
+    return Subspace(tuple(sorted(map(tuple, eqs))), ambient_n)
 
 
 class SubspaceCover:
@@ -386,16 +382,18 @@ def _candidate_subspaces(points, n):
 
 
 def _greedy_cover(points, candidates):
+    """Most new points first; ties go to the lexicographically least
+    equations, through a key built once per candidate."""
+    keyed = [(tuple(-c for eq in sub.equations for c in eq), sub, cov)
+             for sub, cov in candidates]
     uncovered = set(range(len(points)))
     chosen = []
     while uncovered:
-        best = max(candidates,
-                   key=lambda t: (len(t[1] & uncovered),
-                                  tuple(-c for eq in t[0].equations for c in eq)))
-        gain = best[1] & uncovered
+        _, sub, cov = max(keyed, key=lambda t: (len(t[2] & uncovered), t[0]))
+        gain = cov & uncovered
         if not gain:  # pragma: no cover
             raise Infeasible("no candidate covers the remaining points")
-        chosen.append(best[0])
+        chosen.append(sub)
         uncovered -= gain
     return chosen
 
@@ -443,6 +441,8 @@ def subspace_cover(solutions, mode="exact", max_subspaces=None):
     if not points:
         raise BadParameter("cannot cover an empty solution set")
     n = points[0].n
+    if any(p.n != n for p in points):
+        raise BadParameter("cover points must all lie in the same P^n")
     candidates = _candidate_subspaces(points, n)
     used_mode = mode
     if mode == "exact" and len(points) > EXACT_COVER_CAP:

@@ -197,10 +197,17 @@ def weil_hyperplane(pres, x, v, w_index=0, precision=17):
 def _per_place(table, S):
     """A per-place table as a dict keyed by normalized place: a list is
     read in S-order, a dict may spell its places any way normalize_place
-    accepts."""
+    accepts.  A list longer than S or a key outside S is refused."""
     if isinstance(table, (list, tuple)):
+        if len(table) > len(S):
+            raise BadParameter("a list of %d entries for the %d places of S"
+                               % (len(table), len(S)))
         return dict(zip(S, table))
-    return {normalize_place(v): row for v, row in table.items()}
+    out = {normalize_place(v): row for v, row in table.items()}
+    for v in out:
+        if v not in S:
+            raise BadParameter("an entry for %s, which is not in S" % (v,))
+    return out
 
 
 def proximity(pres, x, S, w_choices=None, precision=17):

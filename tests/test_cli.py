@@ -198,7 +198,18 @@ def test_error_exit_codes(tmp_path, capsys):
                       (short, "one row of 2 entries per place of S"),
                       (dict(full, points=[[0.1, 1]]), "got 0.1"),
                       (dict(full, points=[[None, 1]]), "got None"),
-                      (dict(full, points=[3]), "a point must be a list")):
+                      (dict(full, points=[3]), "a point must be a list"),
+                      # JSON booleans and floats are not integers or rationals
+                      (dict(full, height_bound=3.9), "must be an integer, got 3.9"),
+                      (dict(full, height_bound=True), "integer, got True"),
+                      (dict(full, precision=17.0), "integer, got 17.0"),
+                      (dict(full, field=[0, 1.0]), "field must be an integer"),
+                      (dict(full, points=[[True, 2]]), "got True"),
+                      (dict(full, slack=False), "got False"),
+                      # w_choices names only places of S, at most one index each
+                      (dict(full, w_choices=[0, 0, 5]), "3 entries for the 2 places"),
+                      (dict(full, w_choices={"inf": 0, "7": 1}), "7, which is not in S"),
+                      (dict(full, w_choices={"oo": 0, "x": 1}), "bad 'w_choices'")):
         assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err

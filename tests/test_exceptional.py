@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
 from linscat import errors, nf_create
 from linscat.exceptional import (
     FormSystemSpec,
     _candidate_subspaces,
+    _greedy_cover,
     density_report,
     enumerate_points,
     filter_solutions,
@@ -249,6 +251,88 @@ def test_span_subspace():
     assert sub2.equations == sub.equations
 
 
+def _sympy_equations(points):
+    """Oracle for span_subspace: sympy's nullspace of the coordinate
+    matrix, in reduced echelon form, each row scaled to primitive integers
+    with a positive lead, sorted; None when the nullspace is zero."""
+    null = sympy.Matrix([list(p.coords) for p in points]).nullspace()
+    if not null:
+        return None
+    rref, _ = sympy.Matrix([list(v) for v in null]).rref()
+    rows = []
+    for i in range(rref.rows):
+        row = list(rref.row(i))
+        den = math.lcm(*(c.q for c in row))
+        ints = [int(c * den) for c in row]
+        g = math.gcd(*ints)
+        if next(c for c in ints if c) < 0:
+            g = -g
+        rows.append(tuple(c // g for c in ints))
+    return tuple(sorted(rows))
+
+
+def test_span_subspace_matches_sympy():
+    rng = random.Random(2024)
+    cases = []
+    for n in range(1, 5):
+        for _ in range(12):
+            # rank-deficient: points drawn from the span of k < n + 1 vectors
+            k = rng.randint(1, n)
+            basis = [[rng.randint(-4, 4) for _ in range(n + 1)] for _ in range(k)]
+            basis[0][rng.randrange(n + 1)] = rng.choice((1, -1, 5))
+            pts = []
+            while len(pts) < rng.randint(1, k + 2):
+                t = [rng.randint(-2, 2) for _ in basis]
+                c = [sum(a * b[j] for a, b in zip(t, basis)) for j in range(n + 1)]
+                if any(c):
+                    pts.append(ProjectivePoint(c))
+            cases.append((pts, n))
+        for _ in range(4):
+            pts = _random_points(rng, n, rng.randint(1, n + 1), 5)
+            cases.append((pts + [pts[0], ProjectivePoint([-c for c in pts[-1]])], n))
+            cases.append(([_random_points(rng, n, 1, 9)[0]], n))
+            # full rank: n + 1 to n + 3 points spanning P^n
+            while True:
+                pts = _random_points(rng, n, n + 1 + rng.randint(0, 2), 3)
+                if sympy.Matrix([list(p.coords) for p in pts]).rank() == n + 1:
+                    break
+            cases.append((pts, n))
+    full = 0
+    for pts, n in cases:
+        sub = span_subspace(pts, n)
+        want = _sympy_equations(pts)
+        if want is None:
+            full += 1
+            assert sub is None, (n, pts)
+            continue
+        assert sub.equations == want, (n, pts)
+        assert sub.dim == n - len(want)
+        assert all(sub.contains(p) for p in pts)
+    assert 16 <= full < len(cases)
+
+
+def test_greedy_tie_break_order():
+    """Several candidates tie on gain in every round: the cover takes the
+    least equations among them, whatever order the candidates come in.
+    The expected cover and assignment are those of linscat 0.1.0."""
+    grid = [ProjectivePoint([1, i, j]) for i in range(3) for j in range(3)]
+    extra = [ProjectivePoint(c) for c in ([0, 1, 0], [0, 0, 1], [0, 1, 1], [2, 1, 3])]
+    pts = sorted(grid + extra)
+    cands = _candidate_subspaces(pts, 2)
+    assert [len(cov) for _, cov in cands[:10]] == [4] * 9 + [3]
+    want = [((0, 0, 1),), ((1, 1, -1),), ((2, -1, 0),), ((2, -1, -1),)]
+    for order in (cands, cands[::-1]):
+        assert [sub.equations for sub in _greedy_cover(pts, order)] == want
+    cover = subspace_cover(pts, mode="greedy")
+    assert [sub.equations for sub in cover.subspaces] == want
+    assert [cover.assignment[p] for p in pts] == [2, 0, 1, 0, 1, 3, 0, 3, 1,
+                                                  0, 2, 2, 1]
+    # the 3 x 3 grid alone: eight lines of three points tie in round one
+    grid_cover = subspace_cover(sorted(grid), mode="greedy")
+    assert [sub.equations for sub in grid_cover.subspaces] == [
+        ((0, 0, 1),), ((1, 0, -1),), ((2, 0, -1),)]
+
+
 def test_planted_two_line_cover():
     line1 = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0)]
     line2 = [(1, 0, 1), (1, 0, 2), (1, 0, -1), (1, 0, 3)]
@@ -290,6 +374,13 @@ def test_cover_infeasible_and_validation():
         subspace_cover([])
     with pytest.raises(errors.BadParameter):
         subspace_cover(pts, mode="bogus")
+    # points of different P^n are not one solution set
+    for mixed in ([ProjectivePoint([1, 2]), ProjectivePoint([1, 2, 3])],
+                  [ProjectivePoint([1, 2, 3]), ProjectivePoint([0, 1]),
+                   ProjectivePoint([1, 0, 0])]):
+        for mode in ("exact", "greedy"):
+            with pytest.raises(errors.BadParameter):
+                subspace_cover(mixed, mode=mode)
 
 
 def test_density_report():

@@ -20,7 +20,7 @@ from linscat.heights import (
     weil_value,
 )
 from linscat.places import INF, log_abs, places_above, working_dps
-from linscat.twisted import TwistedHeightSpec, log_twisted_report
+from linscat.twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report
 
 
 def test_point_canonicalization():
@@ -278,6 +278,22 @@ def test_weil_values_match_reference_run(precision, monkeypatch):
     assert reports == [[log_twisted_report(spec, x, precision) for x in points]
                        for spec, points in runs]
     assert seen > 500
+
+
+def test_per_place_tables_refuse_extra_places():
+    """A list longer than S, or a key for a place outside S, is an error,
+    not an entry dropped in silence."""
+    K = nf_create([-2, 0, 1])
+    pres = HyperplanePresentation(LinearForm(K, [-K.gen(), 1]))
+    x = ProjectivePoint([5, 7])
+    for choices in ([1, 0, 5], {INF: 1, 5: 0}, {"oo": 1, "3": 0}):
+        with pytest.raises(errors.BadParameter):
+            proximity(pres, x, ["inf", 7], w_choices=choices)
+    forms = [LinearForm(K, [1, 0]), LinearForm(K, [0, 1])]
+    with pytest.raises(errors.BadParameter):
+        FormSystemSpec(K, [INF], {INF: forms}, w_choices=[1, 0])
+    with pytest.raises(errors.BadParameter):
+        FormSystemSpec(K, [INF], {INF: forms, 7: forms})
 
 
 def test_proximity_normalizes_place_spellings():
