@@ -126,41 +126,44 @@ def _get_S(cfg):
     return [_normalize_place(v, "S") for v in cfg["S"]]
 
 
+def _get_table(cfg, key, S, entry=None):
+    """The per-place table cfg[key], an object keyed by place or a list in
+    S-order, read through heights._per_place.  With entry, every place of S
+    needs one ("no <entry> for place <v>")."""
+    table = cfg.get(key, {})
+    if not isinstance(table, (list, dict)):
+        raise ConfigInvalid("'%s' must be an object keyed by place "
+                            "or a list in S-order" % key)
+    try:
+        table = _per_place(table, S)
+    except BadParameter as exc:
+        raise ConfigInvalid("bad '%s': %s" % (key, exc))
+    if entry is not None:
+        for v in S:
+            if v not in table:
+                raise ConfigInvalid("no %s for place %s" % (entry, _place_key(v)))
+    return table
+
+
 def _get_forms(cfg, field, S):
     if "forms" not in cfg:
         raise ConfigInvalid("config needs 'forms' per place")
-    out = {}
-    for v in S:
-        key = _place_key(v)
-        if key not in cfg["forms"]:
-            raise ConfigInvalid("no forms for place %s" % key)
-        out[v] = [_parse_form(field, f, "forms[%s]" % key) for f in cfg["forms"][key]]
-    return out
+    table = _get_table(cfg, "forms", S, "forms")
+    return {v: [_parse_form(field, f, "forms[%s]" % _place_key(v)) for f in table[v]]
+            for v in S}
 
 
 def _get_weights(cfg, S):
     if "weights" not in cfg:
         raise ConfigInvalid("config needs 'weights' per place")
-    out = {}
-    for v in S:
-        key = _place_key(v)
-        if key not in cfg["weights"]:
-            raise ConfigInvalid("no weight row for place %s" % key)
-        out[v] = [_frac(c, "weights[%s]" % key) for c in cfg["weights"][key]]
-    return out
+    table = _get_table(cfg, "weights", S, "weight row")
+    return {v: [_frac(c, "weights[%s]" % _place_key(v)) for c in table[v]] for v in S}
 
 
 def _get_w_choices(cfg, S):
     """Place indices: a dict keyed by place, or a list read in S-order."""
-    table = cfg.get("w_choices", {})
-    if not isinstance(table, (list, dict)):
-        raise ConfigInvalid("'w_choices' must be an object keyed by place "
-                            "or a list in S-order")
-    try:
-        table = _per_place(table, S)
-    except BadParameter as exc:
-        raise ConfigInvalid("bad 'w_choices': %s" % exc)
-    return {v: _int(ix, "w_choices[%s]" % _place_key(v)) for v, ix in table.items()}
+    return {v: _int(ix, "w_choices[%s]" % _place_key(v))
+            for v, ix in _get_table(cfg, "w_choices", S).items()}
 
 
 def _report(payload, cfg_digest, precision, out_path=None):
@@ -311,13 +314,9 @@ def cmd_solve(cfg, digest, precision, outdir):
     elif mode == "fw":
         if "d_weights" not in cfg:
             raise ConfigInvalid("fw mode needs 'd_weights'")
-        params["d_weights"] = []
-        for v in spec.S:
-            key = _place_key(v)
-            if key not in cfg["d_weights"]:
-                raise ConfigInvalid("no d_weights row for place %s" % key)
-            params["d_weights"].append(
-                [_frac(c, "d_weights") for c in cfg["d_weights"][key]])
+        table = _get_table(cfg, "d_weights", spec.S, "d_weights row")
+        params["d_weights"] = [[_frac(c, "d_weights") for c in table[v]]
+                               for v in spec.S]
     ss = exceptional.filter_solutions(mode, spec, points=pts, height_bound=bound,
                                       slack=slack, precision=precision, **params)
     payload = {

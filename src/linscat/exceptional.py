@@ -40,33 +40,9 @@ def enumerate_points(n, height_bound, budget=DEFAULT_BUDGET):
     canonical (lexicographic) order."""
     if n < 1 or height_bound < 1:
         raise BadParameter("need n >= 1 and height_bound >= 1")
-    est = (2 * height_bound + 1) ** (n + 1)
-    if budget is not None and est > 4 * budget and n > 2:
-        raise BudgetExceeded("estimated %d tuples exceeds budget %d" % (est, budget))
-    if n == 1:
-        if budget is not None and kernels.count_p1(height_bound) > budget:
-            raise BudgetExceeded("P^1 bound %d exceeds budget %d" % (height_bound, budget))
-        raw = kernels.enum_p1(height_bound)
-    elif n == 2:
-        if budget is not None and kernels.count_p2(height_bound) > budget:
-            raise BudgetExceeded("P^2 bound %d exceeds budget %d" % (height_bound, budget))
-        raw = kernels.enum_p2(height_bound)
-    else:
-        raw = []
-        rng = range(-height_bound, height_bound + 1)
-        for tup in itertools.product(rng, repeat=n + 1):
-            if not any(tup):
-                continue
-            lead = next(c for c in tup if c)
-            if lead < 0:
-                continue
-            if math.gcd(*[abs(c) for c in tup]) != 1:
-                continue
-            raw.append(tup)
-            if budget is not None and len(raw) > budget:
-                raise BudgetExceeded("enumeration exceeded budget %d" % budget)
-        raw.sort()
-    return _points(raw)
+    if budget is not None and kernels.count(n, height_bound) > budget:
+        raise BudgetExceeded("P^%d bound %d exceeds budget %d" % (n, height_bound, budget))
+    return _points(kernels.enum(n, height_bound))
 
 
 def _points(raw):
@@ -183,9 +159,10 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     """Evaluate the named inequality system over a point set.
 
     Either an explicit point list or a height bound must be given.  For
-    the schmidt system with all-archimedean S on P^1/P^2 and no explicit
+    the schmidt system with S = {inf} at a real place and no explicit
     points, the float prefilter in linscat.kernels scans only the windows
     around the forms' roots; its candidates are then re-evaluated exactly.
+    Otherwise every point up to the bound is settled.
     Every candidate is settled by _settle, escalating dps1 -> dps2 inside
     the band.
     """
@@ -224,14 +201,12 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     if points is None:
         if height_bound is None:
             raise BadParameter("need points or a height bound")
-        if kind == "schmidt" and spec.S == [INF] and spec.n in (1, 2):
+        if kind == "schmidt" and spec.S == [INF] and spec.places()[INF].is_real:
             w = spec.places()[INF]
-            if not w.is_real:
-                raise BadParameter("streaming prefilter needs a real embedding choice")
             coeffs = [tuple(arch_value(spec.field, w, c) for c in form.coeffs)
                       for form in spec.forms[INF]]
-            pre = kernels.prefilter_p1 if spec.n == 1 else kernels.prefilter_p2
-            points = _points(pre(height_bound, coeffs, -float(epsilon), float(slack)))
+            points = _points(kernels.prefilter(height_bound, coeffs, -float(epsilon),
+                                               float(slack), budget=budget))
         else:
             points = enumerate_points(spec.n, height_bound, budget)
     sols, indet, supp = _settle(points, margin, precision)

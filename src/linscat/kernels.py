@@ -1,45 +1,65 @@
-"""Enumeration, counting and float prefilter kernels over P^1(Q) and P^2(Q).
+"""Enumeration, counting and float prefilter kernels over P^n(Q).
 
 Points are primitive integer tuples in canonical form: gcd 1, first nonzero
-coordinate positive, emitted in lexicographic order.  The prefilters are
-output-sensitive: for each fixed leading part only the integer windows
-around the roots of the forms in the last coordinate are scanned (see
-_row_windows), and they return exactly the list a scan of every point
-would return.
+coordinate positive, emitted in lexicographic order.  All three kernels
+stand on one walk over the canonical leading parts (x_0, ..., x_{n-1}) of
+the points (_rows); a point is its leading part plus a last coordinate t.
+The prefilter is output-sensitive: for each leading part only the integer
+windows around the roots of the forms in t are scanned (see _row_windows),
+and it returns exactly the list a scan of every point would return.
 """
 
+import functools
 import itertools
 import math
+
+from .errors import BudgetExceeded
 
 # perfbench/run.py reports this flag; there is no compiled kernel.
 USING_COMPILED = False
 
 
-def enum_p1(bound):
-    """All canonical points of P^1(Q) with max|coordinate| <= bound."""
-    out = [(0, 1)] if bound >= 1 else []
-    for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            if math.gcd(a, abs(b)) == 1:
-                out.append((a, b))
-    return out
+def _rows(n, bound, coeffs):
+    """The nonzero canonical leading parts of P^n(Q) with max|x_j| <= bound,
+    in lexicographic order: z zeros, a positive lead, then any tail, for
+    z = n-1 down to 0.  (The zero part's one point is (0, ..., 0, 1).)
+
+    Each row is (lead, g, m, consts): the gcd and the height max|x_j| of the
+    leading part, and per coefficient row c of coeffs the pair (k, c_n) of
+    the float k = c_0 x_0 + ... + c_{n-1} x_{n-1}, added left to right from
+    the lead (c_j x_j, since the zeros before it add nothing), and the
+    coefficient of the last coordinate.
+    """
+    span = range(-bound, bound + 1)
+    for z in range(n - 1, -1, -1):
+        zeros = (0,) * z
+        pairs = [(row[z], row[n]) for row in coeffs]
+        rows = ((zeros + (a,), a, a, [(c * a, cn) for c, cn in pairs])
+                for a in range(1, bound + 1))
+        for j in range(z + 1, n):
+            rows = _extend(rows, [row[j] for row in coeffs], span)
+        yield from rows
 
 
-def enum_p2(bound):
-    """All canonical points of P^2(Q) with max|coordinate| <= bound."""
-    out = []
-    for b in range(0, bound + 1):
-        for c in range(-bound, bound + 1):
-            if b == 0 and c <= 0:
-                continue
-            if math.gcd(b, abs(c)) == 1:
-                out.append((0, b, c))
-    for a in range(1, bound + 1):
-        for b in range(-bound, bound + 1):
-            g = math.gcd(a, abs(b))
-            for c in range(-bound, bound + 1):
-                if math.gcd(g, abs(c)) == 1:
-                    out.append((a, b, c))
+def _extend(rows, col, span):
+    """Each row followed by every coordinate t of span."""
+    gcd = math.gcd
+    for lead, g, m, consts in rows:
+        for t in span:
+            yield (lead + (t,), gcd(g, t), max(m, t, -t),
+                   [(s + c * t, cn) for (s, cn), c in zip(consts, col)])
+
+
+def _enum(n, bound):
+    """All canonical points of P^n(Q) with max|coordinate| <= bound."""
+    out = [(0,) * n + (1,)] if bound >= 1 else []
+    span = range(-bound, bound + 1)
+    coprime = {1: span}  # g -> the t of span with gcd(g, t) = 1
+    for lead, g, _, _ in _rows(n, bound, ()):
+        ts = coprime.get(g)
+        if ts is None:
+            ts = coprime[g] = [t for t in span if math.gcd(g, t) == 1]
+        out += zip(*map(itertools.repeat, lead), ts)
     return out
 
 
@@ -66,18 +86,11 @@ def _primitive_count(bound, dim):
                for k in range(1, bound + 1))
 
 
-def count_p1(bound):
-    """len(enum_p1(bound)) in O(bound): half the primitive pairs."""
+def _count(n, bound):
+    """len(_enum(n, bound)) in O(bound): half the primitive vectors."""
     if bound < 1:
         return 0
-    return _primitive_count(bound, 2) // 2
-
-
-def count_p2(bound):
-    """len(enum_p2(bound)) in O(bound): half the primitive triples."""
-    if bound < 1:
-        return 0
-    return _primitive_count(bound, 3) // 2
+    return _primitive_count(bound, n + 1) // 2
 
 
 def _thresholds(bound, exponent, log_slack, margin):
@@ -111,9 +124,9 @@ def _row_windows(bound, consts, log_top, scaled_tiny, valid):
     no point of the row passes the prefilter check.
 
     consts holds, per form, (k, c) where k is the float the check computes
-    for the row's fixed leading part (c0*a on P^1, c0*a + c1*b on P^2) and c
-    the coefficient of the last coordinate t, so the check evaluates
-    d = fl(k + fl(c*t)).  With e = k + c*t and t* = -k/c (c != 0),
+    for the row's fixed leading part (c_0 x_0 + ... + c_{n-1} x_{n-1}, see
+    _rows) and c the coefficient of the last coordinate t, so the check
+    evaluates d = fl(k + fl(c*t)).  With e = k + c*t and t* = -k/c (c != 0),
     |d - e| <= 2.01 u (|k| + |c t|) = 2.01 u |c| (|t*| + |t|), u = 2^-53.
 
     A point passes when some |d| < scaled_tiny, or when the float product
@@ -132,7 +145,7 @@ def _row_windows(bound, consts, log_top, scaled_tiny, valid):
     |t*|, h < 3 bound < 2^42, so |d - e| < |c|/4 and fl(t* -+ h) is within
     1/4 of t* -+ h: a point with |d| <= |c| h has |t - t*| < h + 1/4 and lies
     in [floor(fl(t* - h)) - 1, ceil(fl(t* + h)) + 1].  The one integer of
-    padding per side absorbs the float rounding of c0*a + c*t and of the
+    padding per side absorbs the float rounding of k + c*t and of the
     window ends.
 
     The log-space computation of W carries 1e-6 of slack, which covers
@@ -178,74 +191,75 @@ def _row_windows(bound, consts, log_top, scaled_tiny, valid):
     return merged
 
 
-def prefilter_p1(bound, coeffs, exponent, log_slack, margin=1e-6, tiny=1e-12):
-    """Streaming float prefilter over canonical P^1 points.
+def _prefilter(n, bound, coeffs, exponent, log_slack, margin=1e-6, tiny=1e-12,
+               budget=None):
+    """Streaming float prefilter over the canonical points of P^n(Q).
 
-    coeffs: per form a pair (c0, c1) of floats (one entry per (place, form)
-    pair, archimedean places only).  A point survives when the product of
-    |c0*a + c1*b| over all forms is at most max(|a|,|b|)^exponent times
-    exp(log_slack + margin), or when some form value is numerically tiny
-    (near the support or a true near-solution; the exact recheck decides).
-    Returns candidate (a, b) pairs in canonical order; callers re-evaluate
-    them exactly.
+    coeffs: per form a row of n+1 floats (one entry per (place, form) pair,
+    archimedean places only).  A point survives when the product of the
+    |form values| is at most max|x_j|^exponent times exp(log_slack + margin),
+    or when some form value is numerically tiny (near the support or a true
+    near-solution; the exact recheck decides).  Returns the candidate tuples
+    in canonical order; callers re-evaluate them exactly.  Raises
+    BudgetExceeded, before scanning, when the leading parts to scan
+    outnumber budget.
     """
-    thresholds, log_top = _thresholds(bound, exponent, log_slack, margin)
-    out = []
-    scaled_tiny = tiny * bound
-    valid = _windows_valid(bound, coeffs, scaled_tiny)
-
-    def check(a, b):
-        prod = 1.0
-        for c0, c1 in coeffs:
-            d = c0 * a + c1 * b
-            if -scaled_tiny < d < scaled_tiny:
-                return True
-            prod *= d if d > 0 else -d
-        m = a if a > b else b
-        mb = -b
-        if mb > m:
-            m = mb
-        return prod <= thresholds[m]
-
-    if bound >= 1 and check(0, 1):
-        out.append((0, 1))
-    for a in range(1, bound + 1):
-        consts = [(c0 * a, c1) for c0, c1 in coeffs]
-        for lo, hi in _row_windows(bound, consts, log_top[a], scaled_tiny, valid):
-            for b in range(lo, hi + 1):
-                if math.gcd(a, abs(b)) == 1 and check(a, b):
-                    out.append((a, b))
-    return out
-
-
-def prefilter_p2(bound, coeffs, exponent, log_slack, margin=1e-6, tiny=1e-12):
-    """P^2 analogue of prefilter_p1; coeffs are float triples."""
+    rows = ((2 * bound + 1) ** n + 1) // 2 if bound >= 1 else 0
+    if budget is not None and rows > budget:
+        raise BudgetExceeded("prefilter on P^%d at bound %d scans %d rows, "
+                             "over the budget %d" % (n, bound, rows, budget))
     thresholds, log_top = _thresholds(bound, exponent, log_slack, margin)
     scaled_tiny = tiny * bound
     valid = _windows_valid(bound, coeffs, scaled_tiny)
-    out = []
+    gcd = math.gcd
 
-    def check(a, b, c):
+    def check(consts, t, m):
         prod = 1.0
-        for c0, c1, c2 in coeffs:
-            d = c0 * a + c1 * b + c2 * c
+        for k, c in consts:
+            d = k + c * t
             if -scaled_tiny < d < scaled_tiny:
                 return True
             prod *= d if d > 0 else -d
-        m = max(a, b, -b, c, -c)
+        if t > m:
+            m = t
+        elif -t > m:
+            m = -t
         return prod <= thresholds[m]
 
-    if bound >= 1 and check(0, 0, 1):
-        out.append((0, 0, 1))
-    rows = itertools.chain(
-        ((0, b) for b in range(1, bound + 1)),
-        ((a, b) for a in range(1, bound + 1) for b in range(-bound, bound + 1)))
-    for a, b in rows:
-        g = math.gcd(a, abs(b))
-        consts = [(c0 * a + c1 * b, c2) for c0, c1, c2 in coeffs]
-        lead = max(a, abs(b))
-        for lo, hi in _row_windows(bound, consts, log_top[lead], scaled_tiny, valid):
-            for c in range(lo, hi + 1):
-                if math.gcd(g, abs(c)) == 1 and check(a, b, c):
-                    out.append((a, b, c))
+    out = []
+    if bound >= 1 and check([(0.0, row[n]) for row in coeffs], 1, 1):
+        out.append((0,) * n + (1,))
+    for lead, g, m, consts in _rows(n, bound, coeffs):
+        for lo, hi in _row_windows(bound, consts, log_top[m], scaled_tiny, valid):
+            for t in range(lo, hi + 1):
+                if gcd(g, t) == 1 and check(consts, t, m):
+                    out.append(lead + (t,))
     return out
+
+
+# perfbench/tracer.py wraps these six names by module attribute, so enum,
+# count and prefilter reach P^1 and P^2 through them.
+enum_p1, enum_p2 = functools.partial(_enum, 1), functools.partial(_enum, 2)
+count_p1, count_p2 = functools.partial(_count, 1), functools.partial(_count, 2)
+prefilter_p1 = functools.partial(_prefilter, 1)
+prefilter_p2 = functools.partial(_prefilter, 2)
+
+
+def enum(n, bound):
+    """All canonical points of P^n(Q) with max|coordinate| <= bound, in
+    lexicographic order."""
+    return {1: enum_p1, 2: enum_p2}.get(n, functools.partial(_enum, n))(bound)
+
+
+def count(n, bound):
+    """len(enum(n, bound)) in O(bound): half the primitive vectors of
+    Z^(n+1) in the box, by a Moebius sum."""
+    return {1: count_p1, 2: count_p2}.get(n, functools.partial(_count, n))(bound)
+
+
+def prefilter(bound, coeffs, *args, **kwargs):
+    """_prefilter on P^n, n read off the coefficient rows (n + 1 floats
+    each)."""
+    n = len(coeffs[0]) - 1
+    kernel = {1: prefilter_p1, 2: prefilter_p2}.get(n, functools.partial(_prefilter, n))
+    return kernel(bound, coeffs, *args, **kwargs)

@@ -191,6 +191,7 @@ def test_error_exit_codes(tmp_path, capsys):
           "points": [[1, 2]]}
     full = dict(fw, d_weights={"inf": ["0", "0"], "3": ["0", "0"]})
     bad_w = dict(full, w_choices={"inf": "first"})
+    row = ["0", "0"]
     short = dict(fw, d_weights={"inf": ["3/2"], "3": ["0", "0"]})
     for cfg, text in ((fw, "no d_weights row for place 3"),
                       (bad_w, "w_choices[inf] must be an integer"),
@@ -209,7 +210,18 @@ def test_error_exit_codes(tmp_path, capsys):
                       # w_choices names only places of S, at most one index each
                       (dict(full, w_choices=[0, 0, 5]), "3 entries for the 2 places"),
                       (dict(full, w_choices={"inf": 0, "7": 1}), "7, which is not in S"),
-                      (dict(full, w_choices={"oo": 0, "x": 1}), "bad 'w_choices'")):
+                      (dict(full, w_choices={"oo": 0, "x": 1}), "bad 'w_choices'"),
+                      # forms, weights and d_weights are read as w_choices is
+                      (dict(full, forms=dict(full["forms"], **{"7": full["forms"]["3"]})),
+                       "bad 'forms': an entry for 7, which is not in S"),
+                      (dict(full, mode="parametric",
+                            weights={"inf": ["1", "-1"], "3": row, "5": row}),
+                       "bad 'weights': an entry for 5, which is not in S"),
+                      (dict(full, d_weights=dict(full["d_weights"], **{"5": row})),
+                       "bad 'd_weights': an entry for 5, which is not in S"),
+                      (dict(full, forms=[full["forms"]["inf"]]), "no forms for place 3"),
+                      (dict(full, d_weights=[row] * 3), "3 entries for the 2 places"),
+                      (dict(full, forms="x"), "'forms' must be an object")):
         assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
@@ -230,6 +242,38 @@ def test_w_choices_list_in_S_order(tmp_path, capsys):
         docs.append(doc)
     assert docs[0] == docs[1]
     assert docs[0] != docs[2]  # the indices are read, not ignored
+
+
+def test_per_place_spellings_agree(tmp_path, capsys):
+    """forms, weights and d_weights give the same reports as objects keyed
+    by place, with "oo" for inf, and as lists in S-order."""
+    f_inf, f_3 = [["1", "0"], ["1", "-2"]], [["1", "1"], ["0", "1"]]
+    w_inf, w_3 = ["1/2", "-1/2"], ["-1", "1"]
+    d_inf, d_3 = ["-1", "0"], ["0", "1/3"]
+    spellings = [
+        (["inf", 3], {"inf": f_inf, "3": f_3}, {"inf": w_inf, "3": w_3},
+         {"inf": d_inf, "3": d_3}),
+        (["oo", 3], {"oo": f_inf, "3": f_3}, {"oo": w_inf, "3": w_3},
+         {"oo": d_inf, "3": d_3}),
+        (["inf", 3], [f_inf, f_3], [w_inf, w_3], [d_inf, d_3]),
+    ]
+    reports = []
+    for S, forms, weights, d_weights in spellings:
+        cfg = {"field": [0, 1], "S": S, "forms": forms, "weights": weights,
+               "d_weights": d_weights, "points": [[1, 2], [3, 1], [2, 5], [5, 3]]}
+        docs = []
+        bounded = {"points": [], "height_bound": 6}
+        for command, extra in (("twisted", {}), ("solve", dict(bounded, mode="fw")),
+                               ("solve", dict(bounded, mode="parametric", Q=100,
+                                              epsilon="-1/2"))):
+            code, doc = run(capsys, command, "--config",
+                            write_cfg(tmp_path, "s.json", dict(cfg, **extra)))
+            assert code != 1, (S, command, extra)
+            del doc["config_digest"]
+            docs.append((code, doc))
+        reports.append(docs)
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0][1][1]["support"] and reports[0][2][1]["solutions"]
 
 
 def test_bad_integer_values_exit_1(tmp_path, capsys):

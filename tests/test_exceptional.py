@@ -114,6 +114,45 @@ def test_streaming_agrees_with_explicit_points():
     assert streamed.spec_digest == explicit.spec_digest
 
 
+def _inf_spec(min_poly, rows, w_index):
+    K = nf_create(min_poly)
+    th = K.gen()
+    forms = [LinearForm(K, [th if c == "th" else c for c in row]) for row in rows]
+    return FormSystemSpec(K, [INF], {INF: forms}, w_choices={INF: w_index})
+
+
+# (field, forms with "th" for its generator, w_index, epsilon, bound)
+HEIGHT_BOUND_CASES = {
+    # S = {inf} at a complex place: no prefilter, every point is settled
+    "Q(i) P^1": ([1, 0, 1], [["th", 1], [1, 0]], 0, Fraction(-3, 2), 30),
+    "Q(i) P^2": ([1, 0, 1], [["th", 1, 0], [1, 0, 0], [0, "th", 1]], 0,
+                 Fraction(-3, 2), 6),
+    # the windowed prefilter on P^3
+    "Q(sqrt2) P^3": ([-2, 0, 1], [[1, "th", 0, 0], [0, 1, "th", 0],
+                                  [0, 0, 1, "th"], [1, 0, 0, 0]], 1,
+                     Fraction(1, 10), 5),
+    "Q P^3": ([0, 1], [[1, 1, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [1, 0, 0, -1]],
+              0, Fraction(-1, 2), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEIGHT_BOUND_CASES))
+def test_height_bound_agrees_with_explicit_points(case):
+    """schmidt with S = {inf} and a height bound gives the buckets of the
+    explicit enumeration, whether the place is real (prefiltered, on any
+    P^n) or complex (settled point by point)."""
+    min_poly, rows, w_index, eps, bound = HEIGHT_BOUND_CASES[case]
+    spec = _inf_spec(min_poly, rows, w_index)
+    bounded = filter_solutions("schmidt", spec, height_bound=bound, epsilon=eps)
+    explicit = filter_solutions("schmidt", spec, epsilon=eps,
+                                points=enumerate_points(spec.n, bound))
+    assert bounded.points and bounded.support
+    assert bounded.points == explicit.points
+    assert bounded.indeterminate == explicit.indeterminate
+    assert bounded.support == explicit.support
+    assert bounded.spec_digest == explicit.spec_digest
+
+
 def test_fw_filter_buckets():
     forms = [LinearForm(RATIONALS, [1, 0]), LinearForm(RATIONALS, [0, 1])]
     spec = FormSystemSpec(RATIONALS, [INF], {INF: forms})

@@ -1,8 +1,10 @@
+import itertools
 import math
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linscat import kernels
+from linscat import errors, kernels
 
 COEFFS_P1 = ((-1.4142135623730951, 1.0), (1.0, 0.0))
 
@@ -21,9 +23,12 @@ def _survives(pt, coeffs, exponent, log_slack, bound, margin=1e-6, tiny=1e-12):
     return prod <= math.exp(exponent * math.log(m) + log_slack + margin)
 
 
-def _brute(enum, bound, coeffs, exponent, log_slack, **kw):
-    return [pt for pt in enum(bound)
-            if _survives(pt, coeffs, exponent, log_slack, bound, **kw)]
+def _box_points(n, bound):
+    """Canonical points of P^n(Q) with max|x_i| <= bound, by a scan of the
+    whole box in lexicographic order (independent of the kernels)."""
+    for pt in itertools.product(range(-bound, bound + 1), repeat=n + 1):
+        if any(pt) and next(x for x in pt if x) > 0 and math.gcd(*pt) == 1:
+            yield pt
 
 
 def test_pure_enum_invariants():
@@ -45,6 +50,11 @@ def test_counts_match_enumeration():
         assert kernels.count_p1(bound) == len(kernels.enum_p1(bound)), bound
     for bound in range(1, 16):
         assert kernels.count_p2(bound) == len(kernels.enum_p2(bound)), bound
+    for n, top in ((3, 6), (4, 3)):
+        for bound in range(0, top + 1):
+            pts = kernels.enum(n, bound)
+            assert kernels.count(n, bound) == len(pts), (n, bound)
+            assert pts == list(_box_points(n, bound)), (n, bound)
 
 
 def test_bound_zero_is_empty():
@@ -81,19 +91,37 @@ _log_slack = st.sampled_from([0.0, 1.0, 3.0])
 _tiny = st.sampled_from([1e-12, 1e-12, 0.05, 0.0])
 
 
+# the largest bound per dimension, which keeps the box scan small
+MAX_BOUND = {1: 40, 2: 7, 3: 3}
+
+
+@pytest.mark.parametrize("n", sorted(MAX_BOUND), ids=lambda n: "P%d" % n)
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(_coeff, _coeff), min_size=1, max_size=3),
-       _exponent, _log_slack, st.integers(1, 40), _tiny)
+@given(coeffs=st.lists(st.tuples(*[_coeff] * 4), min_size=1, max_size=3),
+       exponent=_exponent, log_slack=_log_slack, bound=st.integers(1, 40), tiny=_tiny)
 # a t-independent factor 0.5 a below tiny * bound = 2 passes whole rows
-@example([(0.5, 0.0), (1.0, -1.0)], -1.0, 0.0, 40, 0.05)
-def test_prefilter_p1_equals_brute_force(coeffs, exponent, log_slack, bound, tiny):
-    assert kernels.prefilter_p1(bound, coeffs, exponent, log_slack, tiny=tiny) \
-        == _brute(kernels.enum_p1, bound, coeffs, exponent, log_slack, tiny=tiny)
+@example(coeffs=[(0.5, 0.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0)], exponent=-1.0,
+         log_slack=0.0, bound=40, tiny=0.05)
+def test_prefilter_equals_brute_force(n, coeffs, exponent, log_slack, bound, tiny):
+    """The windowed prefilter returns exactly the points of the box that
+    pass the documented rule; each coefficient row keeps its first n+1
+    entries."""
+    coeffs = [row[:n + 1] for row in coeffs]
+    bound = min(bound, MAX_BOUND[n])
+    assert kernels.prefilter(bound, coeffs, exponent, log_slack, tiny=tiny) == [
+        pt for pt in _box_points(n, bound)
+        if _survives(pt, coeffs, exponent, log_slack, bound, tiny=tiny)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(_coeff, _coeff, _coeff), min_size=1, max_size=3),
-       _exponent, _log_slack, st.integers(1, 7), _tiny)
-def test_prefilter_p2_equals_brute_force(coeffs, exponent, log_slack, bound, tiny):
-    assert kernels.prefilter_p2(bound, coeffs, exponent, log_slack, tiny=tiny) \
-        == _brute(kernels.enum_p2, bound, coeffs, exponent, log_slack, tiny=tiny)
+def test_prefilter_budget_refuses_before_scanning(monkeypatch):
+    """A prefilter whose leading parts outnumber the budget raises before it
+    walks a single row: P^3 at bound 200 has 401^3 // 2 + 1 rows."""
+    def walk(*args):
+        raise AssertionError("the prefilter scanned rows")
+    monkeypatch.setattr(kernels, "_rows", walk)
+    coeffs = [(1.0, -1.4142135623730951, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0),
+              (0.0, 0.0, 1.0, 2.0), (1.0, 0.0, 0.0, 0.0)]
+    with pytest.raises(errors.BudgetExceeded, match="32240601 rows"):
+        kernels.prefilter(200, coeffs, -0.1, 0.0, budget=20_000_000)
+    with pytest.raises(AssertionError, match="scanned rows"):
+        kernels.prefilter(2, coeffs, -0.1, 0.0, budget=63)

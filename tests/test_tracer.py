@@ -7,6 +7,7 @@ import os
 from fractions import Fraction
 
 from linscat import nf_create
+from linscat.exceptional import FormSystemSpec, enumerate_points, filter_solutions
 from linscat.heights import LinearForm, ProjectivePoint
 from linscat.places import INF
 from linscat.twisted import TwistedHeightSpec, log_twisted_report
@@ -58,3 +59,27 @@ def test_tracer_counts_the_form_layers():
     for name in ("heights.evaluate", "places.arch_abs", "places.nonarch_exponent"):
         calls, _ = t.total("setup", name)
         assert calls > 0, name
+
+
+def test_tracer_counts_the_kernel_layers():
+    """A traced schmidt filter on P^1 with a height bound and a traced
+    enumeration of P^2 show calls of the prefilter, enumeration and count
+    kernels, so the benchmark's per-layer kernel metrics cannot silently
+    read 0."""
+    tracer = _load_tracer()
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    forms = [LinearForm(K, [-th, 1]), LinearForm(K, [1, 0])]
+    spec = FormSystemSpec(K, [INF], {INF: forms}, w_choices={INF: 1})
+    t = tracer.Tracer()
+    try:
+        t.install()
+        filter_solutions("schmidt", spec, height_bound=50, epsilon=Fraction(3, 10))
+        enumerate_points(2, 5)
+    finally:
+        t.uninstall()
+    for name in ("kernels.prefilter", "kernels.enum", "kernels.count"):
+        calls, _ = t.total("setup", name)
+        assert calls > 0, name
+    assert t.counts[("setup", "kernels.prefilter.survivors")] > 0
+    assert t.counts[("setup", "kernels.enum.points")] == 577
