@@ -29,7 +29,7 @@ from .heights import (
     weil_hyperplane,
 )
 from .places import INF, normalize_place, places_above, product_formula_defect
-from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report, twisted_height
+from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report
 
 SCHEMA = 1
 
@@ -269,7 +269,7 @@ def cmd_twisted(cfg, digest, precision, outdir):
         rep = log_twisted_report(spec, p, precision)
         rows.append({
             "point": list(p.coords),
-            "H_Q": float(twisted_height(spec, p, precision)),
+            "H_Q": float(rep["H_Q"]),
             "per_place": {_place_key(v): float(val)
                           for v, val in rep["per_place"].items()},
             "lhs": float(rep["lhs"]), "rhs": float(rep["rhs"]),
@@ -506,6 +506,8 @@ def main(argv=None):
     try:
         cfg, digest = _load_config(args.config)
         precision = _int(cfg.get("precision", args.precision), "precision")
+        if precision < 1:
+            raise ConfigInvalid("precision must be at least 1, got %d" % precision)
         doc = COMMANDS[args.command](cfg, digest, precision, args.out)
     except LinscatError as exc:
         print("error: %s" % exc, file=sys.stderr)

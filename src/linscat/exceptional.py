@@ -24,9 +24,8 @@ import mpmath
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
 from .heights import ProjectivePoint, _weil_row
-from .places import INF, arch_value
-from .twisted import (FormSystemSpec, TwistedHeightSpec, _log_Q, _real,
-                      _working_precision, log_twisted_height)
+from .places import INF, arch_value, reals, working_dps
+from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_height
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -58,18 +57,16 @@ def _points(raw):
 # inequality evaluation
 
 def _lambda_matrix(spec, x, dps):
-    """Weil values lambda_vi(x) at all (v, i), and log max|x_j|, as mpf.
-
-    _weil_row(..., dps) works at dps + 5 digits; setting that precision
-    once here spares it a context per place, and above 17 digits log
-    max|x_j| is taken once for all places (the float path takes math.log).
+    """Weil values lambda_vi(x) at all (v, i) in reals(dps), and log
+    max|x_j| as an mpf at dps + 5 digits, which the rows share on the mpf
+    path (the float path takes math.log).
 
     Raises OnSupport listing nothing; callers bucket such points.
     """
     places = spec.places()
-    with mpmath.workdps(dps + 5):
+    with working_dps(dps + 5):
         lmx = mpmath.log(max(abs(c) for c in x.coords))
-        shared = lmx if dps > 17 else None
+        shared = None if reals(dps).is_float else lmx
         rows = [_weil_row(spec.forms[v], x, places[v], dps, shared) for v in spec.S]
         return rows, lmx
 
@@ -101,18 +98,20 @@ def _digest(*parts):
 
 def _schmidt_margin(spec, epsilon, slack, x, dps):
     rows, lmx = _lambda_matrix(spec, x, dps)
-    with mpmath.workdps(dps):
+    R = reals(dps)
+    with R.guard(0):
         total = mpmath.fsum(v for row in rows for v in row)
-        return total - ((spec.n + 1 + _real(epsilon, dps)) * lmx - slack)
+        return total - ((spec.n + 1 + R.real(epsilon)) * lmx - slack)
 
 
 def _fw_margin(spec, d_weights, slack, x, dps):
     rows, lmx = _lambda_matrix(spec, x, dps)
-    with mpmath.workdps(dps):
+    R = reals(dps)
+    with R.guard(0):
         worst = None
         for row, drow in zip(rows, d_weights):
             for lam, d in zip(row, drow):
-                m = lam - (_real(d, dps) * lmx - slack)
+                m = lam - (R.real(d) * lmx - slack)
                 if worst is None or m < worst:
                     worst = m
         return worst
@@ -120,9 +119,10 @@ def _fw_margin(spec, d_weights, slack, x, dps):
 
 def _parametric_margin(spec, slack, x, dps):
     # slack - (log H_Q + eps log Q), negated last: Fraction - mpf is undefined
-    with mpmath.workdps(dps):
-        lq = _log_Q(spec.Q, dps)
-        return -(log_twisted_height(spec, x, dps) + _real(spec.epsilon, dps) * lq - slack)
+    R = reals(dps)
+    with R.guard(0):
+        lq = R.log(R.real(spec.Q))
+        return -(log_twisted_height(spec, x, dps) + R.real(spec.epsilon) * lq - slack)
 
 
 def _settle(points, margin, precision, escalate=True):
@@ -216,9 +216,9 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
 def q_sweep(spec_template, Q_grid, points, precision=17):
     """Per-Q solution sets of H_Q(x) <= Q^(-epsilon).
 
-    Each Q settles the points in one pass at the caller's precision (no
-    escalation); margins inside the band are listed as indeterminate and
-    points on the support are dropped.
+    Each Q settles the points through _parametric_margin with slack 0, in
+    one pass at the caller's precision (no escalation); margins inside the
+    band are listed as indeterminate and points on the support are dropped.
     """
     grid = [Fraction(q) for q in Q_grid]
     if not grid or any(b < a for a, b in zip(grid, grid[1:])):
@@ -226,14 +226,8 @@ def q_sweep(spec_template, Q_grid, points, precision=17):
     points = sorted(set(points))
     out = []
     for q in grid:
-        spec = spec_template.with_Q(q)
-        with _working_precision(precision):
-            eps_log_q = _real(spec.epsilon, precision) * _log_Q(q, precision)
-
-            def margin(x, dps):
-                return -(log_twisted_height(spec, x, dps) + eps_log_q)
-
-            sols, indet, _ = _settle(points, margin, precision, escalate=False)
+        margin = functools.partial(_parametric_margin, spec_template.with_Q(q), 0)
+        sols, indet, _ = _settle(points, margin, precision, escalate=False)
         out.append({"Q": q, "solutions": sols, "indeterminate": indet})
     return out
 

@@ -13,11 +13,9 @@ import math
 import operator
 from fractions import Fraction
 
-import mpmath
-
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS
-from .places import INF, log_abs, normalize_place, places_above, working_dps
+from .places import INF, log_abs, normalize_place, places_above, reals
 
 
 class ProjectivePoint:
@@ -69,11 +67,10 @@ def mult_height(x):
 
 
 def log_height(x, precision=17):
-    h = max(abs(c) for c in x.coords)
-    if precision <= 17:
-        return math.log(h)
-    with mpmath.workdps(precision + 5):
-        return mpmath.log(h)
+    """log max|x_i| in reals(precision), at precision + 5 digits."""
+    R = reals(precision)
+    with R.guard(5):
+        return R.log(max(abs(c) for c in x.coords))
 
 
 class LinearForm:
@@ -157,28 +154,22 @@ def _weil_row(forms, x, place, precision=17, log_max=None):
     Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
     integer coordinates the finite-place max is 1.  At infinity
     log max_j|x_j| is taken once for the row, or is log_max when the caller
-    already holds it in the same context.  Floats at precision <= 17, else
-    mpfs at precision + 5 digits (or the caller's working precision when
-    that is higher).
+    already holds it in the same context.  Numbers of reals(precision), at
+    precision + 5 digits on the mpf path.
     """
+    R = reals(precision)
     las = []
     for form in forms:
         val = form.evaluate(x)
         if not val:
             raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
         las.append(log_abs(form.field, place, val, precision))
-    if place.kind != "arch":
-        # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
-        # log_abs's +0.0 (or mpf zero) and any other is 0 - log_abs
-        if precision <= 17:
+    with R.guard(5):
+        if place.kind != "arch":
+            # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
+            # log_abs's zero and any other is 0 - log_abs
             return [0 - la if la else la for la in las]
-        with working_dps(precision + 5):
-            return [0 - la if la else la for la in las]
-    if precision <= 17:
-        lmx = math.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
-        return [lmx - la for la in las]
-    with working_dps(precision + 5):
-        lmx = mpmath.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
+        lmx = R.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
         return [lmx - la for la in las]
 
 

@@ -1,6 +1,7 @@
 """Places of Q and of a number field F, and the normalized absolute values.
 
-Two normalizations are exposed and every caller must name one:
+Two normalizations are exposed; abs_value and log_abs take ``extension``
+unless the caller names ``field``:
 
 * ``extension`` -- |a|_{v,K} = |N_{F_w/Q_v}(a)|_v^(1/[F_w:Q_v]), the value
   extending |.|_v from Q to F;
@@ -10,9 +11,13 @@ Two normalizations are exposed and every caller must name one:
 Non-archimedean values are exact rational powers of p.  Archimedean values
 come from real embeddings isolated by sympy's continued-fraction method
 (certified rational enclosures) or from complex conjugate root pairs.
+
+reals(precision) is the one float/mpf rule of every evaluation, with its
+guard digits.
 """
 
 import contextlib
+import functools
 import math
 from fractions import Fraction
 
@@ -206,24 +211,25 @@ class Place:
         return self._approx[key]
 
     def embedding_value(self, dps=17):
-        """Approximate image of theta under this archimedean embedding."""
+        """Image of theta under this archimedean embedding, cached per dps
+        and so computed at fixed digits: a real place's 10^-(dps + 5)
+        enclosure midpoint in reals(dps), a complex root at dps + 15."""
         if not self.is_arch:
             raise BadParameter("embedding of a non-archimedean place")
-        if self.field.degree == 1:
-            return mpmath.mpf(0) if dps > 17 else 0.0
         key = ("emb", dps)
         if key in self._approx:
             return self._approx[key]
-        if self.is_real:
+        if not self.is_real:
+            val = _complex_embedding(self.field, self._root, dps)
+        elif self.field.degree == 1:
+            val = reals(dps).zero
+        else:
             lo, hi = self.real_enclosure(dps + 5)
-            if dps <= 17:
+            if reals(dps).is_float:
                 val = float((lo + hi) / 2)
             else:
                 with mpmath.workdps(dps + 5):
-                    val = (mpmath.mpf(lo.numerator) / lo.denominator
-                           + mpmath.mpf(hi.numerator) / hi.denominator) / 2
-        else:
-            val = _complex_embedding(self.field, self._root, dps)
+                    val = (_mpf(lo) + _mpf(hi)) / 2
         self._approx[key] = val
         return val
 
@@ -349,11 +355,13 @@ def places_above(field, v, precision=40):
     """All places of the field above v (a rational prime, or "inf").
 
     precision counts p-adic digits for finite v and decimal digits for the
-    archimedean embeddings.  Results are cached on the field.
+    archimedean embeddings, at least 1.  Results are cached on the field.
     """
     v = normalize_place(v)
     if v != INF and not sympy.isprime(v):
         raise BadParameter("v must be a prime or 'inf', got %r" % (v,))
+    if precision < 1:
+        raise BadParameter("precision must be at least 1, got %r" % (precision,))
     key = (v, precision)
     cache = field._places_cache
     if key not in cache:
@@ -450,6 +458,46 @@ def working_dps(dps):
     return mpmath.workdps(dps)
 
 
+def _float(q):
+    # float(q) on a Fraction goes through numbers.Rational, two calls slower
+    return q.numerator / q.denominator
+
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+class Reals:
+    """The number type reals() chose, floats or mpmath, with its zero, log,
+    exp and real(q) (a rational in the type).  guard(digits), the context an
+    evaluation runs in, is none for floats and working_dps(precision +
+    digits), which never lowers a caller's higher precision, for mpmath."""
+
+    __slots__ = ("precision", "is_float", "zero", "log", "exp", "real")
+
+    def __init__(self, precision, is_float):
+        self.precision = precision
+        self.is_float = is_float
+        if is_float:
+            self.zero, self.log, self.exp, self.real = 0.0, math.log, math.exp, _float
+        else:
+            self.zero, self.log, self.exp, self.real = (
+                mpmath.mp.zero, mpmath.log, mpmath.exp, _mpf)
+
+    def guard(self, digits):
+        if self.is_float:
+            return _UNCHANGED
+        return working_dps(self.precision + digits)
+
+
+@functools.lru_cache(maxsize=None)
+def reals(precision, real=True):
+    """The one float/mpf rule: real values at precision <= 17 digits are
+    floats, everything else is mpmath.  real=False is for values at a
+    complex embedding, which are mpcs at every precision."""
+    return Reals(precision, real and precision <= 17)
+
+
 def _norm_scale(place, normalization):
     if normalization == "extension":
         return Fraction(1)
@@ -460,33 +508,25 @@ def _norm_scale(place, normalization):
 
 def arch_value(field, place, a, precision=17):
     """sigma(a) for the chosen archimedean embedding, by one Horner pass at
-    the embedding of theta.  At precision <= 17 a float when a is rational
-    or the embedding real; otherwise an mpf/mpc at mpmath's working
-    precision, which the caller sets (arch_abs runs it at precision + 5)."""
+    the embedding of theta.  A rational a is a number of reals(precision),
+    any other one of reals(precision, place.is_real); mpmath values come at
+    mpmath's working precision, which the caller sets (arch_abs runs it at
+    precision + 5 digits or more)."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if a.is_rational_value:
-        q = a.coeffs[0]
-        if precision <= 17:
-            return q.numerator / q.denominator
-        return mpmath.mpf(q.numerator) / q.denominator
+        return reals(precision).real(a.coeffs[0])
+    R = reals(precision, place.is_real)
     theta = place.embedding_value(precision)
-    if precision <= 17 and place.is_real:
-        acc = 0.0
-        for c in reversed(a.coeffs):
-            acc = acc * theta + c.numerator / c.denominator
-        return acc
-    acc = mpmath.mpf(0)
+    acc = R.zero
     for c in reversed(a.coeffs):
-        acc = acc * theta + mpmath.mpf(c.numerator) / c.denominator
+        acc = acc * theta + R.real(c)
     return acc
 
 
 def arch_abs(field, place, a, precision=17):
     """|sigma(a)| for the chosen archimedean embedding (extension value)."""
-    if precision <= 17 and place.is_real:
-        return abs(arch_value(field, place, a, precision))
-    with mpmath.workdps(precision + 5):
+    with reals(precision, place.is_real).guard(5):
         return abs(arch_value(field, place, a, precision))
 
 
@@ -503,41 +543,33 @@ def abs_value(field, place, a, precision=40, normalization="extension"):
         return LocalAbs("nonarch", place.prime, t, approx)
     mag = arch_abs(field, place, a, precision)
     if scale != 1:
-        if isinstance(mag, float):
-            mag = mag ** float(scale)
-        else:
-            mag = mpmath.power(mag, mpmath.mpf(scale.numerator) / scale.denominator)
+        R = reals(precision)
+        with R.guard(5):
+            mag = mag ** R.real(scale)
     return LocalAbs("arch", None, None, mag)
 
 
 def log_abs(field, place, a, precision=17, normalization="extension"):
-    """log of the normalized absolute value, as float (mpf above 17 digits).
-
-    The mpf path runs at precision + 5 digits, or at the caller's working
-    precision when that is higher.
-    """
+    """log of the normalized absolute value, as a number of reals(precision),
+    at precision + 5 digits on the mpf path."""
     scale = None if normalization == "extension" else _norm_scale(place, normalization)
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if not a:
         raise ValueError("log of zero absolute value")
+    R = reals(precision)
     if place.kind == "nonarch":
         t = nonarch_exponent(field, place, a)
         if scale is not None:
             t *= scale
-        if precision <= 17:
-            return -float(t) * math.log(place.prime) if t else 0.0
         if not t:
-            return mpmath.mp.zero
-        with working_dps(precision + 5):
-            return -mpmath.mpf(t.numerator) / t.denominator * mpmath.log(place.prime)
+            return R.zero
+        with R.guard(5):
+            return -R.real(t) * R.log(place.prime)
     mag = arch_abs(field, place, a, precision)
-    if precision <= 17:
-        lg = math.log(mag)
-        return lg if scale is None else float(scale) * lg
-    with working_dps(precision + 5):
-        lg = mpmath.log(mag)
-        return lg if scale is None else mpmath.mpf(scale.numerator) / scale.denominator * lg
+    with R.guard(5):
+        lg = R.log(mag)
+        return lg if scale is None else R.real(scale) * lg
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +596,13 @@ def product_formula_defect(field, a, precision=30):
         for p in set(sympy.factorint(abs(q.numerator))) | set(sympy.factorint(q.denominator)):
             rebuilt *= Fraction(p) ** ord_p_fraction(q, p)
         return 0.0 if rebuilt == abs(q) else float("inf")
-    with mpmath.workdps(precision + 10):
+    with working_dps(precision + 10):
         total = mpmath.mpf(0)
         for p in _support_primes(field, a):
             for w in places_above(field, p, max(40, precision)):
                 t = nonarch_exponent(field, w, a) * _norm_scale(w, "field")
                 if t:
-                    total += -mpmath.mpf(t.numerator) / t.denominator * mpmath.log(p)
+                    total += -_mpf(t) * mpmath.log(p)
         for w in places_above(field, INF, precision):
             total += log_abs(field, w, a, precision + 10, normalization="field")
         return float(abs(total))

@@ -10,17 +10,13 @@ place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.  Q-sweeps
 live in exceptional.py, beside the filters whose verdict loop they share.
 """
 
-import contextlib
 import copy
-import math
 from fractions import Fraction
-
-import mpmath
 
 from .errors import AllFormsVanish, BadParameter
 from .fieldarith import _field_det
 from .heights import LinearForm, _per_place, _weil_row, log_height, resolve_place
-from .places import INF, log_abs, normalize_place, working_dps
+from .places import INF, log_abs, normalize_place, reals
 
 
 class FormSystemSpec:
@@ -120,33 +116,14 @@ class TwistedHeightSpec(FormSystemSpec):
         return clone
 
 
-def _real(q, precision):
-    """A rational as a float at precision <= 17, else as an mpf at the
-    caller's working precision."""
-    if precision <= 17:
-        return float(q)
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _log_Q(Q, precision):
-    """log Q, as float or mpf like _real."""
-    return math.log(Q) if precision <= 17 else mpmath.log(_real(Q, precision))
-
-
-def _working_precision(precision):
-    """The high-precision path's context: mpmath at precision + 10 digits
-    (never lowered), restored on exit.  The float path leaves mpmath alone."""
-    if precision <= 17:
-        return contextlib.nullcontext()
-    return working_dps(precision + 10)
-
-
 def log_twisted_height(spec, x, precision=17):
-    """log H_Q(x), evaluated in log space at the working precision."""
+    """log H_Q(x), evaluated in log space in reals(precision), at
+    precision + 10 digits."""
     places = spec.places()
-    with _working_precision(precision):
-        logQ = _log_Q(spec.Q, precision)
-        total = 0.0 if precision <= 17 else mpmath.mpf(0)
+    R = reals(precision)
+    with R.guard(10):
+        logQ = R.log(R.real(spec.Q))
+        total = R.zero
         for v in spec.S:
             w = places[v]
             best = None
@@ -154,7 +131,7 @@ def log_twisted_height(spec, x, precision=17):
                 val = form.evaluate(x)
                 if not val:
                     continue
-                term = log_abs(spec.field, w, val, precision) - _real(c, precision) * logQ
+                term = log_abs(spec.field, w, val, precision) - R.real(c) * logQ
                 if best is None or term > best:
                     best = term
             if best is None:
@@ -163,16 +140,15 @@ def log_twisted_height(spec, x, precision=17):
                 )
             total = total + best
         if INF not in spec.S:
-            mx = max(abs(c) for c in x.coords)
-            total = total + (math.log(mx) if precision <= 17 else mpmath.log(mx))
+            total = total + R.log(max(abs(c) for c in x.coords))
         return total
 
 
 def twisted_height(spec, x, precision=17):
     """H_Q(x) as a positive real."""
-    with _working_precision(precision):
-        lg = log_twisted_height(spec, x, precision)
-        return math.exp(lg) if precision <= 17 else mpmath.exp(lg)
+    R = reals(precision)
+    with R.guard(10):
+        return R.exp(log_twisted_height(spec, x, precision))
 
 
 def log_twisted_report(spec, x, precision=17):
@@ -180,23 +156,25 @@ def log_twisted_report(spec, x, precision=17):
 
     lhs = sum over v in S of min_i(lambda_vi + c_vi log Q); the inequality
     compares lhs against h(x) + epsilon log Q, and the identity
-    -log H_Q = lhs - h is returned as a residual for cross-checking.
+    -log H_Q = lhs - h is returned as a residual for cross-checking; it
+    compares two independent evaluations of every form.  H_Q = exp(-neg_log_HQ).
     """
     places = spec.places()
-    with _working_precision(precision):
-        logQ = _log_Q(spec.Q, precision)
+    R = reals(precision)
+    with R.guard(10):
+        logQ = R.log(R.real(spec.Q))
         per_place = {}
-        lhs = 0.0 if precision <= 17 else mpmath.mpf(0)
+        lhs = R.zero
         for v in spec.S:
             row = _weil_row(spec.forms[v], x, places[v], precision)
-            m = min(lam + _real(c, precision) * logQ
-                    for lam, c in zip(row, spec.weights[v]))
+            m = min(lam + R.real(c) * logQ for lam, c in zip(row, spec.weights[v]))
             per_place[v] = m
             lhs = lhs + m
         h = log_height(x, precision)
-        rhs = h + _real(spec.epsilon, precision) * logQ
+        rhs = h + R.real(spec.epsilon) * logQ
         neg_log_hq = -log_twisted_height(spec, x, precision)
         residual = abs(neg_log_hq - (lhs - h))
+        hq = R.exp(-neg_log_hq)
     return {
         "per_place": per_place,
         "lhs": lhs,
@@ -205,4 +183,5 @@ def log_twisted_report(spec, x, precision=17):
         "verdict": bool(lhs >= rhs),
         "identity_residual": float(residual),
         "neg_log_HQ": neg_log_hq,
+        "H_Q": hq,
     }

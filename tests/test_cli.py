@@ -221,11 +221,19 @@ def test_error_exit_codes(tmp_path, capsys):
                        "bad 'd_weights': an entry for 5, which is not in S"),
                       (dict(full, forms=[full["forms"]["inf"]]), "no forms for place 3"),
                       (dict(full, d_weights=[row] * 3), "3 entries for the 2 places"),
-                      (dict(full, forms="x"), "'forms' must be an object")):
+                      (dict(full, forms="x"), "'forms' must be an object"),
+                      (dict(full, precision=0), "precision must be at least 1, got 0"),
+                      (dict(full, precision=-5), "at least 1, got -5")):
         assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
         assert err.count("\n") == 1 and "Traceback" not in err
+    # --precision is checked as the config's key is
+    cubic = write_cfg(tmp_path, "c.json", {"field": [1, -3, 0, 1], "places": [17]})
+    for precision in ("0", "-5"):
+        assert main(["places", "--config", cubic, "--precision", precision]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: precision must be at least 1, got %s\n" % precision
 
 
 def test_w_choices_list_in_S_order(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -111,6 +112,27 @@ def test_prefilter_equals_brute_force(n, coeffs, exponent, log_slack, bound, tin
     assert kernels.prefilter(bound, coeffs, exponent, log_slack, tiny=tiny) == [
         pt for pt in _box_points(n, bound)
         if _survives(pt, coeffs, exponent, log_slack, bound, tiny=tiny)]
+
+
+def test_prefilter_windows_absorb_rounding_at_their_ends():
+    """_row_windows pads each window [t* - h, t* + h] by one integer per
+    side for the float rounding of k + c*t and of the window ends.  Here
+    the form a x_0 + c x_1 has, in the row x_0 = 1, its root t* = -a/c at
+    distance h = tiny * bound / c from an integer N on one side, so N
+    passes the tiny-value test |d| < tiny * bound or fails it by rounding
+    alone, and fl(t* -+ h) rounds to either side of N.  The threshold
+    exp(-60) leaves the tiny-value test as the only way to pass."""
+    rng = random.Random(20)
+    bound = 12
+    box = list(_box_points(1, bound))
+    for _ in range(400):
+        c = rng.uniform(0.5, 3.0) * rng.choice((1, -1))
+        h = rng.uniform(0.2, 2.5)
+        tiny = abs(c) * h / bound
+        a = -c * (rng.randint(-bound + 3, bound - 3) + rng.choice((h, -h)))
+        coeffs = [(a, c)]
+        assert kernels.prefilter_p1(bound, coeffs, 0.0, -60.0, tiny=tiny) == [
+            pt for pt in box if _survives(pt, coeffs, 0.0, -60.0, bound, tiny=tiny)]
 
 
 def test_prefilter_budget_refuses_before_scanning(monkeypatch):

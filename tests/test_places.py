@@ -326,6 +326,16 @@ def test_w_index_is_precision_free(min_poly, p):
         assert want == sorted(want)
 
 
+def test_places_above_refuses_precision_below_one():
+    """A precision below one digit is refused, not handed to the p-adic
+    lifting (where 0 digits crashed sympy's Hensel lift)."""
+    K = nf_create([1, -3, 0, 1])
+    for v in (17, 2, INF):
+        for precision in (0, -5):
+            with pytest.raises(errors.BadParameter, match="at least 1"):
+                places_above(K, v, precision)
+
+
 def test_precision_escalation_at_split_prime():
     K = nf_create([-17, 0, 1])
     th = K.gen()

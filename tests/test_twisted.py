@@ -8,8 +8,8 @@ import pytest
 from linscat import errors, nf_create
 from linscat.exceptional import _lambda_matrix, q_sweep
 from linscat.fieldarith import RATIONALS
-from linscat.heights import LinearForm, ProjectivePoint, weil_hyperplane
-from linscat.places import INF, places_above
+from linscat.heights import LinearForm, ProjectivePoint, log_height, weil_hyperplane
+from linscat.places import INF, log_abs, places_above
 from linscat.twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
@@ -174,6 +174,25 @@ def test_high_precision_leaves_mpmath_dps_alone():
     with mpmath.workdps(80):
         assert abs(lg - mpmath.log(12)) < mpmath.mpf(10) ** -55
         assert abs(rep["neg_log_HQ"] + mpmath.log(12)) < mpmath.mpf(10) ** -55
+
+
+def test_evaluations_keep_a_higher_caller_precision():
+    """Inside workdps(80), evaluations at precision 40 run at 80 digits:
+    none lowers the caller's working precision, and each restores it."""
+    K = nf_create([-2, 0, 1])
+    x = ProjectivePoint([3, 7])
+    spec = TwistedHeightSpec(K, [INF, 7], {INF: coord_forms(K, 1), 7: coord_forms(K, 1)},
+                             {INF: [1, -1], 7: [1, -1]}, epsilon="1/10", Q=3)
+    w_inf, w_7 = places_above(K, INF)[0], places_above(K, 7)[0]
+    before = mpmath.mp.dps
+    with mpmath.workdps(80):
+        log7 = mpmath.log(7)
+        assert log_height(x, 40) == log7
+        assert log_twisted_report(spec, x, 40)["h"] == log7
+        assert log_abs(K, w_inf, Fraction(-22, 7), 40) == mpmath.log(mpmath.mpf(22) / 7)
+        assert log_abs(K, w_7, 49, 40) == -2 * log7
+        assert mpmath.mp.dps == 80
+    assert mpmath.mp.dps == before
 
 
 def test_spec_missing_place_forms_is_bad_parameter():
