@@ -53,6 +53,13 @@ def _int(value, where):
     raise ConfigInvalid("%s must be an integer, got %r" % (where, value))
 
 
+def _list(value, where):
+    """A list-valued config entry: anything else is refused."""
+    if not isinstance(value, list):
+        raise ConfigInvalid("%s must be a list, got %r" % (where, value))
+    return value
+
+
 def _normalize_place(v, where=""):
     try:
         return normalize_place(v)
@@ -83,17 +90,12 @@ def _load_config(path):
 def _get_field(cfg):
     if "field" not in cfg:
         raise ConfigInvalid("config needs a 'field' minimal polynomial")
-    try:
-        return nf_create([_int(c, "field") for c in cfg["field"]])
-    except LinscatError:
-        raise
-    except TypeError:
-        raise ConfigInvalid("'field' must be a list of integers")
+    return nf_create([_int(c, "field") for c in _list(cfg["field"], "field")])
 
 
 def _get_points(cfg, key="points"):
     pts = []
-    for row in cfg.get(key, []):
+    for row in _list(cfg.get(key, []), key):
         if not isinstance(row, list):
             raise ConfigInvalid("a point must be a list of coordinates, got %r" % (row,))
         try:
@@ -105,7 +107,7 @@ def _get_points(cfg, key="points"):
 
 def _parse_form(field, coeff_list, where):
     coeffs = []
-    for c in coeff_list:
+    for c in _list(coeff_list, where):
         if isinstance(c, list):
             if len(c) != field.degree:
                 raise ConfigInvalid(
@@ -123,13 +125,13 @@ def _parse_form(field, coeff_list, where):
 def _get_S(cfg):
     if "S" not in cfg or not cfg["S"]:
         raise ConfigInvalid("config needs a nonempty 'S'")
-    return [_normalize_place(v, "S") for v in cfg["S"]]
+    return [_normalize_place(v, "S") for v in _list(cfg["S"], "S")]
 
 
 def _get_table(cfg, key, S, entry=None):
     """The per-place table cfg[key], an object keyed by place or a list in
     S-order, read through heights._per_place.  With entry, every place of S
-    needs one ("no <entry> for place <v>")."""
+    needs one ("no <entry> for place <v>"), a list."""
     table = cfg.get(key, {})
     if not isinstance(table, (list, dict)):
         raise ConfigInvalid("'%s' must be an object keyed by place "
@@ -142,6 +144,7 @@ def _get_table(cfg, key, S, entry=None):
         for v in S:
             if v not in table:
                 raise ConfigInvalid("no %s for place %s" % (entry, _place_key(v)))
+            _list(table[v], "%s[%s]" % (key, _place_key(v)))
     return table
 
 
@@ -200,12 +203,13 @@ def _exit_code(doc):
 
 def cmd_places(cfg, digest, precision, outdir):
     field = _get_field(cfg)
-    vs = [_normalize_place(v, "places") for v in cfg.get("places", cfg.get("S", []))]
+    key = "places" if "places" in cfg else "S"
+    vs = [_normalize_place(v, key) for v in _list(cfg.get(key, []), key)]
     if not vs:
         raise ConfigInvalid("'places' (or 'S') must list the places to factor")
     rows = []
     for v in vs:
-        ws = places_above(field, v, precision if v != INF else max(30, precision))
+        ws = places_above(field, v)
         rows.append({"v": _place_key(v),
                      "above": [w.serial() for w in ws],
                      "sum_ef": sum(w.e * w.f for w in ws)})
@@ -242,7 +246,7 @@ def cmd_weil(cfg, digest, precision, outdir):
     return _report({"weil": rows}, digest, precision, _out(outdir, "weil.json"))
 
 
-def _spec(cfg, precision, weighted=True):
+def _spec(cfg, weighted=True):
     """The config's form system: a TwistedHeightSpec with its weights,
     epsilon and Q, or without weighted a plain FormSystemSpec."""
     field = _get_field(cfg)
@@ -250,19 +254,18 @@ def _spec(cfg, precision, weighted=True):
     forms = _get_forms(cfg, field, S)
     try:
         if not weighted:
-            return FormSystemSpec(field, S, forms, w_choices=_get_w_choices(cfg, S),
-                                  precision=precision)
+            return FormSystemSpec(field, S, forms, w_choices=_get_w_choices(cfg, S))
         return TwistedHeightSpec(
             field, S, forms, _get_weights(cfg, S),
             epsilon=_frac(cfg.get("epsilon", "1/10"), "epsilon"),
             Q=_frac(cfg.get("Q", 1), "Q"),
-            w_choices=_get_w_choices(cfg, S), precision=precision)
+            w_choices=_get_w_choices(cfg, S))
     except LinscatError as exc:
         raise ConfigInvalid(str(exc))
 
 
 def cmd_twisted(cfg, digest, precision, outdir):
-    spec = _spec(cfg, precision)
+    spec = _spec(cfg)
     pts = _get_points(cfg)
     rows = []
     for p in sorted(set(pts)):
@@ -283,8 +286,8 @@ def cmd_twisted(cfg, digest, precision, outdir):
 
 
 def cmd_sweep(cfg, digest, precision, outdir):
-    spec = _spec(cfg, precision)
-    grid = [_frac(q, "Q_grid") for q in cfg.get("Q_grid", [])]
+    spec = _spec(cfg)
+    grid = [_frac(q, "Q_grid") for q in _list(cfg.get("Q_grid", []), "Q_grid")]
     if not grid:
         raise ConfigInvalid("'Q_grid' must be a nonempty ascending list")
     pts = _get_points(cfg)
@@ -307,7 +310,7 @@ def cmd_solve(cfg, digest, precision, outdir):
     slack = _frac(cfg.get("slack", 0), "slack")
     pts = _get_points(cfg) or None
     bound = _int(cfg["height_bound"], "height_bound") if "height_bound" in cfg else None
-    spec = _spec(cfg, precision, weighted=mode == "parametric")
+    spec = _spec(cfg, weighted=mode == "parametric")
     params = {}
     if mode == "schmidt":
         params["epsilon"] = _frac(cfg.get("epsilon", "1/10"), "epsilon")
@@ -357,18 +360,19 @@ def cmd_scatter(cfg, digest, precision, outdir):
     if not cfg["profiles"] and "S_size" not in cfg:
         raise ConfigInvalid("scatter needs 'S_size' when 'profiles' is empty")
     profiles = []
-    for k, prof in enumerate(cfg["profiles"]):
-        if "lambda" not in prof or "h" not in prof:
-            raise ConfigInvalid("profiles[%d] needs 'lambda' and 'h'" % k)
-        lam = [[_frac(c, "profiles[%d]" % k) for c in row]
-               for row in prof["lambda"]]
+    for k, prof in enumerate(_list(cfg["profiles"], "profiles")):
+        where = "profiles[%d]" % k
+        if not isinstance(prof, dict) or "lambda" not in prof or "h" not in prof:
+            raise ConfigInvalid("%s needs 'lambda' and 'h'" % where)
+        lam = [[_frac(c, where) for c in _list(row, where)]
+               for row in _list(prof["lambda"], where + ".lambda")]
         profiles.append((prof.get("label", "p%d" % k), lam,
-                         _frac(prof["h"], "profiles[%d].h" % k)))
+                         _frac(prof["h"], where + ".h")))
     n = _int(cfg["n"], "n")
     S_size = _int(cfg["S_size"], "S_size") if "S_size" in cfg else len(profiles[0][1])
     eps = _frac(cfg.get("epsilon", "1/2"), "epsilon")
     slack = _frac(cfg.get("slack", 0), "slack")
-    d_v = [_frac(c, "d_v") for c in cfg["d_v"]] if "d_v" in cfg else None
+    d_v = [_frac(c, "d_v") for c in _list(cfg["d_v"], "d_v")] if "d_v" in cfg else None
     classes, rejected = scattering.scatter_partition(
         profiles, n, eps, S_size, slack=slack, d_v=d_v)
     return _report({"classes": [c.serial() for c in classes],
@@ -387,7 +391,7 @@ def cmd_ruvojta(cfg, digest, precision, outdir):
         "ratio_table": {str(m): str(r) for m, r in table.items()},
     }
     if "betas" in cfg and "b" in cfg:
-        betas = [_frac(x, "betas") for x in cfg["betas"]]
+        betas = [_frac(x, "betas") for x in _list(cfg["betas"], "betas")]
         b = _int(cfg["b"], "b")
         tuples = ruvojta.delta_sigma(betas, b)
         payload["delta_sigma"] = [[str(a) for a in tup] for tup in tuples]
@@ -400,8 +404,8 @@ def cmd_ruvojta(cfg, digest, precision, outdir):
             payload["feasibility_rhs"] = str(rhs)
     if "m" in cfg and "sigma" in cfg and "a" in cfg:
         prof = ruvojta.filtration_dims(
-            n, _int(cfg["m"], "m"), [_int(i, "sigma") for i in cfg["sigma"]],
-            [_frac(x, "a") for x in cfg["a"]])
+            n, _int(cfg["m"], "m"), [_int(i, "sigma") for i in _list(cfg["sigma"], "sigma")],
+            [_frac(x, "a") for x in _list(cfg["a"], "a")])
         payload["filtration"] = prof.serial()
     return _report(payload, digest, precision, _out(outdir, "ruvojta.json"))
 
@@ -411,8 +415,8 @@ def cmd_audit(cfg, digest, precision, outdir):
     seed = _int(cfg.get("seed", 0), "seed")
     rng = random.Random(seed)
     payload = {"seed": seed}
-    fields = [nf_create([_int(c, "fields") for c in f]) for f in
-              cfg.get("fields", [[0, 1], [-2, 0, 1]])]
+    fields = [nf_create([_int(c, "fields") for c in _list(f, "fields")])
+              for f in _list(cfg.get("fields", [[0, 1], [-2, 0, 1]]), "fields")]
     n_pf = _int(cfg.get("product_formula_samples", 50), "product_formula_samples")
     worst_pf = 0.0
     for field in fields:

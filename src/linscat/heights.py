@@ -136,12 +136,11 @@ class HyperplanePresentation:
         return self.form.field
 
 
-def resolve_place(field, v, w_index, precision):
-    """The place of index w_index above v (a rational prime or "inf"),
-    with at least 30 digits at infinity and 40 p-adic digits."""
+def resolve_place(field, v, w_index):
+    """The place of index w_index above v (a rational prime or "inf"), at
+    places_above's default p-adic precision (nonarch_exponent refines it)."""
     v = normalize_place(v)
-    floor = 30 if v == INF else 40
-    for w in places_above(field, v, max(floor, precision)):
+    for w in places_above(field, v):
         if w.w_index == w_index:
             return w
     raise BadParameter("no place with index %d above %r" % (w_index, v))
@@ -154,34 +153,34 @@ def _weil_row(forms, x, place, precision=17, log_max=None):
     Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
     integer coordinates the finite-place max is 1.  At infinity
     log max_j|x_j| is taken once for the row, or is log_max when the caller
-    already holds it in the same context.  Numbers of reals(precision), at
-    precision + 5 digits on the mpf path.
+    already holds it.  Numbers of reals(precision) at the caller's working
+    precision, which is precision + 5 digits or more on the mpf path.
     """
-    R = reals(precision)
     las = []
     for form in forms:
         val = form.evaluate(x)
         if not val:
             raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
         las.append(log_abs(form.field, place, val, precision))
-    with R.guard(5):
-        if place.kind != "arch":
-            # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
-            # log_abs's zero and any other is 0 - log_abs
-            return [0 - la if la else la for la in las]
-        lmx = R.log(max(abs(c) for c in x.coords)) if log_max is None else log_max
-        return [lmx - la for la in las]
+    if place.kind != "arch":
+        # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
+        # log_abs's zero and any other is 0 - log_abs
+        return [0 - la if la else la for la in las]
+    lmx = reals(precision).log(max(abs(c) for c in x.coords)) if log_max is None else log_max
+    return [lmx - la for la in las]
 
 
 def weil_value(form, x, place, precision=17):
-    """lambda_{L,w}(x) for one form: the one-form row of _weil_row."""
-    return _weil_row((form,), x, place, precision)[0]
+    """lambda_{L,w}(x) for one form: the one-form row of _weil_row, at
+    precision + 5 digits on the mpf path."""
+    with reals(precision).guard(5):
+        return _weil_row((form,), x, place, precision)[0]
 
 
 def weil_hyperplane(pres, x, v, w_index=0, precision=17):
     """max_j log|x_j / l(x)|_{v,K} at the place w of index w_index above v."""
     form = pres.form if isinstance(pres, HyperplanePresentation) else pres
-    place = resolve_place(form.field, v, w_index, precision)
+    place = resolve_place(form.field, v, w_index)
     return weil_value(form, x, place, precision)
 
 

@@ -12,8 +12,8 @@ Non-archimedean values are exact rational powers of p.  Archimedean values
 come from real embeddings isolated by sympy's continued-fraction method
 (certified rational enclosures) or from complex conjugate root pairs.
 
-reals(precision) is the one float/mpf rule of every evaluation, with its
-guard digits.
+reals(precision) is the one float/mpf rule of every evaluation, real or
+complex, with its guard digits; places carry no decimal precision.
 """
 
 import contextlib
@@ -171,9 +171,9 @@ class Place:
     polynomial over Q_p, ascending, whose coefficients agree with the true
     factor to certified p-adic digits.  Archimedean places carry their root:
     a real root's isolating interval, or a complex pair's rank among the
-    roots of positive imaginary part (_complex_embedding).  Embedding
-    indices w_index enumerate the real roots first, ascending, then the
-    complex pairs.
+    roots of positive imaginary part (_complex_embedding), and no precision.
+    Embedding indices w_index enumerate the real roots first, ascending,
+    then the complex pairs.
     """
 
     def __init__(self, field, kind, *, prime=None, w_index=0,
@@ -211,21 +211,24 @@ class Place:
         return self._approx[key]
 
     def embedding_value(self, dps=17):
-        """Image of theta under this archimedean embedding, cached per dps
-        and so computed at fixed digits: a real place's 10^-(dps + 5)
-        enclosure midpoint in reals(dps), a complex root at dps + 15."""
+        """Image of theta under this archimedean embedding in reals(dps),
+        cached per dps and so computed at fixed digits: a real place's
+        10^-(dps + 5) enclosure midpoint, a complex root at dps + 15."""
         if not self.is_arch:
             raise BadParameter("embedding of a non-archimedean place")
         key = ("emb", dps)
         if key in self._approx:
             return self._approx[key]
+        is_float = reals(dps).is_float
         if not self.is_real:
             val = _complex_embedding(self.field, self._root, dps)
+            if is_float:
+                val = complex(val)
         elif self.field.degree == 1:
             val = reals(dps).zero
         else:
             lo, hi = self.real_enclosure(dps + 5)
-            if reals(dps).is_float:
+            if is_float:
                 val = float((lo + hi) / 2)
             else:
                 with mpmath.workdps(dps + 5):
@@ -253,17 +256,16 @@ def _complex_embedding(field, k, dps):
         return upper[k]
 
 
-def _arch_places(field, precision):
+def _arch_places(field):
     n = field.degree
     if n == 1:
-        return [Place(field, "arch", w_index=0, local_degree=1, precision=precision)]
+        return [Place(field, "arch", w_index=0, local_degree=1)]
     intervals = isolate_real_roots(list(field.min_poly))
     n_real = len(intervals)
-    places = [Place(field, "arch", w_index=i, local_degree=1,
-                    precision=precision, root=iv, is_real=True)
+    places = [Place(field, "arch", w_index=i, local_degree=1, root=iv, is_real=True)
               for i, iv in enumerate(intervals)]
     places += [Place(field, "arch", w_index=n_real + k, local_degree=2,
-                     precision=precision, root=k, is_real=False)
+                     root=k, is_real=False)
                for k in range((n - n_real) // 2)]
     return places
 
@@ -354,19 +356,20 @@ def normalize_place(v):
 def places_above(field, v, precision=40):
     """All places of the field above v (a rational prime, or "inf").
 
-    precision counts p-adic digits for finite v and decimal digits for the
-    archimedean embeddings, at least 1.  Results are cached on the field.
+    precision, at least 1, counts p-adic digits.  At "inf" it is only
+    checked: archimedean places carry none, so every precision gives the
+    same list, built once per field.  Results are cached on the field.
     """
     v = normalize_place(v)
     if v != INF and not sympy.isprime(v):
         raise BadParameter("v must be a prime or 'inf', got %r" % (v,))
     if precision < 1:
         raise BadParameter("precision must be at least 1, got %r" % (precision,))
-    key = (v, precision)
+    key = INF if v == INF else (v, precision)
     cache = field._places_cache
     if key not in cache:
         if v == INF:
-            cache[key] = _arch_places(field, precision)
+            cache[key] = _arch_places(field)
         else:
             cache[key] = _nonarch_places(field, v, precision)
     return cache[key]
@@ -491,11 +494,11 @@ class Reals:
 
 
 @functools.lru_cache(maxsize=None)
-def reals(precision, real=True):
-    """The one float/mpf rule: real values at precision <= 17 digits are
-    floats, everything else is mpmath.  real=False is for values at a
-    complex embedding, which are mpcs at every precision."""
-    return Reals(precision, real and precision <= 17)
+def reals(precision):
+    """The one float/mpf rule: at precision <= 17 digits values are Python
+    floats, or complex at a complex embedding; above it they are mpmath
+    mpfs or mpcs."""
+    return Reals(precision, precision <= 17)
 
 
 def _norm_scale(place, normalization):
@@ -508,15 +511,15 @@ def _norm_scale(place, normalization):
 
 def arch_value(field, place, a, precision=17):
     """sigma(a) for the chosen archimedean embedding, by one Horner pass at
-    the embedding of theta.  A rational a is a number of reals(precision),
-    any other one of reals(precision, place.is_real); mpmath values come at
-    mpmath's working precision, which the caller sets (arch_abs runs it at
-    precision + 5 digits or more)."""
+    the embedding of theta: a number of reals(precision), complex at a
+    complex place unless a is rational.  mpmath values come at mpmath's
+    working precision, which the caller sets (log_abs and abs_value run it
+    at precision + 5 digits or more)."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
+    R = reals(precision)
     if a.is_rational_value:
-        return reals(precision).real(a.coeffs[0])
-    R = reals(precision, place.is_real)
+        return R.real(a.coeffs[0])
     theta = place.embedding_value(precision)
     acc = R.zero
     for c in reversed(a.coeffs):
@@ -525,9 +528,9 @@ def arch_value(field, place, a, precision=17):
 
 
 def arch_abs(field, place, a, precision=17):
-    """|sigma(a)| for the chosen archimedean embedding (extension value)."""
-    with reals(precision, place.is_real).guard(5):
-        return abs(arch_value(field, place, a, precision))
+    """|sigma(a)| for the chosen archimedean embedding (extension value), at
+    the caller's working precision as arch_value."""
+    return abs(arch_value(field, place, a, precision))
 
 
 def abs_value(field, place, a, precision=40, normalization="extension"):
@@ -541,10 +544,10 @@ def abs_value(field, place, a, precision=40, normalization="extension"):
         t = nonarch_exponent(field, place, a) * scale
         approx = float(place.prime) ** float(-t)
         return LocalAbs("nonarch", place.prime, t, approx)
-    mag = arch_abs(field, place, a, precision)
-    if scale != 1:
-        R = reals(precision)
-        with R.guard(5):
+    R = reals(precision)
+    with R.guard(5):
+        mag = arch_abs(field, place, a, precision)
+        if scale != 1:
             mag = mag ** R.real(scale)
     return LocalAbs("arch", None, None, mag)
 
@@ -566,9 +569,8 @@ def log_abs(field, place, a, precision=17, normalization="extension"):
             return R.zero
         with R.guard(5):
             return -R.real(t) * R.log(place.prime)
-    mag = arch_abs(field, place, a, precision)
     with R.guard(5):
-        lg = R.log(mag)
+        lg = R.log(arch_abs(field, place, a, precision))
         return lg if scale is None else R.real(scale) * lg
 
 
@@ -599,10 +601,10 @@ def product_formula_defect(field, a, precision=30):
     with working_dps(precision + 10):
         total = mpmath.mpf(0)
         for p in _support_primes(field, a):
-            for w in places_above(field, p, max(40, precision)):
+            for w in places_above(field, p):
                 t = nonarch_exponent(field, w, a) * _norm_scale(w, "field")
                 if t:
                     total += -_mpf(t) * mpmath.log(p)
-        for w in places_above(field, INF, precision):
+        for w in places_above(field, INF):
             total += log_abs(field, w, a, precision + 10, normalization="field")
         return float(abs(total))

@@ -6,11 +6,11 @@ exactly n+1 by the hockey-stick identity, and filtration dimensions are
 counts of monomials with weighted coordinate-vanishing order above t.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
 from .errors import BadParameter, EmptyDelta
+from .scattering import _compositions
 
 
 def h0_twist(n, m, ell=0):
@@ -47,14 +47,10 @@ def delta_sigma(betas, b):
     b = int(b)
     if b < 1:
         raise BadParameter("b must be a positive integer")
-    out = []
-    for ks in itertools.product(range(b + 1), repeat=len(betas)):
-        if sum(ks) == b:
-            out.append(tuple(Fraction(k) / beta for k, beta in zip(ks, betas)))
-    if not out:
+    if not betas:
         raise EmptyDelta("no admissible tuples for betas %r, b=%d" % (betas, b))
-    out.sort()
-    return out
+    return sorted(tuple(Fraction(k) / beta for k, beta in zip(ks, betas))
+                  for ks in _compositions(b, len(betas)))
 
 
 class FiltrationProfile:
@@ -87,20 +83,18 @@ class FiltrationProfile:
 
 
 def monomial_weights(n, m, sigma, a):
-    """Weight sum_{i in sigma} a_i e_i of each degree-m monomial x^e."""
+    """Weight sum_{i in sigma} a_i e_i of each degree-m monomial x^e, the
+    exponents e in lexicographic order."""
+    if n < 1 or m < 0:
+        raise BadParameter("need n >= 1, m >= 0")
     sigma = sorted(set(sigma))
     if len(sigma) != len(a):
         raise BadParameter("sigma and a must have the same length")
     if any(i < 0 or i > n for i in sigma):
         raise BadParameter("sigma indices must lie in 0..n")
     a = [Fraction(x) for x in a]
-    weights = []
-    for head in itertools.product(range(m + 1), repeat=n):
-        if sum(head) > m:
-            continue
-        e = head + (m - sum(head),)
-        weights.append(sum(a[k] * e[i] for k, i in enumerate(sigma)))
-    return weights
+    return [sum(a[k] * e[i] for k, i in enumerate(sigma))
+            for e in _compositions(m, n + 1)]
 
 
 def filtration_dims(n, m, sigma, a):

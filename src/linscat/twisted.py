@@ -25,9 +25,10 @@ class FormSystemSpec:
 
     forms is a dict keyed by place of Q (or a list in S-order); each place
     carries n+1 forms, checked linearly independent by an exact determinant.
+    The places are resolved once, at construction.
     """
 
-    def __init__(self, field, S, forms, w_choices=None, precision=40):
+    def __init__(self, field, S, forms, w_choices=None):
         self.field = field
         self.S = [normalize_place(v) for v in S]
         if not self.S or len(set(self.S)) != len(self.S):
@@ -53,17 +54,12 @@ class FormSystemSpec:
             self.forms[v] = tuple(fs)
         self.n = n_vars - 1
         self.w_choices = _per_place(w_choices or {}, self.S)
-        self.precision = precision
-        self._place_objs = None
+        self._places = {v: resolve_place(field, v, self.w_choices.get(v, 0))
+                        for v in self.S}
 
     def places(self):
         """The place of index w_choices[v] (default 0) above each v in S."""
-        if self._place_objs is None:
-            self._place_objs = {
-                v: resolve_place(self.field, v, self.w_choices.get(v, 0), self.precision)
-                for v in self.S
-            }
-        return self._place_objs
+        return self._places
 
     def digest_data(self):
         form_part = []
@@ -91,9 +87,8 @@ class TwistedHeightSpec(FormSystemSpec):
     place carries n+1 rational weights summing to 0.
     """
 
-    def __init__(self, field, S, forms, weights, epsilon, Q=1,
-                 w_choices=None, precision=40):
-        super().__init__(field, S, forms, w_choices, precision)
+    def __init__(self, field, S, forms, weights, epsilon, Q=1, w_choices=None):
+        super().__init__(field, S, forms, w_choices)
         weights = _per_place(weights, self.S)
         self.weights = {}
         for v in self.S:

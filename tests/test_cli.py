@@ -112,7 +112,7 @@ def test_solve_slack_stays_exact(tmp_path, capsys):
     K = nf_create([-2, 0, 1])
     spec = FormSystemSpec(
         K, [INF], {INF: [LinearForm(K, [K.element(c) for c in f]) for f in forms]},
-        w_choices={INF: 1}, precision=17)
+        w_choices={INF: 1})
     kwargs = {"height_bound": 60, "epsilon": Fraction(3, 10), "precision": 17}
     ss = filter_solutions("schmidt", spec, slack=Fraction(1, 3), **kwargs)
     assert doc["spec_digest"] == ss.spec_digest
@@ -223,10 +223,44 @@ def test_error_exit_codes(tmp_path, capsys):
                       (dict(full, d_weights=[row] * 3), "3 entries for the 2 places"),
                       (dict(full, forms="x"), "'forms' must be an object"),
                       (dict(full, precision=0), "precision must be at least 1, got 0"),
-                      (dict(full, precision=-5), "at least 1, got -5")):
+                      (dict(full, precision=-5), "at least 1, got -5"),
+                      # a scalar where a list belongs
+                      (dict(full, points=5), "points must be a list, got 5"),
+                      (dict(full, S=5), "S must be a list, got 5"),
+                      (dict(full, forms=dict(full["forms"], inf=5)),
+                       "forms[inf] must be a list, got 5"),
+                      (dict(full, forms=dict(full["forms"], inf=[5, ["0", "1"]])),
+                       "forms[inf] must be a list, got 5"),
+                      (dict(full, mode="parametric", weights={"inf": 5, "3": row}),
+                       "weights[inf] must be a list, got 5"),
+                      (dict(full, d_weights={"inf": 5, "3": row}),
+                       "d_weights[inf] must be a list, got 5")):
         assert main(["solve", "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+    # the same for the list-valued keys of every other subcommand
+    twisted = dict(full, weights={"inf": ["1", "-1"], "3": row})
+    scatter = {"n": 1, "profiles": [{"lambda": [["1", "1"]], "h": "1"}]}
+    ruvojta = {"n": 1, "m_max": 2, "betas": ["1"], "b": 1, "m": 2, "sigma": [0], "a": ["1"]}
+    for command, cfg, text in (
+            ("places", {"field": [0, 1], "places": 5}, "places must be a list"),
+            ("height", {"points": 5}, "points must be a list"),
+            ("weil", dict(full, form=5), "form must be a list"),
+            ("twisted", dict(twisted, weights={"inf": 5, "3": row}),
+             "weights[inf] must be a list"),
+            ("sweep", dict(twisted, Q_grid=5), "Q_grid must be a list"),
+            ("scatter", dict(scatter, profiles=5), "profiles must be a list"),
+            ("scatter", dict(scatter, profiles=[5]), "profiles[0] needs 'lambda' and 'h'"),
+            ("scatter", dict(scatter, profiles=[{"lambda": 5, "h": "1"}]),
+             "profiles[0].lambda must be a list"),
+            ("scatter", dict(scatter, d_v=5), "d_v must be a list"),
+            ("ruvojta", dict(ruvojta, betas=5), "betas must be a list"),
+            ("ruvojta", dict(ruvojta, sigma=5), "sigma must be a list"),
+            ("audit", {"fields": [5]}, "fields must be a list")):
+        assert main([command, "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err, (command, err)
         assert err.count("\n") == 1 and "Traceback" not in err
     # --precision is checked as the config's key is
     cubic = write_cfg(tmp_path, "c.json", {"field": [1, -3, 0, 1], "places": [17]})
@@ -234,6 +268,19 @@ def test_error_exit_codes(tmp_path, capsys):
         assert main(["places", "--config", cubic, "--precision", precision]) == 1
         err = capsys.readouterr().err
         assert err == "error: precision must be at least 1, got %s\n" % precision
+
+
+def test_places_report_does_not_depend_on_precision(tmp_path, capsys):
+    """The places report (e, f, w_index) is the same at every --precision,
+    also where one p-adic digit cannot tell the roots apart."""
+    cfg = write_cfg(tmp_path, "p17.json", {"field": [-17, 0, 1], "places": [2, "inf"]})
+    rows = []
+    for precision in ("1", "40"):
+        code, doc = run(capsys, "places", "--config", cfg, "--precision", precision)
+        assert code == 0
+        rows.append(doc["places"])
+    assert rows[0] == rows[1]
+    assert len(rows[0][0]["above"]) == 2  # 2 splits in Q(sqrt 17)
 
 
 def test_w_choices_list_in_S_order(tmp_path, capsys):

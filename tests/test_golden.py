@@ -1,12 +1,19 @@
 """Reports against recorded ones.
 
-tests/golden/ holds one Q(sqrt2) config with S = {inf, 7, 3} (the split
-prime 7 at its second place, the inert prime 3, the larger real embedding)
-and the stdout of `twisted`, `sweep`, `weil` and parametric `solve` on it at
-precisions 17 and 40.  Every field of a report must equal the recorded one,
-except identity_residual: it measures the rounding of two independent
-evaluations of log H_Q, so above 17 digits it must lie below the report's
-working precision instead, at most 10^-(precision + 8).
+tests/golden/ holds two configs and the stdout of `twisted`, `sweep`, `weil`
+and parametric `solve` on each at precisions 17 and 40:
+
+* sqrt2_inf_7_3.json, Q(sqrt2) with S = {inf, 7, 3} (the split prime 7 at
+  its second place, the inert prime 3, the larger real embedding), whose
+  reports are <command>_<precision>.json;
+* qi_inf_5_3.json, Q(i) with S = {inf, 5, 3} (the complex place, the split
+  prime 5 at its second place, the inert prime 3), whose reports are
+  qi_<command>_<precision>.json.
+
+Every field of a report must equal the recorded one, except
+identity_residual: it measures the rounding of two independent evaluations
+of log H_Q, so above 17 digits it must lie below the report's working
+precision instead, at most 10^-(precision + 8).
 """
 
 import json
@@ -17,19 +24,17 @@ import pytest
 from linscat.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-CONFIG = os.path.join(GOLDEN, "sqrt2_inf_7_3.json")
 
 
 def _residuals(doc):
     return [row.pop("identity_residual") for row in doc.get("twisted", [])]
 
 
-@pytest.mark.parametrize("precision", [17, 40])
-@pytest.mark.parametrize("command", ["twisted", "sweep", "weil", "solve"])
-def test_report_matches_golden(command, precision, capsys):
-    code = main([command, "--config", CONFIG, "--precision", str(precision)])
+def _check(config, prefix, command, precision, capsys):
+    code = main([command, "--config", os.path.join(GOLDEN, config),
+                 "--precision", str(precision)])
     doc = json.loads(capsys.readouterr().out)
-    with open(os.path.join(GOLDEN, "%s_%d.json" % (command, precision))) as fh:
+    with open(os.path.join(GOLDEN, "%s%s_%d.json" % (prefix, command, precision))) as fh:
         want = json.load(fh)
     # the sweep's Q = 1 row has the exact-zero margin of [0:1]: indeterminate
     assert code == (2 if command == "sweep" else 0)
@@ -39,3 +44,15 @@ def test_report_matches_golden(command, precision, capsys):
     if command == "twisted" and precision > 17:
         assert len(residuals) == len(doc["twisted"]) > 0
         assert max(residuals) <= 10.0 ** -(precision + 8)
+
+
+@pytest.mark.parametrize("precision", [17, 40])
+@pytest.mark.parametrize("command", ["twisted", "sweep", "weil", "solve"])
+def test_report_matches_golden(command, precision, capsys):
+    _check("sqrt2_inf_7_3.json", "", command, precision, capsys)
+
+
+@pytest.mark.parametrize("precision", [17, 40])
+@pytest.mark.parametrize("command", ["twisted", "sweep", "weil", "solve"])
+def test_complex_place_report_matches_golden(command, precision, capsys):
+    _check("qi_inf_5_3.json", "qi_", command, precision, capsys)

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 
@@ -10,6 +11,7 @@ from linscat.fieldarith import charpoly_norm, norm
 from linscat.places import (
     INF,
     abs_value,
+    arch_value,
     isolate_real_roots,
     lift_padic_roots,
     log_abs,
@@ -156,6 +158,41 @@ def test_arch_places_shapes():
     z = ws4[0].embedding_value(30)
     import mpmath
     assert abs(z ** 4 + 1) < 1e-25
+
+
+def test_archimedean_places_built_once_per_field():
+    """Archimedean places carry no precision: every precision gives the same
+    Place objects."""
+    for mp in ([0, 1], [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1]):
+        K = nf_create(mp)
+        ws = places_above(K, INF, 20)
+        assert ws is places_above(K, INF, 60)
+        assert all(a is b for a, b in zip(ws, places_above(K, "inf")))
+        assert all(w.precision == 0 for w in ws)
+
+
+def test_complex_place_float_path():
+    """At precision 17 a complex embedding evaluates in Python complex and
+    floats, as a real one does in floats, and agrees with 40 digits."""
+    rng = random.Random(29)
+    for mp in ([1, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]):
+        K = nf_create(mp)
+        for w in (w for w in places_above(K, INF) if not w.is_real):
+            assert isinstance(w.embedding_value(17), complex)
+            for _ in range(20):
+                a = K.element([Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                               for _ in range(K.degree)])
+                if a.is_rational_value:
+                    continue
+                z = arch_value(K, w, a, 17)
+                lg = log_abs(K, w, a, 17)
+                assert type(z) is complex and type(lg) is float
+                with mpmath.workdps(45):
+                    z40 = arch_value(K, w, a, 40)
+                assert isinstance(z40, mpmath.mpc)
+                lg40 = log_abs(K, w, a, 40)
+                assert abs(z - complex(z40)) <= 1e-14 * abs(complex(z40))
+                assert abs(lg - float(lg40)) <= 1e-14 * abs(float(lg40))
 
 
 def test_valuation_norm_consistency():

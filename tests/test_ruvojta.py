@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -64,6 +65,25 @@ def test_monomial_weights_small():
         monomial_weights(2, 1, [0], [1, 2])
     with pytest.raises(errors.BadParameter):
         monomial_weights(2, 1, [5], [1])
+
+
+def test_weak_compositions_match_product_filter():
+    """delta_sigma and monomial_weights enumerate weak compositions; both
+    equal the filter of the full product by the sum, in the same order."""
+    for k in range(1, 5):
+        betas = [Fraction(j + 1, 2) for j in range(k)]
+        for b in range(1, 7):
+            want = sorted(tuple(Fraction(c) / beta for c, beta in zip(ks, betas))
+                          for ks in itertools.product(range(b + 1), repeat=k)
+                          if sum(ks) == b)
+            assert delta_sigma(betas, b) == want
+    for n in range(1, 5):
+        sigma, a = list(range(n + 1)), [Fraction(i + 1, 3) for i in range(n + 1)]
+        for m in range(7):
+            want = [sum(a[i] * e for i, e in enumerate(head + (m - sum(head),)))
+                    for head in itertools.product(range(m + 1), repeat=n)
+                    if sum(head) <= m]
+            assert monomial_weights(n, m, sigma, a) == want
 
 
 def test_filtration_profile_shape():

@@ -204,6 +204,20 @@ def test_spec_missing_place_forms_is_bad_parameter():
                           {INF: [1, -1], 2: [1, -1]}, 1)
 
 
+def test_bad_w_choices_fail_when_the_spec_is_built():
+    """Places are resolved at construction: an index no place above v has
+    is refused there, not at the first evaluation."""
+    K = nf_create([-2, 0, 1])
+    forms = coord_forms(K, 1)
+    for w_choices in ({INF: 2}, {7: 2}, {3: 1}):
+        with pytest.raises(errors.BadParameter, match="no place with index"):
+            FormSystemSpec(K, [INF, 7, 3], {v: forms for v in (INF, 7, 3)},
+                           w_choices=w_choices)
+        with pytest.raises(errors.BadParameter, match="no place with index"):
+            TwistedHeightSpec(K, [INF, 7, 3], {v: forms for v in (INF, 7, 3)},
+                              {v: [1, -1] for v in (INF, 7, 3)}, 1, w_choices=w_choices)
+
+
 def test_place_spellings_normalized():
     K = nf_create([-2, 0, 1])
     th = K.gen()
