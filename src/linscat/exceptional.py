@@ -9,8 +9,8 @@ The filter evaluates one of three inequality systems at every point:
 
 Points on the support of some form are excluded and reported separately;
 verdicts inside the floating error band are flagged indeterminate rather
-than decided.  filter_solutions and q_sweep make every verdict in one loop,
-_settle.
+than decided.  Every verdict is made by one loop, _settle, which evaluates
+each margin once; q_sweep is the parametric filter at each Q.
 """
 
 import functools
@@ -22,9 +22,10 @@ from fractions import Fraction
 import mpmath
 
 from . import kernels
-from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
+from .errors import (BadParameter, BudgetExceeded, Infeasible, OnSupport,
+                     PrecisionExhausted)
 from .heights import ProjectivePoint, _weil_row
-from .places import INF, arch_value, reals, working_dps
+from .places import INF, arch_value, reals
 from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_height
 
 DEFAULT_BUDGET = 20_000_000
@@ -57,17 +58,16 @@ def _points(raw):
 # inequality evaluation
 
 def _lambda_matrix(spec, x, dps):
-    """Weil values lambda_vi(x) at all (v, i) in reals(dps), and log
-    max|x_j| as an mpf at dps + 5 digits, which the rows share on the mpf
-    path (the float path takes math.log).
+    """Weil values lambda_vi(x) at all (v, i), and log max|x_j|, which the
+    rows share, in reals(dps) at dps + 5 digits on the mpf path.
 
     Raises OnSupport listing nothing; callers bucket such points.
     """
     places = spec.places()
-    with working_dps(dps + 5):
-        lmx = mpmath.log(max(abs(c) for c in x.coords))
-        shared = None if reals(dps).is_float else lmx
-        rows = [_weil_row(spec.forms[v], x, places[v], dps, shared) for v in spec.S]
+    R = reals(dps)
+    with R.guard(5):
+        lmx = R.log(max(abs(c) for c in x.coords))
+        rows = [_weil_row(spec.forms[v], x, places[v], dps, lmx) for v in spec.S]
         return rows, lmx
 
 
@@ -125,28 +125,26 @@ def _parametric_margin(spec, slack, x, dps):
         return -(log_twisted_height(spec, x, dps) + R.real(spec.epsilon) * lq - slack)
 
 
-def _settle(points, margin, precision, escalate=True):
+def _settle(points, margin, precision):
     """The one verdict loop: (solutions, indeterminate, support), each sorted.
 
     margin(x, dps) is positive on solutions and raises OnSupport on the
-    support of the form system.  A margin inside the band
-    10^-(max(precision, 17) - 10) is recomputed at the next precision of the
-    schedule (dps1, dps2), or, without escalate, is final at the caller's
-    precision; a margin still inside the band is indeterminate.
+    support of the form system.  Each margin is evaluated once, at
+    max(30, precision + 10) digits, whose rounding lies 20 digits or more
+    below the band 10^-(max(precision, 17) - 10); a margin inside the band,
+    or one whose evaluation raises PrecisionExhausted, is indeterminate.
     """
     band = 10.0 ** (-(max(precision, 17) - 10))
-    schedule = ((max(30, precision + 10), max(50, precision + 25)) if escalate
-                else (precision,))
+    dps = max(30, precision + 10)
     sols, indet, supp = [], [], []
     for x in points:
         try:
-            for dps in schedule:
-                m = margin(x, dps)
-                if abs(m) > band:
-                    break
+            m = margin(x, dps)
         except OnSupport:
             supp.append(x)
             continue
+        except PrecisionExhausted:
+            m = 0
         if abs(m) <= band:
             indet.append(x)
         elif m > 0:
@@ -163,8 +161,7 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     points, the float prefilter in linscat.kernels scans only the windows
     around the forms' roots; its candidates are then re-evaluated exactly.
     Otherwise every point up to the bound is settled.
-    Every candidate is settled by _settle, escalating dps1 -> dps2 inside
-    the band.
+    Every candidate is settled by _settle.
     """
     if height_bound is not None and height_bound < 1:
         raise BadParameter("need height_bound >= 1")
@@ -214,21 +211,18 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
 
 
 def q_sweep(spec_template, Q_grid, points, precision=17):
-    """Per-Q solution sets of H_Q(x) <= Q^(-epsilon).
-
-    Each Q settles the points through _parametric_margin with slack 0, in
-    one pass at the caller's precision (no escalation); margins inside the
-    band are listed as indeterminate and points on the support are dropped.
-    """
+    """Per-Q solution sets of H_Q(x) <= Q^(-epsilon): at each Q of the
+    ascending grid, the solutions and indeterminate points of the
+    parametric filter with slack 0 over the distinct points."""
     grid = [Fraction(q) for q in Q_grid]
     if not grid or any(b < a for a, b in zip(grid, grid[1:])):
         raise BadParameter("Q grid must be nonempty and ascending")
     points = sorted(set(points))
     out = []
     for q in grid:
-        margin = functools.partial(_parametric_margin, spec_template.with_Q(q), 0)
-        sols, indet, _ = _settle(points, margin, precision, escalate=False)
-        out.append({"Q": q, "solutions": sols, "indeterminate": indet})
+        ss = filter_solutions("parametric", spec_template.with_Q(q), points=points,
+                              precision=precision)
+        out.append({"Q": q, "solutions": ss.points, "indeterminate": ss.indeterminate})
     return out
 
 

@@ -213,13 +213,17 @@ class Place:
     def embedding_value(self, dps=17):
         """Image of theta under this archimedean embedding in reals(dps),
         cached per dps and so computed at fixed digits: a real place's
-        10^-(dps + 5) enclosure midpoint, a complex root at dps + 15."""
+        10^-(dps + 5) enclosure midpoint, a complex root at dps + 15.  The
+        float path computes at 17 digits whatever dps, so each place has
+        one float value, the nearest double."""
         if not self.is_arch:
             raise BadParameter("embedding of a non-archimedean place")
+        is_float = reals(dps).is_float
+        if is_float:
+            dps = 17
         key = ("emb", dps)
         if key in self._approx:
             return self._approx[key]
-        is_float = reals(dps).is_float
         if not self.is_real:
             val = _complex_embedding(self.field, self._root, dps)
             if is_float:
@@ -554,7 +558,8 @@ def abs_value(field, place, a, precision=40, normalization="extension"):
 
 def log_abs(field, place, a, precision=17, normalization="extension"):
     """log of the normalized absolute value, as a number of reals(precision),
-    at precision + 5 digits on the mpf path."""
+    at precision + 5 digits on the mpf path.  A nonzero a whose embedding
+    evaluates to 0 at that precision raises PrecisionExhausted."""
     scale = None if normalization == "extension" else _norm_scale(place, normalization)
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
@@ -570,7 +575,11 @@ def log_abs(field, place, a, precision=17, normalization="extension"):
         with R.guard(5):
             return -R.real(t) * R.log(place.prime)
     with R.guard(5):
-        lg = R.log(arch_abs(field, place, a, precision))
+        mag = arch_abs(field, place, a, precision)
+        if not mag:
+            raise PrecisionExhausted(
+                "%r evaluates to 0 at %r at precision %d" % (a, place, precision))
+        lg = R.log(mag)
         return lg if scale is None else R.real(scale) * lg
 
 
@@ -584,20 +593,12 @@ def _support_primes(field, a):
 
 
 def product_formula_defect(field, a, precision=30):
-    """|sum over all places of log|a|_w| with the field normalization.
-
-    For rational input over Q this is an exact-zero check (returns 0.0).
-    """
+    """|sum over all places of log|a|_w| with the field normalization, every
+    element, rational or not, through the places of its field."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if not a:
         raise ValueError("product formula needs a nonzero element")
-    if a.is_rational_value:
-        q = a.rational_value()
-        rebuilt = Fraction(1)
-        for p in set(sympy.factorint(abs(q.numerator))) | set(sympy.factorint(q.denominator)):
-            rebuilt *= Fraction(p) ** ord_p_fraction(q, p)
-        return 0.0 if rebuilt == abs(q) else float("inf")
     with working_dps(precision + 10):
         total = mpmath.mpf(0)
         for p in _support_primes(field, a):

@@ -7,7 +7,7 @@ place is not in S.  Everything is evaluated in log space.
 
 FormSystemSpec holds a field, the places S and n+1 independent forms per
 place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.  Q-sweeps
-live in exceptional.py, beside the filters whose verdict loop they share.
+live in exceptional.py: q_sweep is the parametric filter at each Q.
 """
 
 import copy

@@ -50,6 +50,17 @@ def test_height_and_weil_commands(tmp_path, capsys):
     assert abs(lam["3"] - 1.0986122886) < 1e-9
 
 
+def test_weil_at_a_float_zero_is_an_error(tmp_path, capsys):
+    """x1 - sqrt2 x0 at the Pell point [93222358:131836323] is 0 in floats."""
+    cfg = write_cfg(tmp_path, "w.json", {
+        "field": [-2, 0, 1], "S": ["inf"], "w_choices": {"inf": 1},
+        "form": [["0", "-1"], "1"], "points": [[93222358, 131836323]]})
+    assert main(["weil", "--config", cfg, "--precision", "17"]) == 1
+    assert "error: " in capsys.readouterr().err
+    code, doc = run(capsys, "weil", "--config", cfg)
+    assert code == 0 and doc["weil"][0]["lambda"]["inf"] > 37
+
+
 def test_twisted_and_sweep_commands(tmp_path, capsys):
     base = {
         "field": [0, 1], "S": ["inf"],

@@ -243,6 +243,30 @@ def test_q_sweep_matches_parametric_filter():
         assert r["indeterminate"] == ss.indeterminate
 
 
+def test_q_sweep_verdict_is_the_filter_verdict_at_a_pell_point():
+    """At Q = 2679 a float evaluation of the margin of [2744210:3880899]
+    gives +1.8e-3, and 30 digits give -6.1e-4: the sweep at precision 17
+    must make the filter's verdict, not a float one."""
+    K, base = sqrt2_spec()
+    spec = TwistedHeightSpec(K, [INF], base.forms, {INF: [-2, 2]}, epsilon="1/100",
+                             w_choices={INF: 1})
+    x = ProjectivePoint([2744210, 3880899])
+    (row,) = q_sweep(spec, [2679], [x], precision=17)
+    ss = filter_solutions("parametric", spec.with_Q(2679), points=[x], precision=17)
+    assert row["solutions"] == ss.points == []
+    assert row["indeterminate"] == ss.indeterminate == []
+
+
+def test_margin_that_evaluates_to_zero_is_indeterminate():
+    """x1 - sqrt2 x0 at this Pell point is 0 at 35 digits; its lambda was
+    +inf, which made the point a solution.  The true sum of lambda is about
+    2.05 h, below (2 + 3/10) h."""
+    _, spec = sqrt2_spec()
+    x = ProjectivePoint([835002744095575440, 1180872205318713601])
+    ss = filter_solutions("schmidt", spec, points=[x], epsilon="3/10")
+    assert ss.points == [] and ss.indeterminate == [x]
+
+
 def test_parametric_digest_covers_forms_and_weights():
     def spec(forms, weights):
         return TwistedHeightSpec(RATIONALS, [INF], {INF: forms}, {INF: weights},

@@ -153,12 +153,14 @@ def _reference_row(forms, x, place, precision=17, log_max=None):
 
 
 def _reference_lambda_matrix(spec, x, dps):
-    """exceptional._lambda_matrix as it was before the one-log row."""
+    """exceptional._lambda_matrix as it was before the one-log row, with
+    log max|x_j| by the float/mpf rule: math.log at 17 digits or fewer."""
     places = spec.places()
+    top = max(abs(c) for c in x.coords)
     with mpmath.workdps(dps + 5):
         rows = [[_reference_weil_value(form, x, places[v], dps) for form in spec.forms[v]]
                 for v in spec.S]
-        return rows, mpmath.log(max(abs(c) for c in x.coords))
+        return rows, math.log(top) if dps <= 17 else mpmath.log(top)
 
 
 ORACLE_FIELDS = {"Q": [0, 1], "Q(sqrt2)": [-2, 0, 1], "Q(i)": [1, 0, 1],

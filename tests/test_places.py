@@ -195,6 +195,31 @@ def test_complex_place_float_path():
                 assert abs(lg - float(lg40)) <= 1e-14 * abs(float(lg40))
 
 
+def test_float_embedding_is_the_nearest_double():
+    K = nf_create([-2, 0, 1])
+    lower, upper = places_above(K, INF)
+    for d in (3, 5, 10, 17):
+        assert upper.embedding_value(d) == math.sqrt(2)
+        assert lower.embedding_value(d) == -math.sqrt(2)
+        assert log_abs(K, upper, 1 + K.gen(), d) == log_abs(K, upper, 1 + K.gen(), 17)
+
+
+def test_embedding_that_evaluates_to_zero_raises():
+    """x1 - sqrt2 x0 at a Pell point is about 1/(2 sqrt2 x0): 0 in floats
+    at 8 digits, 0 at 45 digits at 25.  Its log is refused, not -inf or a
+    math domain error."""
+    K = nf_create([-2, 0, 1])
+    w = places_above(K, INF)[1]
+    for x0, x1, precision in ((93222358, 131836323, 17),
+                              (1111984844349868137938112,
+                               1572584048032918633353217, 40)):
+        a = x1 - x0 * K.gen()
+        assert a and x1 ** 2 - 2 * x0 ** 2 == 1
+        with pytest.raises(errors.PrecisionExhausted):
+            log_abs(K, w, a, precision)
+        assert log_abs(K, w, a, precision + 30) < -math.log(x0)
+
+
 def test_valuation_norm_consistency():
     """Sum of d_w * t_w over w | p equals ord_p of the norm, for both cubic
     fields also at primes where they split into linear factors."""
@@ -398,7 +423,7 @@ def test_product_formula_rationals_exact():
         val = Fraction(rng.randint(-500, 500), rng.randint(1, 500))
         if val == 0:
             continue
-        assert product_formula_defect(q, val) == 0.0
+        assert product_formula_defect(q, val) < 1e-30
 
 
 def test_product_formula_quadratic_and_cubic():
