@@ -14,14 +14,12 @@ from .fieldarith import (
 from .places import (
     INF,
     Place,
-    abs_value,
     log_abs,
     nonarch_exponent,
     places_above,
     product_formula_defect,
 )
 from .heights import (
-    HyperplanePresentation,
     LinearForm,
     ProjectivePoint,
     log_height,
@@ -33,7 +31,6 @@ from .twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
     log_twisted_report,
-    twisted_height,
 )
 from .scattering import (
     SimplexCover,

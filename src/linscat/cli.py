@@ -20,7 +20,6 @@ from . import exceptional, ruvojta, scattering
 from .errors import BadParameter, ConfigInvalid, LinscatError
 from .fieldarith import nf_create
 from .heights import (
-    HyperplanePresentation,
     LinearForm,
     ProjectivePoint,
     _per_place,
@@ -232,7 +231,6 @@ def cmd_weil(cfg, digest, precision, outdir):
     if "form" not in cfg:
         raise ConfigInvalid("config needs a 'form'")
     form = _parse_form(field, cfg["form"], "form")
-    pres = HyperplanePresentation(form)
     w_choices = _get_w_choices(cfg, S)
     pts = _get_points(cfg)
     rows = []
@@ -240,7 +238,7 @@ def cmd_weil(cfg, digest, precision, outdir):
         lam = {}
         for v in S:
             lam[_place_key(v)] = float(weil_hyperplane(
-                pres, p, v, w_index=w_choices.get(v, 0), precision=precision))
+                form, p, v, w_index=w_choices.get(v, 0), precision=precision))
         rows.append({"point": list(p.coords),
                      "h": float(log_height(p, precision)), "lambda": lam})
     return _report({"weil": rows}, digest, precision, _out(outdir, "weil.json"))

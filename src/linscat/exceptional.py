@@ -24,9 +24,10 @@ import mpmath
 from . import kernels
 from .errors import (BadParameter, BudgetExceeded, Infeasible, OnSupport,
                      PrecisionExhausted)
-from .heights import ProjectivePoint, _weil_row
+from .heights import ProjectivePoint
 from .places import INF, arch_value, reals
-from .twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_height
+from .twisted import (FormSystemSpec, TwistedHeightSpec, _lambda_matrix,
+                      log_twisted_height)
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -57,30 +58,15 @@ def _points(raw):
 # ---------------------------------------------------------------------------
 # inequality evaluation
 
-def _lambda_matrix(spec, x, dps):
-    """Weil values lambda_vi(x) at all (v, i), and log max|x_j|, which the
-    rows share, in reals(dps) at dps + 5 digits on the mpf path.
-
-    Raises OnSupport listing nothing; callers bucket such points.
-    """
-    places = spec.places()
-    R = reals(dps)
-    with R.guard(5):
-        lmx = R.log(max(abs(c) for c in x.coords))
-        rows = [_weil_row(spec.forms[v], x, places[v], dps, lmx) for v in spec.S]
-        return rows, lmx
-
-
 class SolutionSet:
     """Filtered points in canonical order, plus the near-boundary and
     on-support buckets."""
 
-    __slots__ = ("spec_digest", "points", "slack_used", "indeterminate", "support")
+    __slots__ = ("spec_digest", "points", "indeterminate", "support")
 
-    def __init__(self, spec_digest, points, slack_used, indeterminate, support):
+    def __init__(self, spec_digest, points, indeterminate, support):
         self.spec_digest = spec_digest
         self.points = points
-        self.slack_used = slack_used
         self.indeterminate = indeterminate
         self.support = support
 
@@ -207,7 +193,7 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
         else:
             points = enumerate_points(spec.n, height_bound, budget)
     sols, indet, supp = _settle(points, margin, precision)
-    return SolutionSet(digest, sols, slack, indet, supp)
+    return SolutionSet(digest, sols, indet, supp)
 
 
 def q_sweep(spec_template, Q_grid, points, precision=17):
@@ -399,6 +385,8 @@ def subspace_cover(solutions, mode="exact", max_subspaces=None):
     also a minimum over all proper subspaces; point sets above the cap fall
     back to greedy.  greedy takes the most-covering candidate first.
     """
+    if mode not in ("exact", "greedy"):
+        raise BadParameter("mode must be exact or greedy")
     points = sorted(set(solutions.points if isinstance(solutions, SolutionSet)
                         else solutions))
     if not points:
@@ -406,16 +394,12 @@ def subspace_cover(solutions, mode="exact", max_subspaces=None):
     n = points[0].n
     if any(p.n != n for p in points):
         raise BadParameter("cover points must all lie in the same P^n")
+    used_mode = "greedy" if len(points) > EXACT_COVER_CAP else mode
     candidates = _candidate_subspaces(points, n)
-    used_mode = mode
-    if mode == "exact" and len(points) > EXACT_COVER_CAP:
-        used_mode = "greedy"
     if used_mode == "exact":
         chosen = _exact_cover(points, candidates)
-    elif used_mode == "greedy":
-        chosen = _greedy_cover(points, candidates)
     else:
-        raise BadParameter("mode must be exact or greedy")
+        chosen = _greedy_cover(points, candidates)
     if max_subspaces is not None and len(chosen) > max_subspaces:
         raise Infeasible(
             "minimum cover needs %d subspaces, cap is %d" % (len(chosen), max_subspaces))

@@ -6,7 +6,7 @@ height are zero.  Linear forms may have coefficients in a number field; the
 local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
 extension absolute value at a chosen place w above v.  _weil_row is its one
 definition, for all forms of one place at one point, built on
-places.log_abs; weil_value is its one-form case.
+places.log_abs and log_height; weil_hyperplane is its one-form case.
 """
 
 import math
@@ -122,20 +122,6 @@ class LinearForm:
         return "LinearForm(%r)" % (list(self.coeffs),)
 
 
-class HyperplanePresentation:
-    """The standard presentation of the hyperplane l(x) = 0: the form itself
-    together with the coordinate sections x_0..x_n and the trivial twist."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        self.form = form
-
-    @property
-    def field(self):
-        return self.form.field
-
-
 def resolve_place(field, v, w_index):
     """The place of index w_index above v (a rational prime or "inf"), at
     places_above's default p-adic precision (nonarch_exponent refines it)."""
@@ -146,15 +132,15 @@ def resolve_place(field, v, w_index):
     raise BadParameter("no place with index %d above %r" % (w_index, v))
 
 
-def _weil_row(forms, x, place, precision=17, log_max=None):
+def _weil_row(forms, x, place, log_max, precision=17):
     """[lambda_{L,w}(x) for L in forms] at the place w, where
     lambda_{L,w}(x) = log max_j|x_j|_v - log|L(x)|_{v,K}.
 
     Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
     integer coordinates the finite-place max is 1.  At infinity
-    log max_j|x_j| is taken once for the row, or is log_max when the caller
-    already holds it.  Numbers of reals(precision) at the caller's working
-    precision, which is precision + 5 digits or more on the mpf path.
+    log max_j|x_j| is log_max, the caller's log_height(x, precision).
+    Numbers of reals(precision) at the caller's working precision, which
+    is precision + 5 digits or more on the mpf path.
     """
     las = []
     for form in forms:
@@ -166,22 +152,16 @@ def _weil_row(forms, x, place, precision=17, log_max=None):
         # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
         # log_abs's zero and any other is 0 - log_abs
         return [0 - la if la else la for la in las]
-    lmx = reals(precision).log(max(abs(c) for c in x.coords)) if log_max is None else log_max
-    return [lmx - la for la in las]
+    return [log_max - la for la in las]
 
 
-def weil_value(form, x, place, precision=17):
-    """lambda_{L,w}(x) for one form: the one-form row of _weil_row, at
-    precision + 5 digits on the mpf path."""
-    with reals(precision).guard(5):
-        return _weil_row((form,), x, place, precision)[0]
-
-
-def weil_hyperplane(pres, x, v, w_index=0, precision=17):
-    """max_j log|x_j / l(x)|_{v,K} at the place w of index w_index above v."""
-    form = pres.form if isinstance(pres, HyperplanePresentation) else pres
+def weil_hyperplane(form, x, v, w_index=0, precision=17):
+    """lambda_{L,w}(x) = max_j log|x_j / L(x)|_{v,K} at the place w of index
+    w_index above v: the one-form row of _weil_row, at precision + 5 digits
+    on the mpf path."""
     place = resolve_place(form.field, v, w_index)
-    return weil_value(form, x, place, precision)
+    with reals(precision).guard(5):
+        return _weil_row((form,), x, place, log_height(x, precision), precision)[0]
 
 
 def _per_place(table, S):
@@ -200,8 +180,8 @@ def _per_place(table, S):
     return out
 
 
-def proximity(pres, x, S, w_choices=None, precision=17):
-    """Sum of the local Weil function over the places in S.
+def proximity(form, x, S, w_choices=None, precision=17):
+    """Sum of the local Weil function of a form over the places in S.
 
     S lists places of Q ("inf" or primes); w_choices optionally gives the
     index of the place of the coefficient field used above each v, as a
@@ -211,7 +191,7 @@ def proximity(pres, x, S, w_choices=None, precision=17):
     w_choices = _per_place(w_choices or {}, S)
     total = 0.0
     for v in S:
-        total = total + weil_hyperplane(pres, x, v, w_index=w_choices.get(v, 0),
+        total = total + weil_hyperplane(form, x, v, w_index=w_choices.get(v, 0),
                                         precision=precision)
     return total
 
@@ -219,19 +199,19 @@ def proximity(pres, x, S, w_choices=None, precision=17):
 def height_weil_defect(x, precision=17):
     """Residual of the height identity h(x) = sum_v lambda_{x_0}(x, v).
 
-    Uses the x_0-coordinate presentation; requires x_0 != 0.  The finite
+    Uses the coordinate form x_0; requires x_0 != 0.  The finite
     sum runs over primes dividing a coordinate (all other terms vanish).
     """
     if x.coords[0] == 0:
         raise OnSupport("identity needs x_0 != 0")
     import sympy
 
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1] + [0] * x.n))
-    total = weil_hyperplane(pres, x, INF, precision=precision)
+    form = LinearForm(RATIONALS, [1] + [0] * x.n)
+    total = weil_hyperplane(form, x, INF, precision=precision)
     primes = set()
     for c in x.coords:
         if c and abs(c) > 1:
             primes |= set(sympy.factorint(abs(c)))
     for p in sorted(primes):
-        total = total + weil_hyperplane(pres, x, p, precision=precision)
+        total = total + weil_hyperplane(form, x, p, precision=precision)
     return abs(total - log_height(x, precision))

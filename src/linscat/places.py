@@ -1,7 +1,7 @@
 """Places of Q and of a number field F, and the normalized absolute values.
 
-Two normalizations are exposed; abs_value and log_abs take ``extension``
-unless the caller names ``field``:
+log_abs is the one absolute value, in log space.  It takes the
+``extension`` normalization unless the caller names ``field``:
 
 * ``extension`` -- |a|_{v,K} = |N_{F_w/Q_v}(a)|_v^(1/[F_w:Q_v]), the value
   extending |.|_v from Q to F;
@@ -388,26 +388,6 @@ def _refreshed(place, precision):
 # ---------------------------------------------------------------------------
 # absolute values
 
-class LocalAbs:
-    """A local absolute value: exact p-power exponent or archimedean float."""
-
-    __slots__ = ("kind", "prime", "exponent", "value")
-
-    def __init__(self, kind, prime, exponent, value):
-        self.kind = kind
-        self.prime = prime
-        self.exponent = exponent  # |a| = p^(-exponent); None for arch
-        self.value = value
-
-    def __repr__(self):
-        if self.kind == "nonarch":
-            return "LocalAbs(%d^-%s)" % (self.prime, self.exponent)
-        return "LocalAbs(%s)" % (self.value,)
-
-    def __float__(self):
-        return float(self.value)
-
-
 def _integer_rep(a):
     """(integer ascending coeff list, denominator) with a = A0(theta)/den."""
     den = a.denominator_lcm()
@@ -467,7 +447,18 @@ def working_dps(dps):
 
 def _float(q):
     # float(q) on a Fraction goes through numbers.Rational, two calls slower
-    return q.numerator / q.denominator
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        raise PrecisionExhausted("a %d-digit rational is outside the float range"
+                                 % len(str(q.numerator // q.denominator))) from None
+
+
+def _exp(t):
+    try:
+        return math.exp(t)
+    except OverflowError:
+        raise PrecisionExhausted("exp(%r) is outside the float range" % (t,)) from None
 
 
 def _mpf(q):
@@ -476,7 +467,8 @@ def _mpf(q):
 
 class Reals:
     """The number type reals() chose, floats or mpmath, with its zero, log,
-    exp and real(q) (a rational in the type).  guard(digits), the context an
+    exp and real(q) (a rational in the type); on floats, real and exp raise
+    PrecisionExhausted outside the float range.  guard(digits), the context an
     evaluation runs in, is none for floats and working_dps(precision +
     digits), which never lowers a caller's higher precision, for mpmath."""
 
@@ -486,7 +478,7 @@ class Reals:
         self.precision = precision
         self.is_float = is_float
         if is_float:
-            self.zero, self.log, self.exp, self.real = 0.0, math.log, math.exp, _float
+            self.zero, self.log, self.exp, self.real = 0.0, math.log, _exp, _float
         else:
             self.zero, self.log, self.exp, self.real = (
                 mpmath.mp.zero, mpmath.log, mpmath.exp, _mpf)
@@ -517,8 +509,8 @@ def arch_value(field, place, a, precision=17):
     """sigma(a) for the chosen archimedean embedding, by one Horner pass at
     the embedding of theta: a number of reals(precision), complex at a
     complex place unless a is rational.  mpmath values come at mpmath's
-    working precision, which the caller sets (log_abs and abs_value run it
-    at precision + 5 digits or more)."""
+    working precision, which the caller sets (log_abs runs it at
+    precision + 5 digits or more)."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     R = reals(precision)
@@ -535,25 +527,6 @@ def arch_abs(field, place, a, precision=17):
     """|sigma(a)| for the chosen archimedean embedding (extension value), at
     the caller's working precision as arch_value."""
     return abs(arch_value(field, place, a, precision))
-
-
-def abs_value(field, place, a, precision=40, normalization="extension"):
-    """The named normalized absolute value of a at the given place."""
-    scale = _norm_scale(place, normalization)
-    if isinstance(a, (int, Fraction)):
-        a = field.from_rational(a)
-    if not a:
-        return LocalAbs(place.kind, place.prime, None, 0.0)
-    if place.kind == "nonarch":
-        t = nonarch_exponent(field, place, a) * scale
-        approx = float(place.prime) ** float(-t)
-        return LocalAbs("nonarch", place.prime, t, approx)
-    R = reals(precision)
-    with R.guard(5):
-        mag = arch_abs(field, place, a, precision)
-        if scale != 1:
-            mag = mag ** R.real(scale)
-    return LocalAbs("arch", None, None, mag)
 
 
 def log_abs(field, place, a, precision=17, normalization="extension"):
@@ -593,19 +566,20 @@ def _support_primes(field, a):
 
 
 def product_formula_defect(field, a, precision=30):
-    """|sum over all places of log|a|_w| with the field normalization, every
-    element, rational or not, through the places of its field."""
+    """|sum over all places of log|a|_w| with the field normalization, in
+    reals(precision + 10): every element goes through its field's places."""
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
     if not a:
         raise ValueError("product formula needs a nonzero element")
-    with working_dps(precision + 10):
-        total = mpmath.mpf(0)
+    R = reals(precision + 10)
+    with R.guard(0):
+        total = R.zero
         for p in _support_primes(field, a):
             for w in places_above(field, p):
                 t = nonarch_exponent(field, w, a) * _norm_scale(w, "field")
                 if t:
-                    total += -_mpf(t) * mpmath.log(p)
+                    total += -R.real(t) * R.log(p)
         for w in places_above(field, INF):
             total += log_abs(field, w, a, precision + 10, normalization="field")
         return float(abs(total))

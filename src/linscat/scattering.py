@@ -90,8 +90,10 @@ class SimplexCover:
         self.c = c
         self.index_set_size = index_set_size
         self.delta = delta
-        self.m = int(c / delta)
-        assert self.m * delta == c
+        m = Fraction(c) / Fraction(delta)
+        if m.denominator != 1:
+            raise BadParameter("c / delta = %s is not an integer" % (m,))
+        self.m = int(m)
 
     def __len__(self):
         return math.comb(self.m + self.index_set_size - 1,

@@ -6,8 +6,10 @@ part outside S is 1, leaving only the max|x_i| factor when the infinite
 place is not in S.  Everything is evaluated in log space.
 
 FormSystemSpec holds a field, the places S and n+1 independent forms per
-place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.  Q-sweeps
-live in exceptional.py: q_sweep is the parametric filter at each Q.
+place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.
+_lambda_matrix is the one matrix of Weil values lambda_vi(x) of a form
+system.  Q-sweeps live in exceptional.py: q_sweep is the parametric filter
+at each Q.
 """
 
 import copy
@@ -111,6 +113,16 @@ class TwistedHeightSpec(FormSystemSpec):
         return clone
 
 
+def _lambda_matrix(spec, x, precision=17):
+    """(rows, h): lambda_vi(x) at all (v, i), one row per place of S, and the
+    h(x) = log max|x_j| they share, in reals(precision) at precision + 5
+    digits on the mpf path.  Raises OnSupport on the support of the system."""
+    places = spec.places()
+    with reals(precision).guard(5):
+        h = log_height(x, precision)
+        return [_weil_row(spec.forms[v], x, places[v], h, precision) for v in spec.S], h
+
+
 def log_twisted_height(spec, x, precision=17):
     """log H_Q(x), evaluated in log space in reals(precision), at
     precision + 10 digits."""
@@ -135,15 +147,8 @@ def log_twisted_height(spec, x, precision=17):
                 )
             total = total + best
         if INF not in spec.S:
-            total = total + R.log(max(abs(c) for c in x.coords))
+            total = total + log_height(x, precision)
         return total
-
-
-def twisted_height(spec, x, precision=17):
-    """H_Q(x) as a positive real."""
-    R = reals(precision)
-    with R.guard(10):
-        return R.exp(log_twisted_height(spec, x, precision))
 
 
 def log_twisted_report(spec, x, precision=17):
@@ -154,18 +159,16 @@ def log_twisted_report(spec, x, precision=17):
     -log H_Q = lhs - h is returned as a residual for cross-checking; it
     compares two independent evaluations of every form.  H_Q = exp(-neg_log_HQ).
     """
-    places = spec.places()
     R = reals(precision)
     with R.guard(10):
         logQ = R.log(R.real(spec.Q))
+        rows, h = _lambda_matrix(spec, x, precision)
         per_place = {}
         lhs = R.zero
-        for v in spec.S:
-            row = _weil_row(spec.forms[v], x, places[v], precision)
+        for v, row in zip(spec.S, rows):
             m = min(lam + R.real(c) * logQ for lam, c in zip(row, spec.weights[v]))
             per_place[v] = m
             lhs = lhs + m
-        h = log_height(x, precision)
         rhs = h + R.real(spec.epsilon) * logQ
         neg_log_hq = -log_twisted_height(spec, x, precision)
         residual = abs(neg_log_hq - (lhs - h))

@@ -20,7 +20,6 @@ from linscat.exceptional import (
 )
 from linscat.fieldarith import RATIONALS
 from linscat.heights import (
-    HyperplanePresentation,
     LinearForm,
     ProjectivePoint,
     height_weil_defect,
@@ -89,11 +88,11 @@ def test_criterion_02_height_weil_decomposition():
     # only through x_0 and max|x_i|, so per-x_0 finite parts are computed
     # once through weil_hyperplane and reused; a random subsample is then
     # cross-checked against the full per-point identity.
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1, 0, 0]))
+    x0 = LinearForm(RATIONALS, [1, 0, 0])
     finite = [0.0] * 101
     for a in range(2, 101):
         rep = ProjectivePoint((a, 1, 0))
-        finite[a] = math.fsum(weil_hyperplane(pres, rep, p)
+        finite[a] = math.fsum(weil_hyperplane(x0, rep, p)
                               for p in sympy.factorint(a))
     loga = [0.0] + [math.log(a) for a in range(1, 101)]
     log = math.log

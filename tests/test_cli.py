@@ -2,6 +2,8 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
+
 from linscat import nf_create
 from linscat.cli import main
 from linscat.exceptional import FormSystemSpec, filter_solutions
@@ -59,6 +61,18 @@ def test_weil_at_a_float_zero_is_an_error(tmp_path, capsys):
     assert "error: " in capsys.readouterr().err
     code, doc = run(capsys, "weil", "--config", cfg)
     assert code == 0 and doc["weil"][0]["lambda"]["inf"] > 37
+
+
+@pytest.mark.parametrize("Q, weights", [("1e400", ["1", "-1"]), ("1e300", ["-2", "2"])])
+def test_twisted_outside_the_float_range_is_an_error(tmp_path, capsys, Q, weights):
+    """At precision 17, Q = 1e400 has no float, and with Q = 1e300 and
+    weights -2, 2 H_Q is about 1e600: each is an error line and exit 1,
+    not an OverflowError traceback."""
+    cfg = write_cfg(tmp_path, "t.json", {
+        "field": [0, 1], "S": ["inf"], "forms": {"inf": [["1", "0"], ["0", "1"]]},
+        "weights": {"inf": weights}, "Q": Q, "points": [[3, 4]]})
+    assert main(["twisted", "--config", cfg, "--precision", "17"]) == 1
+    assert "error: " in capsys.readouterr().err
 
 
 def test_twisted_and_sweep_commands(tmp_path, capsys):

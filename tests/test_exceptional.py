@@ -7,7 +7,7 @@ import mpmath
 import pytest
 import sympy
 
-from linscat import errors, nf_create
+from linscat import errors, exceptional, nf_create
 from linscat.exceptional import (
     FormSystemSpec,
     _candidate_subspaces,
@@ -428,15 +428,20 @@ def test_exact_at_most_greedy():
                 assert cover.subspaces[cover.assignment[p]].contains(p)
 
 
-def test_cover_infeasible_and_validation():
+def test_cover_infeasible_and_validation(monkeypatch):
     pts = [ProjectivePoint(c) for c in
            ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
     with pytest.raises(errors.Infeasible):
         subspace_cover(pts, max_subspaces=1)
     with pytest.raises(errors.BadParameter):
         subspace_cover([])
+    # an unknown mode is refused before the candidate pass runs
+    def no_candidates(points, n):
+        raise AssertionError("candidate pass ran for an unknown mode")
+    monkeypatch.setattr(exceptional, "_candidate_subspaces", no_candidates)
     with pytest.raises(errors.BadParameter):
         subspace_cover(pts, mode="bogus")
+    monkeypatch.undo()
     # points of different P^n are not one solution set
     for mixed in ([ProjectivePoint([1, 2]), ProjectivePoint([1, 2, 3])],
                   [ProjectivePoint([1, 2, 3]), ProjectivePoint([0, 1]),

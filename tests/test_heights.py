@@ -6,10 +6,8 @@ import mpmath
 import pytest
 
 from linscat import errors, nf_create, twisted
-from linscat.exceptional import _lambda_matrix
 from linscat.fieldarith import RATIONALS
 from linscat.heights import (
-    HyperplanePresentation,
     LinearForm,
     ProjectivePoint,
     height_weil_defect,
@@ -17,10 +15,10 @@ from linscat.heights import (
     mult_height,
     proximity,
     weil_hyperplane,
-    weil_value,
 )
 from linscat.places import INF, log_abs, places_above, working_dps
-from linscat.twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report
+from linscat.twisted import (FormSystemSpec, TwistedHeightSpec, _lambda_matrix,
+                             log_twisted_report)
 
 
 def test_point_canonicalization():
@@ -68,32 +66,32 @@ def test_linear_form_validation():
 
 
 def test_weil_examples():
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1, 0]))
+    form = LinearForm(RATIONALS, [1, 0])
     x = ProjectivePoint([3, 4])
-    assert abs(weil_hyperplane(pres, x, INF) - math.log(4 / 3)) < 1e-12
-    assert weil_hyperplane(pres, ProjectivePoint([1, 1]), INF) == 0.0
-    assert weil_hyperplane(pres, ProjectivePoint([1, 1]), 5) == 0.0
-    assert weil_hyperplane(pres, x, 2) == 0.0
-    assert abs(weil_hyperplane(pres, x, 3) - math.log(3)) < 1e-12
+    assert abs(weil_hyperplane(form, x, INF) - math.log(4 / 3)) < 1e-12
+    assert weil_hyperplane(form, ProjectivePoint([1, 1]), INF) == 0.0
+    assert weil_hyperplane(form, ProjectivePoint([1, 1]), 5) == 0.0
+    assert weil_hyperplane(form, x, 2) == 0.0
+    assert abs(weil_hyperplane(form, x, 3) - math.log(3)) < 1e-12
     with pytest.raises(errors.OnSupport):
-        weil_hyperplane(pres, ProjectivePoint([0, 1]), INF)
+        weil_hyperplane(form, ProjectivePoint([0, 1]), INF)
 
 
 def test_weil_quadratic_field_convergent():
     K = nf_create([-2, 0, 1])
     th = K.gen()
-    pres = HyperplanePresentation(LinearForm(K, [-th, 1]))
+    form = LinearForm(K, [-th, 1])
     x = ProjectivePoint([5, 7])
-    val = weil_hyperplane(pres, x, INF, w_index=1)
+    val = weil_hyperplane(form, x, INF, w_index=1)
     assert abs(val - math.log(7 / abs(7 - 5 * math.sqrt(2)))) < 1e-9
     assert abs(val - 4.5900309) < 1e-6
-    assert abs(proximity(pres, x, [INF], w_choices={INF: 1}) - val) < 1e-15
+    assert abs(proximity(form, x, [INF], w_choices={INF: 1}) - val) < 1e-15
 
 
 def test_proximity_mixed_places():
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1, 0]))
+    form = LinearForm(RATIONALS, [1, 0])
     x = ProjectivePoint([3, 4])
-    val = proximity(pres, x, [INF, 2])
+    val = proximity(form, x, [INF, 2])
     assert abs(val - math.log(4 / 3)) < 1e-12
 
 
@@ -106,16 +104,16 @@ def test_height_weil_identity_sample():
 
 
 def test_weil_vanishes_off_coordinate_primes():
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1, 0]))
+    form = LinearForm(RATIONALS, [1, 0])
     x = ProjectivePoint([12, 35])
     for p in (11, 13, 97):
-        assert weil_hyperplane(pres, x, p) == 0.0
+        assert weil_hyperplane(form, x, p) == 0.0
 
 
 def test_high_precision_path():
-    pres = HyperplanePresentation(LinearForm(RATIONALS, [1, 0]))
+    form = LinearForm(RATIONALS, [1, 0])
     x = ProjectivePoint([3, 4])
-    v = weil_hyperplane(pres, x, INF, precision=50)
+    v = weil_hyperplane(form, x, INF, precision=50)
     assert abs(float(v) - math.log(4 / 3)) < 1e-15
 
 
@@ -132,7 +130,7 @@ def _reference_evaluate(form, x):
 
 
 def _reference_weil_value(form, x, place, precision):
-    """weil_value as it was before the one-log row: one log max|x_j| per
+    """weil_hyperplane as it was before the one-log row: one log max|x_j| per
     form, on the reference evaluation."""
     val = _reference_evaluate(form, x)
     if not val:
@@ -147,13 +145,13 @@ def _reference_weil_value(form, x, place, precision):
         return (mpmath.log(max(abs(c) for c in x.coords)) if arch else 0) - la
 
 
-def _reference_row(forms, x, place, precision=17, log_max=None):
+def _reference_row(forms, x, place, log_max, precision=17):
     """heights._weil_row as a list of reference weil values."""
     return [_reference_weil_value(form, x, place, precision) for form in forms]
 
 
 def _reference_lambda_matrix(spec, x, dps):
-    """exceptional._lambda_matrix as it was before the one-log row, with
+    """twisted._lambda_matrix as it was before the one-log row, with
     log max|x_j| by the float/mpf rule: math.log at 17 digits or fewer."""
     places = spec.places()
     top = max(abs(c) for c in x.coords)
@@ -243,7 +241,7 @@ def _oracle_spec(K, S, rng):
 
 @pytest.mark.parametrize("precision", [17, 50])
 def test_weil_values_match_reference_run(precision, monkeypatch):
-    """weil_value, _lambda_matrix and log_twisted_report equal (==) a run on
+    """weil_hyperplane, _lambda_matrix and log_twisted_report equal (==) a run on
     the reference evaluation with one log max|x_j| per form."""
     cases = [(nf_create([-2, 0, 1]), [INF, 7, 3]), (nf_create([1, 0, 1]), [INF, 5, 2]),
              (nf_create([0, 1]), [INF, 2, 3])]
@@ -264,7 +262,8 @@ def test_weil_values_match_reference_run(precision, monkeypatch):
                         want = _reference_weil_value(form, x, places[v], precision)
                     except errors.OnSupport:
                         continue
-                    assert weil_value(form, x, places[v], precision) == want
+                    assert weil_hyperplane(form, x, v, spec.w_choices.get(v, 0),
+                                           precision) == want
                     seen += 1
             try:
                 want = _reference_lambda_matrix(spec, x, precision)
@@ -286,11 +285,11 @@ def test_per_place_tables_refuse_extra_places():
     """A list longer than S, or a key for a place outside S, is an error,
     not an entry dropped in silence."""
     K = nf_create([-2, 0, 1])
-    pres = HyperplanePresentation(LinearForm(K, [-K.gen(), 1]))
+    form = LinearForm(K, [-K.gen(), 1])
     x = ProjectivePoint([5, 7])
     for choices in ([1, 0, 5], {INF: 1, 5: 0}, {"oo": 1, "3": 0}):
         with pytest.raises(errors.BadParameter):
-            proximity(pres, x, ["inf", 7], w_choices=choices)
+            proximity(form, x, ["inf", 7], w_choices=choices)
     forms = [LinearForm(K, [1, 0]), LinearForm(K, [0, 1])]
     with pytest.raises(errors.BadParameter):
         FormSystemSpec(K, [INF], {INF: forms}, w_choices=[1, 0])
@@ -300,10 +299,10 @@ def test_per_place_tables_refuse_extra_places():
 
 def test_proximity_normalizes_place_spellings():
     K = nf_create([-2, 0, 1])
-    pres = HyperplanePresentation(LinearForm(K, [-K.gen(), 1]))
+    form = LinearForm(K, [-K.gen(), 1])
     x = ProjectivePoint([5, 7])
-    by_list = proximity(pres, x, ["inf", 7], w_choices=[1, 0])
-    assert by_list != proximity(pres, x, ["inf", 7])
+    by_list = proximity(form, x, ["inf", 7], w_choices=[1, 0])
+    assert by_list != proximity(form, x, ["inf", 7])
     for choices in ({"oo": 1}, {INF: 1, "7": 0}, {"infinity": 1, 7: 0}):
-        assert proximity(pres, x, ["inf", 7], w_choices=choices) == by_list
-        assert proximity(pres, x, ["oo", "7"], w_choices=choices) == by_list
+        assert proximity(form, x, ["inf", 7], w_choices=choices) == by_list
+        assert proximity(form, x, ["oo", "7"], w_choices=choices) == by_list

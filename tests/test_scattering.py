@@ -8,6 +8,7 @@ from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm
 from linscat.scattering import (
     Classification,
+    SimplexCover,
     WeightSystem,
     classify_solution,
     fw_weights,
@@ -65,6 +66,11 @@ def test_simplex_cover_examples():
         simplex_cover(Fraction(3, 2), 2)
     with pytest.raises(errors.BadParameter):
         simplex_cover(0, 2)
+    # delta must divide c, or the grid points would not sum to c: a
+    # BadParameter, not an assert that python -O drops
+    with pytest.raises(errors.BadParameter):
+        SimplexCover(Fraction(1, 2), 2, Fraction(1, 3))
+    assert SimplexCover(Fraction(1, 2), 2, Fraction(1, 6)).m == 3
 
 
 def test_simplex_cover_refinement():

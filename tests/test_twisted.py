@@ -6,16 +6,16 @@ import mpmath
 import pytest
 
 from linscat import errors, nf_create
-from linscat.exceptional import _lambda_matrix, q_sweep
+from linscat.exceptional import q_sweep
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint, log_height, weil_hyperplane
 from linscat.places import INF, log_abs, places_above
 from linscat.twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
+    _lambda_matrix,
     log_twisted_height,
     log_twisted_report,
-    twisted_height,
 )
 
 
@@ -33,12 +33,12 @@ def test_twisted_examples():
         RATIONALS, [INF], {INF: coord_forms(RATIONALS, 1)},
         {INF: [1, -1]}, epsilon="1/10", Q=2)
     x = ProjectivePoint([3, 4])
-    assert abs(twisted_height(spec, x) - 8) < 1e-12
-    assert abs(twisted_height(spec.with_Q(1), x) - 4) < 1e-12
+    assert abs(math.exp(log_twisted_height(spec, x)) - 8) < 1e-12
+    assert abs(math.exp(log_twisted_height(spec.with_Q(1), x)) - 4) < 1e-12
     zero = TwistedHeightSpec(
         RATIONALS, [INF], {INF: coord_forms(RATIONALS, 1)},
         {INF: [0, 0]}, epsilon="1/10", Q=97)
-    assert abs(twisted_height(zero, x) - 4) < 1e-12
+    assert abs(math.exp(log_twisted_height(zero, x)) - 4) < 1e-12
 
 
 def test_spec_validation():
@@ -149,13 +149,13 @@ def test_q_sweep():
 
 def test_all_forms_vanish_unreachable_for_independent():
     # with n+1 independent forms some form is nonzero at every point;
-    # twisted_height must not raise
+    # log_twisted_height must not raise
     spec = TwistedHeightSpec(
         RATIONALS, [INF], {INF: [LinearForm(RATIONALS, [1, -1]),
                                  LinearForm(RATIONALS, [1, 1])]},
         {INF: [Fraction(1, 2), Fraction(-1, 2)]}, epsilon="1/10", Q=2)
     for coords in [(1, 1), (1, -1), (3, 4)]:
-        twisted_height(spec, ProjectivePoint(coords))
+        math.exp(log_twisted_height(spec, ProjectivePoint(coords)))
 
 
 def test_high_precision_leaves_mpmath_dps_alone():
@@ -166,7 +166,7 @@ def test_high_precision_leaves_mpmath_dps_alone():
     before = mpmath.mp.dps
     lg = log_twisted_height(spec, x, precision=60)
     rep = log_twisted_report(spec, x, precision=60)
-    twisted_height(spec, x, precision=60)
+    math.exp(log_twisted_height(spec, x, precision=60))
     q_sweep(spec, [1, 3], [x], precision=60)
     assert mpmath.mp.dps == before
     # the terms are log|3| - log 3 and log|4| + log 3, so log H_Q = log 12,
