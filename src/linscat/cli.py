@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import exceptional, ruvojta, scattering
-from .errors import BadParameter, ConfigInvalid, LinscatError
+from .errors import BadParameter, ConfigInvalid, LinscatError, PrecisionExhausted
 from .fieldarith import nf_create
 from .heights import (
     LinearForm,
@@ -168,33 +168,23 @@ def _get_w_choices(cfg, S):
             for v, ix in _get_table(cfg, "w_choices", S).items()}
 
 
-def _report(payload, cfg_digest, precision, out_path=None):
+def _report(payload, cfg_digest, precision, out_path=None, indeterminate=False):
+    """Write the report, and return the exit status: 2 when the command
+    found an indeterminate verdict, else 0.  A non-finite number, which
+    JSON cannot hold, is refused before anything is written."""
     doc = {"schema": SCHEMA, "config_digest": cfg_digest,
            "precision": precision}
     doc.update(payload)
-    text = json.dumps(doc, sort_keys=True, indent=2, default=str)
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, default=str, allow_nan=False)
+    except ValueError:
+        raise PrecisionExhausted("a report value is outside the float range") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    return doc
-
-
-def _exit_code(doc):
-    def walk(node):
-        if isinstance(node, dict):
-            for k, val in node.items():
-                if k == "indeterminate" and val:
-                    return True
-                if walk(val):
-                    return True
-        elif isinstance(node, list):
-            for val in node:
-                if walk(val):
-                    return True
-        return False
-    return 2 if walk(doc) else 0
+    return 2 if indeterminate else 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,8 @@ def cmd_sweep(cfg, digest, precision, outdir):
                 "indeterminate": [list(p.coords) for p in r["indeterminate"]]}
                for r in rows]
     return _report({"sweep": payload, "epsilon": str(spec.epsilon)},
-                   digest, precision, _out(outdir, "sweep.json"))
+                   digest, precision, _out(outdir, "sweep.json"),
+                   indeterminate=any(r["indeterminate"] for r in rows))
 
 
 def cmd_solve(cfg, digest, precision, outdir):
@@ -334,7 +325,8 @@ def cmd_solve(cfg, digest, precision, outdir):
         payload["density"] = exceptional.density_report(ss, cover)
     if outdir and cfg.get("csv", True):
         _solve_csv(ss, _out(outdir, "solve.csv"), precision)
-    return _report(payload, digest, precision, _out(outdir, "solve.json"))
+    return _report(payload, digest, precision, _out(outdir, "solve.json"),
+                   indeterminate=bool(ss.indeterminate))
 
 
 def _solve_csv(ss, path, precision):
@@ -346,7 +338,7 @@ def _solve_csv(ss, path, precision):
                             ("support", ss.support)):
             for p in pts:
                 wr.writerow([":".join(str(c) for c in p.coords),
-                             repr(log_height(p, precision)), bucket])
+                             float(log_height(p, precision)), bucket])
 
 
 def cmd_scatter(cfg, digest, precision, outdir):
@@ -510,11 +502,10 @@ def main(argv=None):
         precision = _int(cfg.get("precision", args.precision), "precision")
         if precision < 1:
             raise ConfigInvalid("precision must be at least 1, got %d" % precision)
-        doc = COMMANDS[args.command](cfg, digest, precision, args.out)
+        return COMMANDS[args.command](cfg, digest, precision, args.out)
     except LinscatError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    return _exit_code(doc)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ class FieldMismatch(LinscatError):
 
 
 class PrecisionExhausted(LinscatError):
-    """A p-adic or floating computation could not be decided at the
-    requested precision."""
+    """A floating computation could not be decided at the requested
+    precision, or a value is outside the float range."""
 
 
 class UnsupportedRamification(LinscatError):

@@ -8,9 +8,12 @@ log_abs is the one absolute value, in log space.  It takes the
 * ``field``     -- |a|_w with exponent [F_w:Q_p]/[F:Q], the normalization
   for which the product over all places of F is 1.
 
-Non-archimedean values are exact rational powers of p.  Archimedean values
-come from real embeddings isolated by sympy's continued-fraction method
-(certified rational enclosures) or from complex conjugate root pairs.
+Non-archimedean values are exact rational powers of p.  The places above p
+come, in every degree, from one factorization mod p and one Hensel lift
+(of a p-maximal generator in a quadratic field), exact to the p-adic
+digits asked for.  Archimedean values come from real embeddings isolated
+by sympy's continued-fraction method (certified rational enclosures) or
+from complex conjugate root pairs.
 
 reals(precision) is the one float/mpf rule of every evaluation, real or
 complex, with its guard digits; places carry no decimal precision.
@@ -33,9 +36,6 @@ from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_rea
 from .errors import BadParameter, PrecisionExhausted, UnsupportedRamification
 
 INF = "inf"
-
-_LIFT_CAP = 256  # residue cap in the p-adic lifting BFS
-_REFINE_STEPS = 4  # precision doublings before a valuation is undecided
 
 
 # ---------------------------------------------------------------------------
@@ -63,27 +63,6 @@ def ord_p_fraction(q, p):
     return 0
 
 
-def squarefree_part(n):
-    """Signed squarefree part of a nonzero integer."""
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    for q, e in sympy.factorint(n).items():
-        if e % 2:
-            out *= q
-    return sign * out
-
-
-def _poly_eval_int(coeffs, x, mod=None):
-    """Evaluate an ascending integer-coefficient poly, optionally mod m."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-        if mod is not None:
-            acc %= mod
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # real roots (sympy's certified isolation, exact rational endpoints)
 
@@ -108,60 +87,6 @@ def refine_interval(coeffs, interval, digits):
 
 
 # ---------------------------------------------------------------------------
-# p-adic root lifting
-
-def lift_padic_roots(coeffs, p, digits, expected):
-    """The expected number of p-adic roots of an ascending integer poly, to
-    the given precision.
-
-    Returns (reps, certified) where reps represent the root clusters of the
-    solution set mod p^digits and certified is the number of leading digits
-    on which a representative agrees with its true root: the highest level
-    k at which the solutions mod p^k fall into exactly expected classes.
-    """
-    mod = p
-    residues = [r for r in range(p) if _poly_eval_int(coeffs, r, p) == 0]
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    for k in range(1, digits):
-        nxt_mod = mod * p
-        nxt = []
-        for r in residues:
-            fpr = _poly_eval_int(dcoeffs, r, p)
-            if fpr:
-                # unit derivative: the next digit is forced (Hensel step)
-                fr = _poly_eval_int(coeffs, r, nxt_mod)
-                t = (-(fr // mod) * pow(fpr, -1, p)) % p
-                cand = r + t * mod
-                if _poly_eval_int(coeffs, cand, nxt_mod) == 0:
-                    nxt.append(cand)
-            else:
-                for t in range(p):
-                    cand = r + t * mod
-                    if _poly_eval_int(coeffs, cand, nxt_mod) == 0:
-                        nxt.append(cand)
-            if len(nxt) > _LIFT_CAP:
-                raise PrecisionExhausted(
-                    "p-adic root lifting blow-up at p=%d level %d" % (p, k)
-                )
-        residues = nxt
-        mod = nxt_mod
-        if not residues:
-            return [], digits
-    if not residues:
-        return [], digits
-    classes = {k: sorted({r % p ** k for r in residues}) for k in range(1, digits + 1)}
-    certified = max((k for k in classes if len(classes[k]) == expected), default=None)
-    if certified is None:
-        raise PrecisionExhausted(
-            "no precision level shows %d roots at p=%d (digits=%d)"
-            % (expected, p, digits)
-        )
-    reps = [min(r for r in residues if r % p ** certified == rep)
-            for rep in classes[certified]]
-    return reps, certified
-
-
-# ---------------------------------------------------------------------------
 # places
 
 class Place:
@@ -169,7 +94,9 @@ class Place:
 
     Non-archimedean places carry the monic local factor of the minimal
     polynomial over Q_p, ascending, whose coefficients agree with the true
-    factor to certified p-adic digits.  Archimedean places carry their root:
+    factor mod p^precision (Hensel lifting is exact to the digits it is
+    asked for), or the minimal polynomial itself when the place is the whole
+    completion.  Archimedean places carry their root:
     a real root's isolating interval, or a complex pair's rank among the
     roots of positive imaginary part (_complex_embedding), and no precision.
     Embedding indices w_index enumerate the real roots first, ascending,
@@ -178,7 +105,7 @@ class Place:
 
     def __init__(self, field, kind, *, prime=None, w_index=0,
                  e=1, f=1, local_degree=1, precision=0, local_factor=None,
-                 certified=0, root=None, is_real=True):
+                 root=None, is_real=True):
         self.field = field
         self.kind = kind  # "arch" | "nonarch"
         self.prime = prime
@@ -188,7 +115,6 @@ class Place:
         self.local_degree = local_degree
         self.precision = precision
         self.local_factor = local_factor
-        self.certified = certified
         self.is_real = is_real
         self._root = root
         self._approx = {}
@@ -274,71 +200,73 @@ def _arch_places(field):
     return places
 
 
-def _quadratic_splitting(field, p):
-    """'split' | 'inert' | 'ramified' via the fundamental discriminant."""
-    d = squarefree_part(field.poly_disc)
-    delta = d if d % 4 == 1 else 4 * d
-    if p == 2:
-        if delta % 2 == 0:
-            return "ramified"
-        return "split" if d % 8 == 1 else "inert"
-    if delta % p == 0:
-        return "ramified"
-    ls = pow(delta % p, (p - 1) // 2, p)
-    return "split" if ls == 1 else "inert"
+def _p_maximal(coeffs, p):
+    """(u, k, h) for theta a root of the monic quadratic coeffs = (c, b, 1):
+    omega = (theta - u)/p^k is integral exactly when p^k | 2u + b and
+    p^2k | u^2 + bu + c, and h is then its minimal polynomial.  The largest
+    such k is ord_p [O_K : Z[theta]], so Z_p[omega] is the p-adic ring of
+    integers and the factors of h mod p give the places (Kummer-Dedekind)."""
+    c, b, _ = coeffs
+    for k in range(ord_p_int(b * b - 4 * c, p) // 2, 0, -1):
+        q = p ** k
+        # u mod p^k solves 2u + b = 0 mod p^k: one class for odd p, two for
+        # p = 2, where b is even here (an odd b leaves ord_2 of disc at 0)
+        if p == 2:
+            u0 = -b // 2 % (q // 2)
+            us = (u0, u0 + q // 2)
+        else:
+            us = (-b * pow(2, -1, q) % q,)
+        for u in us:
+            if (u * u + b * u + c) % (q * q) == 0:
+                return u, k, ((u * u + b * u + c) // (q * q), (2 * u + b) // q, 1)
+    return 0, 0, coeffs
 
 
 def _nonarch_places(field, p, precision):
+    """The places above p: the factors of the minimal polynomial mod p,
+    Hensel-lifted to precision digits.  A quadratic field first replaces
+    theta by the p-maximal generator omega = (theta - u)/p^k, so every
+    prime is covered; its split places carry the roots u + p^k rho of theta,
+    rho the lifted roots of omega's polynomial.  Degree 3 and higher needs p
+    prime to disc(min_poly)."""
     n = field.degree
     if n == 1:
-        return [Place(field, "nonarch", prime=p, w_index=0, e=1, f=1,
-                      local_degree=1, precision=precision)]
-    coeffs = list(field.min_poly)
-    if n == 2:
-        kind = _quadratic_splitting(field, p)
-        if kind == "split":
-            reps, certified = lift_padic_roots(coeffs, p, precision, expected=2)
-            return [
-                Place(field, "nonarch", prime=p, w_index=i, e=1, f=1,
-                      local_degree=1, precision=precision,
-                      local_factor=(-r, 1), certified=certified)
-                for i, (r,) in enumerate(_first_difference_order([(r,) for r in reps], p))
-            ]
-        if kind == "inert":
-            return [Place(field, "nonarch", prime=p, w_index=0, e=1, f=2,
-                          local_degree=2, precision=precision,
-                          local_factor=tuple(coeffs), certified=precision)]
-        return [Place(field, "nonarch", prime=p, w_index=0, e=2, f=1,
-                      local_degree=2, precision=precision,
-                      local_factor=tuple(coeffs), certified=precision)]
-    # degree > 2: only unramified primes (p not dividing the poly disc)
-    if field.poly_disc % p == 0:
+        return [Place(field, "nonarch", prime=p, precision=precision)]
+    if n > 2 and field.poly_disc % p == 0:
         raise UnsupportedRamification(
             "prime %d divides disc(min_poly); degree-%d fields are only "
             "supported away from the discriminant" % (p, n)
         )
-    f_desc = [ZZ(c) for c in reversed(coeffs)]
-    _, factors = gf_factor(f_desc, p, ZZ)
-    factors = [g for g, _ in factors]
+    coeffs = tuple(field.min_poly)
+    u, k, h = _p_maximal(coeffs, p) if n == 2 else (0, 0, coeffs)
+    h_desc = [ZZ(c) for c in reversed(h)]
+    _, factors = gf_factor(h_desc, p, ZZ)
     if len(factors) == 1:
-        lifted = [f_desc]
-    else:
-        lifted = dup_zz_hensel_lift(p, f_desc, factors, precision, ZZ)
+        (g, e), = factors
+        return [Place(field, "nonarch", prime=p, e=e, f=len(g) - 1, local_degree=n,
+                      precision=precision, local_factor=coeffs)]
+    lifted = dup_zz_hensel_lift(p, h_desc, [g for g, _ in factors], precision, ZZ)
     mod = p ** precision
-    lifted_asc = [tuple(int(c) % mod for c in reversed(g)) for g in lifted]
-    return [Place(field, "nonarch", prime=p, w_index=i, e=1, f=len(g) - 1,
-                  local_degree=len(g) - 1, precision=precision,
-                  local_factor=g, certified=precision)
-            for i, g in enumerate(_first_difference_order(lifted_asc, p))]
+    keys = [tuple(int(c) % mod for c in reversed(g)) for g in lifted]
+    if n == 2:
+        keys = [(u + p ** k * (-g[0] % mod),) for g in keys]
+    places = []
+    for i, key in enumerate(_first_difference_order(keys, p)):
+        g = (-key[0], 1) if n == 2 else key
+        places.append(Place(field, "nonarch", prime=p, w_index=i, f=len(g) - 1,
+                            local_degree=len(g) - 1, precision=precision,
+                            local_factor=g))
+    return places
 
 
 def _first_difference_order(keys, p):
     """Tuples of p-adic integers (a root, or a local factor's coefficients)
     sorted by their reductions mod p^s, where s is the smallest level at
     which those reductions are pairwise distinct.  s and the reductions are
-    fixed by the true roots or factors, which every certified precision
-    determines to at least s digits; so the order, and with it each split
-    place's w_index, is the same at every precision."""
+    fixed by the true roots or factors, which every precision determines to
+    at least s digits (a quadratic root u + p^k rho to precision + k); so the
+    order, and with it each split place's w_index, is the same at every
+    precision."""
     s = 1
     while len({tuple(c % p ** s for c in k) for k in keys}) < len(keys):
         s += 1
@@ -406,9 +334,11 @@ def nonarch_exponent(field, place, a):
 
     With a = A(theta)/den, t = ord_p Res(g_w, A) / d_w - ord_p(den).  When
     the place is the whole completion g_w is the minimal polynomial and the
-    norm is exact.  Otherwise g_w agrees with the p-adic factor to certified
-    digits, so an order below that is final and a higher one refines the
-    place, doubling its precision up to _REFINE_STEPS times.
+    norm is exact.  Otherwise g_w agrees with the p-adic factor mod
+    p^precision, so an order below precision is final.  The order is at most
+    t = ord_p N(A(theta)), so a norm that is 0 mod p^precision is decided in
+    one step, at the same place refined to more than t digits: the power of
+    two above t, so that the places cached on the field stay one per doubling.
     """
     if isinstance(a, (int, Fraction)):
         a = field.from_rational(a)
@@ -420,18 +350,14 @@ def nonarch_exponent(field, place, a):
     coeffs, den = _integer_rep(a)
     shift = ord_p_int(den, p) if den % p == 0 else 0
     d = place.local_degree
-    exact = d == field.degree
-    g = field.min_poly if exact else place.local_factor
-    for step in range(_REFINE_STEPS + 1):
-        if step:
-            place = _refreshed(place, 2 * place.precision)
-            g = place.local_factor
-        res = _local_norm(g, coeffs)
-        if exact or res % p ** place.certified:
-            return Fraction(ord_p_int(res, p), d) - shift
-    raise PrecisionExhausted(
-        "valuation at p=%d undecided at precision %d" % (p, place.precision)
-    )
+    if d == field.degree:
+        res = _local_norm(field.min_poly, coeffs)
+    else:
+        res = _local_norm(place.local_factor, coeffs)
+        if res % p ** place.precision == 0:
+            t = ord_p_int(_local_norm(field.min_poly, coeffs), p)
+            res = _local_norm(_refreshed(place, 1 << t.bit_length()).local_factor, coeffs)
+    return Fraction(ord_p_int(res, p), d) - shift
 
 
 _UNCHANGED = contextlib.nullcontext()

@@ -67,12 +67,16 @@ def test_weil_at_a_float_zero_is_an_error(tmp_path, capsys):
 def test_twisted_outside_the_float_range_is_an_error(tmp_path, capsys, Q, weights):
     """At precision 17, Q = 1e400 has no float, and with Q = 1e300 and
     weights -2, 2 H_Q is about 1e600: each is an error line and exit 1,
-    not an OverflowError traceback."""
+    not an OverflowError traceback.  At precision 40 the values exist, but
+    the report's float H_Q would be Infinity, which JSON cannot hold: the
+    same error, with nothing written."""
     cfg = write_cfg(tmp_path, "t.json", {
         "field": [0, 1], "S": ["inf"], "forms": {"inf": [["1", "0"], ["0", "1"]]},
         "weights": {"inf": weights}, "Q": Q, "points": [[3, 4]]})
-    assert main(["twisted", "--config", cfg, "--precision", "17"]) == 1
-    assert "error: " in capsys.readouterr().err
+    for precision in ("17", "40"):
+        assert main(["twisted", "--config", cfg, "--precision", precision]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and not captured.out, precision
 
 
 def test_twisted_and_sweep_commands(tmp_path, capsys):
@@ -119,6 +123,39 @@ def test_solve_command_with_outdir(tmp_path, capsys):
         lines = fh.read().splitlines()
     assert lines[0] == "point,h,bucket"
     assert any(line.startswith("1:1,") for line in lines)
+
+
+def test_solve_csv_h_is_a_number(tmp_path, capsys):
+    """Every h cell of solve.csv parses as a float, also at precision 40,
+    and is the float the JSON reports give for the point's height."""
+    golden = os.path.join(ROOT, "tests", "golden", "sqrt2_inf_7_3.json")
+    outdir = str(tmp_path / "rep")
+    assert main(["solve", "--config", golden, "--precision", "40", "--out", outdir]) == 0
+    capsys.readouterr()
+    with open(os.path.join(outdir, "solve.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
+    assert rows
+    heights = {}
+    for row in rows:
+        point, h, _ = row.split(",")
+        heights[point] = float(h)
+    cfg = write_cfg(tmp_path, "h.json", {
+        "points": [[int(c) for c in point.split(":")] for point in heights]})
+    code, doc = run(capsys, "height", "--config", cfg, "--precision", "40")
+    assert code == 0
+    assert {":".join(map(str, r["point"])): r["h"] for r in doc["heights"]} == heights
+
+
+def test_solve_with_an_indeterminate_point_exits_2(tmp_path, capsys):
+    """solve exits 2 when a verdict is indeterminate: [1:1] at Q = 1 sits
+    exactly on the parametric boundary, and [3:4] is decided."""
+    cfg = write_cfg(tmp_path, "s.json", {
+        "mode": "parametric", "field": [0, 1], "S": ["inf"],
+        "forms": {"inf": [["1", "0"], ["0", "1"]]}, "weights": {"inf": ["1", "-1"]},
+        "epsilon": "1/10", "Q": 1, "points": [[3, 4], [1, 1]]})
+    code, doc = run(capsys, "solve", "--config", cfg)
+    assert code == 2
+    assert doc["indeterminate"] == [[1, 1]] and [3, 4] not in doc["indeterminate"]
 
 
 def test_solve_slack_stays_exact(tmp_path, capsys):
@@ -293,6 +330,16 @@ def test_error_exit_codes(tmp_path, capsys):
         assert main(["places", "--config", cubic, "--precision", precision]) == 1
         err = capsys.readouterr().err
         assert err == "error: precision must be at least 1, got %s\n" % precision
+
+
+@pytest.mark.parametrize("field, p", [([-2 * 7 ** 6, 0, 1], 7), ([-17 * 2 ** 20, 0, 1], 2)])
+def test_places_command_at_a_high_index_prime(tmp_path, capsys, field, p):
+    """p divides the index of Z[theta] to a high power (theta = 343 sqrt2,
+    1024 sqrt17): p splits, as in Q(sqrt2) at 7 and Q(sqrt17) at 2."""
+    cfg = write_cfg(tmp_path, "p.json", {"field": field, "places": [p]})
+    code, doc = run(capsys, "places", "--config", cfg)
+    assert code == 0
+    assert [(w["e"], w["f"]) for w in doc["places"][0]["above"]] == [(1, 1), (1, 1)]
 
 
 def test_places_report_does_not_depend_on_precision(tmp_path, capsys):

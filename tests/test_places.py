@@ -12,22 +12,13 @@ from linscat.places import (
     INF,
     arch_value,
     isolate_real_roots,
-    lift_padic_roots,
     log_abs,
     nonarch_exponent,
     ord_p_fraction,
     ord_p_int,
-    squarefree_part,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
-
-def test_squarefree_part():
-    assert squarefree_part(8) == 2
-    assert squarefree_part(-12) == -3
-    assert squarefree_part(49) == 1
-    assert squarefree_part(1) == 1
 
 
 def test_rational_places():
@@ -42,17 +33,27 @@ def test_rational_places():
 
 
 def test_quadratic_splitting_against_kronecker_oracle():
-    """Splitting of p in Q(sqrt d) follows the Kronecker symbol of the
-    fundamental discriminant; sympy's ntheory provides the oracle."""
+    """Splitting of p in the field of x^2 + bx + c follows the Kronecker
+    symbol of the fundamental discriminant, read off the squarefree part of
+    b^2 - 4c; sympy's ntheory provides the oracle.  The random b, c make p
+    divide the index of Z[theta] to various powers."""
     rng = random.Random(3)
-    ds = [2, 3, 5, 6, 7, 10, 13, 17, 21, -1, -2, -5, -7, 33, 65]
-    for d in ds:
-        K = nf_create([-d, 0, 1])
-        sq = squarefree_part(d)
+    polys = [(-d, 0) for d in (2, 3, 5, 6, 7, 10, 13, 17, 21, -1, -2, -5, -7, 33, 65)]
+    polys += [(3, 1), (-1, 1), (-5, 3), (-7, 2), (10, 2), (-7 * 36, 6), (17 * 25, 10)]
+    while len(polys) < 45:
+        c, b = rng.randint(-300, 300), rng.randint(1, 40)
+        disc = b * b - 4 * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            polys.append((c, b))
+    for c, b in polys:
+        K = nf_create([c, b, 1])
+        disc = b * b - 4 * c
+        sq = (-1 if disc < 0 else 1) * math.prod(
+            q for q, e in sympy.factorint(abs(disc)).items() if e % 2)
         delta = sq if sq % 4 == 1 else 4 * sq
         for p in PRIMES:
             ws = places_above(K, p, precision=24)
-            assert sum(w.e * w.f for w in ws) == 2, (d, p)
+            assert sum(w.e * w.f for w in ws) == 2, (c, b, p)
             ks = sympy.jacobi_symbol(delta, p) if p != 2 else None
             if p == 2:
                 if delta % 2 == 0:
@@ -69,11 +70,11 @@ def test_quadratic_splitting_against_kronecker_oracle():
                 expect = "inert"
             kinds = {(w.e, w.f) for w in ws}
             if expect == "split":
-                assert len(ws) == 2 and kinds == {(1, 1)}, (d, p)
+                assert len(ws) == 2 and kinds == {(1, 1)}, (c, b, p)
             elif expect == "inert":
-                assert len(ws) == 1 and kinds == {(1, 2)}, (d, p)
+                assert len(ws) == 1 and kinds == {(1, 2)}, (c, b, p)
             else:
-                assert len(ws) == 1 and kinds == {(2, 1)}, (d, p)
+                assert len(ws) == 1 and kinds == {(2, 1)}, (c, b, p)
 
 
 def test_non_maximal_order_traps():
@@ -92,14 +93,42 @@ def test_non_maximal_order_traps():
 
 
 def test_padic_root_certification():
-    reps, cert = lift_padic_roots([-2, 0, 1], 7, 20, expected=2)
-    assert len(reps) == 2 and cert >= 19
-    for r in reps:
-        assert (r * r - 2) % 7 ** cert == 0
-    reps2, cert2 = lift_padic_roots([-17, 0, 1], 2, 24, expected=2)
-    for r in reps2:
-        assert (r * r - 17) % 2 ** cert2 == 0
-    assert len({r % 2 ** cert2 for r in reps2}) == 2
+    """The roots of the two split places are the two roots of the minimal
+    polynomial mod p^precision: by Vieta their sum is -b and their product
+    c, also at 2 in Q(sqrt17), where 2 divides the index of Z[sqrt17]."""
+    for mp, p, precision in (([-2, 0, 1], 7, 20), ([-17, 0, 1], 2, 24),
+                             ([-2, 0, 1], 7, 1), ([-17, 0, 1], 2, 3)):
+        c, b, _ = mp
+        mod = p ** precision
+        r1, r2 = (-w.local_factor[0] for w in places_above(nf_create(mp), p, precision))
+        assert (r1 + r2 + b) % mod == 0 and (r1 * r2 - c) % mod == 0
+        assert (r1 * r1 + b * r1 + c) % mod == 0 and (r1 - r2) % mod
+
+
+@pytest.mark.parametrize("min_poly, p, k", [
+    ([-2 * 7 ** 6, 0, 1], 7, 3),     # theta = 343 sqrt2
+    ([-17 * 2 ** 20, 0, 1], 2, 10),  # theta = 1024 sqrt17
+])
+def test_split_places_at_a_high_index_prime(min_poly, p, k):
+    """p^k divides the index of Z[theta]: the places come from the
+    p-maximal generator theta / p^k.  Two (1, 1) places at every precision,
+    whose roots satisfy the minimal polynomial mod p^precision, and whose
+    valuations sum to ord_p of the norm."""
+    K = nf_create(min_poly)
+    for precision in (1, 2, k, 40):
+        ws = places_above(K, p, precision)
+        assert [(w.e, w.f) for w in ws] == [(1, 1), (1, 1)]
+        for w in ws:
+            r = -w.local_factor[0]
+            assert (r * r + min_poly[0]) % p ** precision == 0
+    th = K.gen()
+    assert [nonarch_exponent(K, w, th) for w in ws] == [k, k]
+    rng = random.Random(p)
+    for _ in range(40):
+        a = _random_element(K, p, rng)
+        if a:
+            assert (sum(nonarch_exponent(K, w, a) for w in ws)
+                    == ord_p_fraction(norm(a), p)), a
 
 
 def test_real_root_isolation_against_sympy():
@@ -286,7 +315,7 @@ def _reference_exponent(field, place, a, _depth=0):
     if d == 1:
         root = -place.local_factor[0] % mod
         val = sum(c * pow(root, i, mod) for i, c in enumerate(coeffs)) % mod
-        if val == 0 or ord_p_int(val, p) >= place.certified:
+        if val == 0 or ord_p_int(val, p) >= place.precision:
             return finer()
         return Fraction(ord_p_int(val, p)) - shift
     x = sympy.Symbol("x")
@@ -344,11 +373,11 @@ def test_exponent_matches_reference(name):
 def test_refinement_keeps_the_place():
     """a = theta - r, r the 7-adic sqrt2 = 3 mod 7 to 60 digits, has
     valuation 60 at the place of r and 0 at the other.  40 digits do not
-    decide it, so the value comes from the same place at 80 digits, which
-    has the same w_index."""
+    decide it, so the value comes from the same place refined past
+    ord_7 N(a) = 60 digits, which has the same w_index."""
     K = nf_create([-2, 0, 1])
-    reps, _ = lift_padic_roots([-2, 0, 1], 7, 61, expected=2)
-    r = next(x for x in reps if x % 7 == 3) % 7 ** 60
+    r = next(-w.local_factor[0] for w in places_above(K, 7, 61)
+             if -w.local_factor[0] % 7 == 3) % 7 ** 60
     a = K.gen() - r
     ws = places_above(K, 7, 40)
     at_r = [-w.local_factor[0] % 7 == 3 for w in ws]
@@ -357,11 +386,25 @@ def test_refinement_keeps_the_place():
     assert sum(nonarch_exponent(K, w, a) for w in ws) == ord_p_fraction(norm(a), 7) == 60
 
 
+def test_deep_valuation_is_decided_in_one_step():
+    """The same with r to 700 digits: valuation 700 at the place of r and
+    0 at the other.  Four doublings of 40 digits stopped at 640 and left it
+    undecided; one refinement past ord_7 N(a) = 700 digits decides it."""
+    K = nf_create([-2, 0, 1])
+    r = next(-w.local_factor[0] for w in places_above(K, 7, 700)
+             if -w.local_factor[0] % 7 == 3) % 7 ** 700
+    a = K.gen() - r
+    ws = places_above(K, 7, 40)
+    assert ([nonarch_exponent(K, w, a) for w in ws]
+            == [700 if -w.local_factor[0] % 7 == 3 else 0 for w in ws])
+
+
 @pytest.mark.parametrize("min_poly, p", [
     ([-2, 0, 1], 7),        # swapped w_index 0 and 1 between 60 and 80 digits
     ([-17, 0, 1], 2),       # swapped between 17 and 40; the roots agree mod 2
     ([1, -3, 0, 1], 17),    # three linear factors
     ([-2, 0, 0, 1], 5),     # a linear and a quadratic factor
+    ([-2 * 7 ** 6, 0, 1], 7),  # 7^3 divides the index; the roots agree mod 7^3
 ])
 def test_w_index_is_precision_free(min_poly, p):
     """Each w_index names the same place at every precision: its local
@@ -404,7 +447,7 @@ def test_precision_escalation_at_split_prime():
     ws = places_above(K, 2, precision=24)
     vals = sorted(nonarch_exponent(K, w, a) for w in ws)
     assert vals == [9, 27]
-    # both refine to 48 digits, where the two places keep their order
+    # the place of 27 refines past ord_2 N(a) = 36 digits and keeps its w_index
     assert [nonarch_exponent(K, w, a) for w in ws] == [_reference_exponent(K, w, a) for w in ws]
 
 
