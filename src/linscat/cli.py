@@ -270,7 +270,8 @@ def cmd_twisted(cfg, digest, precision, outdir):
         })
     return _report({"Q": str(spec.Q), "epsilon": str(spec.epsilon),
                     "twisted": rows}, digest, precision,
-                   _out(outdir, "twisted.json"))
+                   _out(outdir, "twisted.json"),
+                   indeterminate=any(r["verdict"] is None for r in rows))
 
 
 def cmd_sweep(cfg, digest, precision, outdir):
@@ -493,13 +494,15 @@ def main(argv=None):
                     "on projective space")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--precision", type=int, default=40,
-                        help="working decimal digits (default 40)")
+    parser.add_argument("--precision", type=int, default=None,
+                        help="working decimal digits (default: the config's, else 40)")
     parser.add_argument("--out", default=None, help="report output directory")
     args = parser.parse_args(argv)
     try:
         cfg, digest = _load_config(args.config)
-        precision = _int(cfg.get("precision", args.precision), "precision")
+        precision = _int(cfg.get("precision", 40), "precision")
+        if args.precision is not None:
+            precision = args.precision
         if precision < 1:
             raise ConfigInvalid("precision must be at least 1, got %d" % precision)
         return COMMANDS[args.command](cfg, digest, precision, args.out)

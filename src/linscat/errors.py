@@ -33,11 +33,6 @@ class OnSupport(LinscatError):
     undefined there."""
 
 
-class AllFormsVanish(OnSupport):
-    """Every form of a place vanished at the point; the form system cannot
-    be linearly independent."""
-
-
 class ThresholdNotMet(LinscatError):
     """Weight total does not exceed n+1."""
 

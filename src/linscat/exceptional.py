@@ -117,10 +117,10 @@ def _settle(points, margin, precision):
     margin(x, dps) is positive on solutions and raises OnSupport on the
     support of the form system.  Each margin is evaluated once, at
     max(30, precision + 10) digits, whose rounding lies 20 digits or more
-    below the band 10^-(max(precision, 17) - 10); a margin inside the band,
-    or one whose evaluation raises PrecisionExhausted, is indeterminate.
+    below reals(precision).band; a margin inside the band, or one whose
+    evaluation raises PrecisionExhausted, is indeterminate.
     """
-    band = 10.0 ** (-(max(precision, 17) - 10))
+    band = reals(precision).band
     dps = max(30, precision + 10)
     sols, indet, supp = [], [], []
     for x in points:
@@ -186,7 +186,7 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             raise BadParameter("need points or a height bound")
         if kind == "schmidt" and spec.S == [INF] and spec.places()[INF].is_real:
             w = spec.places()[INF]
-            coeffs = [tuple(arch_value(spec.field, w, c) for c in form.coeffs)
+            coeffs = [tuple(arch_value(w, c) for c in form.coeffs)
                       for form in spec.forms[INF]]
             points = _points(kernels.prefilter(height_bound, coeffs, -float(epsilon),
                                                float(slack), budget=budget))

@@ -147,8 +147,8 @@ def _weil_row(forms, x, place, log_max, precision=17):
         val = form.evaluate(x)
         if not val:
             raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
-        las.append(log_abs(form.field, place, val, precision))
-    if place.kind != "arch":
+        las.append(log_abs(place, val, precision))
+    if not place.is_arch:
         # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
         # log_abs's zero and any other is 0 - log_abs
         return [0 - la if la else la for la in las]

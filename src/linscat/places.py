@@ -1,12 +1,11 @@
 """Places of Q and of a number field F, and the normalized absolute values.
 
-log_abs is the one absolute value, in log space.  It takes the
-``extension`` normalization unless the caller names ``field``:
-
-* ``extension`` -- |a|_{v,K} = |N_{F_w/Q_v}(a)|_v^(1/[F_w:Q_v]), the value
-  extending |.|_v from Q to F;
-* ``field``     -- |a|_w with exponent [F_w:Q_p]/[F:Q], the normalization
-  for which the product over all places of F is 1.
+log_abs is the one absolute value, in log space: at a place w of F above
+v, |a|_{v,K} = |N_{F_w/Q_v}(a)|_v^(1/[F_w:Q_v]), the value extending |.|_v
+from Q to F.  The place is its only context: the field is place.field, a
+rational is coerced into it, and an element of another field raises
+FieldMismatch.  Q is the field of min_poly x, on the same path as every
+other field.
 
 Non-archimedean values are exact rational powers of p.  The places above p
 come, in every degree, from one factorization mod p and one Hensel lift
@@ -33,7 +32,7 @@ from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
 
-from .errors import BadParameter, PrecisionExhausted, UnsupportedRamification
+from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
 
 INF = "inf"
 
@@ -100,15 +99,15 @@ class Place:
     a real root's isolating interval, or a complex pair's rank among the
     roots of positive imaginary part (_complex_embedding), and no precision.
     Embedding indices w_index enumerate the real roots first, ascending,
-    then the complex pairs.
+    then the complex pairs.  A place is archimedean when it has no prime.
     """
 
-    def __init__(self, field, kind, *, prime=None, w_index=0,
+    def __init__(self, field, *, prime=None, w_index=0,
                  e=1, f=1, local_degree=1, precision=0, local_factor=None,
                  root=None, is_real=True):
         self.field = field
-        self.kind = kind  # "arch" | "nonarch"
         self.prime = prime
+        self.is_arch = prime is None
         self.w_index = w_index
         self.e = e
         self.f = f
@@ -119,16 +118,10 @@ class Place:
         self._root = root
         self._approx = {}
 
-    @property
-    def is_arch(self):
-        return self.kind == "arch"
-
     def real_enclosure(self, digits):
         """Certified rational enclosure of the real embedding of theta."""
         if not (self.is_arch and self.is_real):
             raise BadParameter("real enclosure only for real archimedean places")
-        if self.field.degree == 1:
-            return (Fraction(0), Fraction(0))
         key = ("encl", digits)
         if key not in self._approx:
             self._approx[key] = refine_interval(
@@ -154,8 +147,6 @@ class Place:
             val = _complex_embedding(self.field, self._root, dps)
             if is_float:
                 val = complex(val)
-        elif self.field.degree == 1:
-            val = reals(dps).zero
         else:
             lo, hi = self.real_enclosure(dps + 5)
             if is_float:
@@ -187,16 +178,15 @@ def _complex_embedding(field, k, dps):
 
 
 def _arch_places(field):
-    n = field.degree
-    if n == 1:
-        return [Place(field, "arch", w_index=0, local_degree=1)]
+    """The real places, one per isolated root (Q's root 0 isolates to
+    (0, 0)), then the complex pairs."""
     intervals = isolate_real_roots(list(field.min_poly))
     n_real = len(intervals)
-    places = [Place(field, "arch", w_index=i, local_degree=1, root=iv, is_real=True)
+    places = [Place(field, w_index=i, local_degree=1, root=iv, is_real=True)
               for i, iv in enumerate(intervals)]
-    places += [Place(field, "arch", w_index=n_real + k, local_degree=2,
+    places += [Place(field, w_index=n_real + k, local_degree=2,
                      root=k, is_real=False)
-               for k in range((n - n_real) // 2)]
+               for k in range((field.degree - n_real) // 2)]
     return places
 
 
@@ -228,10 +218,8 @@ def _nonarch_places(field, p, precision):
     theta by the p-maximal generator omega = (theta - u)/p^k, so every
     prime is covered; its split places carry the roots u + p^k rho of theta,
     rho the lifted roots of omega's polynomial.  Degree 3 and higher needs p
-    prime to disc(min_poly)."""
+    prime to disc(min_poly).  Over Q, x is its one factor, with e = f = 1."""
     n = field.degree
-    if n == 1:
-        return [Place(field, "nonarch", prime=p, precision=precision)]
     if n > 2 and field.poly_disc % p == 0:
         raise UnsupportedRamification(
             "prime %d divides disc(min_poly); degree-%d fields are only "
@@ -243,7 +231,7 @@ def _nonarch_places(field, p, precision):
     _, factors = gf_factor(h_desc, p, ZZ)
     if len(factors) == 1:
         (g, e), = factors
-        return [Place(field, "nonarch", prime=p, e=e, f=len(g) - 1, local_degree=n,
+        return [Place(field, prime=p, e=e, f=len(g) - 1, local_degree=n,
                       precision=precision, local_factor=coeffs)]
     lifted = dup_zz_hensel_lift(p, h_desc, [g for g, _ in factors], precision, ZZ)
     mod = p ** precision
@@ -253,7 +241,7 @@ def _nonarch_places(field, p, precision):
     places = []
     for i, key in enumerate(_first_difference_order(keys, p)):
         g = (-key[0], 1) if n == 2 else key
-        places.append(Place(field, "nonarch", prime=p, w_index=i, f=len(g) - 1,
+        places.append(Place(field, prime=p, w_index=i, f=len(g) - 1,
                             local_degree=len(g) - 1, precision=precision,
                             local_factor=g))
     return places
@@ -307,14 +295,18 @@ def places_above(field, v, precision=40):
     return cache[key]
 
 
-def _refreshed(place, precision):
-    """Same place at a higher non-archimedean precision: w_index names the
-    same place at every precision (_first_difference_order)."""
-    return places_above(place.field, place.prime, precision)[place.w_index]
-
-
 # ---------------------------------------------------------------------------
 # absolute values
+
+def _element(field, a):
+    """a in field: a rational is coerced, and an element of another field
+    raises FieldMismatch (identity first, the common and cheap case)."""
+    if isinstance(a, (int, Fraction)):
+        return field.from_rational(a)
+    if a.field is not field and a.field != field:
+        raise FieldMismatch("an element of %r at a place of %r" % (a.field, field))
+    return a
+
 
 def _integer_rep(a):
     """(integer ascending coeff list, denominator) with a = A0(theta)/den."""
@@ -329,8 +321,8 @@ def _local_norm(g, coeffs):
     return dup_resultant(list(reversed(g)), dup_strip(list(reversed(coeffs))), ZZ)
 
 
-def nonarch_exponent(field, place, a):
-    """Exact exponent t with |a|_{v,K} = p^(-t), extension normalization.
+def nonarch_exponent(place, a):
+    """Exact exponent t with |a|_{v,K} = p^(-t) at the finite place w.
 
     With a = A(theta)/den, t = ord_p Res(g_w, A) / d_w - ord_p(den).  When
     the place is the whole completion g_w is the minimal polynomial and the
@@ -339,9 +331,10 @@ def nonarch_exponent(field, place, a):
     t = ord_p N(A(theta)), so a norm that is 0 mod p^precision is decided in
     one step, at the same place refined to more than t digits: the power of
     two above t, so that the places cached on the field stay one per doubling.
+    w_index names the same place at every precision (_first_difference_order).
     """
-    if isinstance(a, (int, Fraction)):
-        a = field.from_rational(a)
+    field = place.field
+    a = _element(field, a)
     if not a:
         raise ValueError("absolute value exponent of zero")
     p = place.prime
@@ -356,7 +349,8 @@ def nonarch_exponent(field, place, a):
         res = _local_norm(place.local_factor, coeffs)
         if res % p ** place.precision == 0:
             t = ord_p_int(_local_norm(field.min_poly, coeffs), p)
-            res = _local_norm(_refreshed(place, 1 << t.bit_length()).local_factor, coeffs)
+            refined = places_above(field, p, 1 << t.bit_length())[place.w_index]
+            res = _local_norm(refined.local_factor, coeffs)
     return Fraction(ord_p_int(res, p), d) - shift
 
 
@@ -396,13 +390,16 @@ class Reals:
     exp and real(q) (a rational in the type); on floats, real and exp raise
     PrecisionExhausted outside the float range.  guard(digits), the context an
     evaluation runs in, is none for floats and working_dps(precision +
-    digits), which never lowers a caller's higher precision, for mpmath."""
+    digits), which never lowers a caller's higher precision, for mpmath.
+    band, 10^-(max(precision, 17) - 10), is the one verdict band: a margin
+    of at most band in absolute value is indeterminate."""
 
-    __slots__ = ("precision", "is_float", "zero", "log", "exp", "real")
+    __slots__ = ("precision", "is_float", "band", "zero", "log", "exp", "real")
 
     def __init__(self, precision, is_float):
         self.precision = precision
         self.is_float = is_float
+        self.band = 10.0 ** (-(max(precision, 17) - 10))
         if is_float:
             self.zero, self.log, self.exp, self.real = 0.0, math.log, _exp, _float
         else:
@@ -423,22 +420,13 @@ def reals(precision):
     return Reals(precision, precision <= 17)
 
 
-def _norm_scale(place, normalization):
-    if normalization == "extension":
-        return Fraction(1)
-    if normalization == "field":
-        return Fraction(place.local_degree, place.field.degree)
-    raise BadParameter("unknown normalization %r" % (normalization,))
-
-
-def arch_value(field, place, a, precision=17):
+def arch_value(place, a, precision=17):
     """sigma(a) for the chosen archimedean embedding, by one Horner pass at
     the embedding of theta: a number of reals(precision), complex at a
     complex place unless a is rational.  mpmath values come at mpmath's
     working precision, which the caller sets (log_abs runs it at
     precision + 5 digits or more)."""
-    if isinstance(a, (int, Fraction)):
-        a = field.from_rational(a)
+    a = _element(place.field, a)
     R = reals(precision)
     if a.is_rational_value:
         return R.real(a.coeffs[0])
@@ -449,37 +437,32 @@ def arch_value(field, place, a, precision=17):
     return acc
 
 
-def arch_abs(field, place, a, precision=17):
-    """|sigma(a)| for the chosen archimedean embedding (extension value), at
-    the caller's working precision as arch_value."""
-    return abs(arch_value(field, place, a, precision))
+def arch_abs(place, a, precision=17):
+    """|sigma(a)| for the chosen archimedean embedding, at the caller's
+    working precision as arch_value."""
+    return abs(arch_value(place, a, precision))
 
 
-def log_abs(field, place, a, precision=17, normalization="extension"):
-    """log of the normalized absolute value, as a number of reals(precision),
-    at precision + 5 digits on the mpf path.  A nonzero a whose embedding
+def log_abs(place, a, precision=17):
+    """log|a|_{v,K} at the place, as a number of reals(precision), at
+    precision + 5 digits on the mpf path.  A nonzero a whose embedding
     evaluates to 0 at that precision raises PrecisionExhausted."""
-    scale = None if normalization == "extension" else _norm_scale(place, normalization)
-    if isinstance(a, (int, Fraction)):
-        a = field.from_rational(a)
+    a = _element(place.field, a)
     if not a:
         raise ValueError("log of zero absolute value")
     R = reals(precision)
-    if place.kind == "nonarch":
-        t = nonarch_exponent(field, place, a)
-        if scale is not None:
-            t *= scale
+    if not place.is_arch:
+        t = nonarch_exponent(place, a)
         if not t:
             return R.zero
         with R.guard(5):
             return -R.real(t) * R.log(place.prime)
     with R.guard(5):
-        mag = arch_abs(field, place, a, precision)
+        mag = arch_abs(place, a, precision)
         if not mag:
             raise PrecisionExhausted(
                 "%r evaluates to 0 at %r at precision %d" % (a, place, precision))
-        lg = R.log(mag)
-        return lg if scale is None else R.real(scale) * lg
+        return R.log(mag)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +475,10 @@ def _support_primes(field, a):
 
 
 def product_formula_defect(field, a, precision=30):
-    """|sum over all places of log|a|_w| with the field normalization, in
-    reals(precision + 10): every element goes through its field's places."""
-    if isinstance(a, (int, Fraction)):
-        a = field.from_rational(a)
+    """|sum over all places w of F of log|a|_w|, in reals(precision + 10),
+    where |a|_w = |a|_{v,K}^(d_w/[F:Q]) is the normalization whose product
+    over all places is 1: every element goes through its field's places."""
+    a = _element(field, a)
     if not a:
         raise ValueError("product formula needs a nonzero element")
     R = reals(precision + 10)
@@ -503,9 +486,13 @@ def product_formula_defect(field, a, precision=30):
         total = R.zero
         for p in _support_primes(field, a):
             for w in places_above(field, p):
-                t = nonarch_exponent(field, w, a) * _norm_scale(w, "field")
+                t = nonarch_exponent(w, a) * Fraction(w.local_degree, field.degree)
                 if t:
                     total += -R.real(t) * R.log(p)
         for w in places_above(field, INF):
-            total += log_abs(field, w, a, precision + 10, normalization="field")
+            # scaled at log_abs's guard digits, and only then rounded into the sum
+            with R.guard(5):
+                lg = R.real(Fraction(w.local_degree, field.degree)) * log_abs(
+                    w, a, precision + 10)
+            total += lg
         return float(abs(total))

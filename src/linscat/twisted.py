@@ -15,7 +15,7 @@ at each Q.
 import copy
 from fractions import Fraction
 
-from .errors import AllFormsVanish, BadParameter
+from .errors import BadParameter
 from .fieldarith import _field_det
 from .heights import LinearForm, _per_place, _weil_row, log_height, resolve_place
 from .places import INF, log_abs, normalize_place, reals
@@ -26,8 +26,9 @@ class FormSystemSpec:
     filters and the base of TwistedHeightSpec.
 
     forms is a dict keyed by place of Q (or a list in S-order); each place
-    carries n+1 forms, checked linearly independent by an exact determinant.
-    The places are resolved once, at construction.
+    carries n+1 forms, checked linearly independent by an exact determinant,
+    so some form of each place is nonzero at every point.  The places are
+    resolved once, at construction.
     """
 
     def __init__(self, field, S, forms, w_choices=None):
@@ -132,20 +133,9 @@ def log_twisted_height(spec, x, precision=17):
         logQ = R.log(R.real(spec.Q))
         total = R.zero
         for v in spec.S:
-            w = places[v]
-            best = None
-            for form, c in zip(spec.forms[v], spec.weights[v]):
-                val = form.evaluate(x)
-                if not val:
-                    continue
-                term = log_abs(spec.field, w, val, precision) - R.real(c) * logQ
-                if best is None or term > best:
-                    best = term
-            if best is None:
-                raise AllFormsVanish(
-                    "every form at place %r vanishes at %r" % (v, x)
-                )
-            total = total + best
+            w, vals = places[v], (form.evaluate(x) for form in spec.forms[v])
+            total = total + max(log_abs(w, val, precision) - R.real(c) * logQ
+                                for val, c in zip(vals, spec.weights[v]) if val)
         if INF not in spec.S:
             total = total + log_height(x, precision)
         return total
@@ -155,9 +145,11 @@ def log_twisted_report(spec, x, precision=17):
     """Per-place minima, the twisted inequality verdict, identity residual.
 
     lhs = sum over v in S of min_i(lambda_vi + c_vi log Q); the inequality
-    compares lhs against h(x) + epsilon log Q, and the identity
-    -log H_Q = lhs - h is returned as a residual for cross-checking; it
-    compares two independent evaluations of every form.  H_Q = exp(-neg_log_HQ).
+    compares lhs against h(x) + epsilon log Q: the verdict is lhs > rhs, or
+    None (indeterminate) inside the filters' band, reals(precision).band.
+    The identity -log H_Q = lhs - h is returned as a residual for
+    cross-checking; it compares two independent evaluations of every form.
+    H_Q = exp(-neg_log_HQ).
     """
     R = reals(precision)
     with R.guard(10):
@@ -170,6 +162,7 @@ def log_twisted_report(spec, x, precision=17):
             per_place[v] = m
             lhs = lhs + m
         rhs = h + R.real(spec.epsilon) * logQ
+        margin = lhs - rhs
         neg_log_hq = -log_twisted_height(spec, x, precision)
         residual = abs(neg_log_hq - (lhs - h))
         hq = R.exp(-neg_log_hq)
@@ -178,7 +171,7 @@ def log_twisted_report(spec, x, precision=17):
         "lhs": lhs,
         "rhs": rhs,
         "h": h,
-        "verdict": bool(lhs >= rhs),
+        "verdict": None if abs(margin) <= R.band else bool(margin > 0),
         "identity_residual": float(residual),
         "neg_log_HQ": neg_log_hq,
         "H_Q": hq,

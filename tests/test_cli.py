@@ -158,6 +158,43 @@ def test_solve_with_an_indeterminate_point_exits_2(tmp_path, capsys):
     assert doc["indeterminate"] == [[1, 1]] and [3, 4] not in doc["indeterminate"]
 
 
+def test_twisted_verdict_inside_the_band_is_indeterminate(tmp_path, capsys):
+    """twisted decides with the filters' band: [1:1] at Q = 1 has
+    lhs = rhs, so its verdict is null and the command exits 2, as
+    parametric solve on the same spec lists it as indeterminate; [3:4] is
+    decided."""
+    spec = {"field": [0, 1], "S": ["inf"], "forms": {"inf": [["1", "0"], ["0", "1"]]},
+            "weights": {"inf": ["1", "-1"]}, "epsilon": "1/10", "Q": 1,
+            "points": [[3, 4], [1, 1]]}
+    cfg = write_cfg(tmp_path, "t.json", spec)
+    for precision in ("17", "40"):
+        code, doc = run(capsys, "twisted", "--config", cfg, "--precision", precision)
+        assert code == 2
+        verdicts = {tuple(r["point"]): r["verdict"] for r in doc["twisted"]}
+        assert verdicts == {(1, 1): None, (3, 4): False}, precision
+        code, doc = run(capsys, "solve", "--config",
+                        write_cfg(tmp_path, "s.json", dict(spec, mode="parametric")),
+                        "--precision", precision)
+        assert code == 2 and doc["indeterminate"] == [[1, 1]]
+
+
+def test_precision_flag_wins_over_the_config(tmp_path, capsys):
+    """An explicit --precision sets the digits; without it the config's
+    precision holds, and 40 without either."""
+    with_key = write_cfg(tmp_path, "h.json", {"points": [[3, 4]], "precision": 17})
+    without = write_cfg(tmp_path, "n.json", {"points": [[3, 4]]})
+    for cfg, argv, want in ((with_key, ["--precision", "60"], 60),
+                            (with_key, [], 17),
+                            (without, ["--precision", "25"], 25),
+                            (without, [], 40)):
+        code, doc = run(capsys, "height", "--config", cfg, *argv)
+        assert code == 0 and doc["precision"] == want, (cfg, argv)
+    # the config's value is still read, and refused when it is no integer
+    bad = write_cfg(tmp_path, "b.json", {"points": [[3, 4]], "precision": "x"})
+    assert main(["height", "--config", bad, "--precision", "40"]) == 1
+    assert "precision must be an integer" in capsys.readouterr().err
+
+
 def test_solve_slack_stays_exact(tmp_path, capsys):
     """A config's slack reaches the filter as the Fraction it spells: the
     report settles the points as the API call given Fraction(1, 3) does,

@@ -14,6 +14,12 @@ Every field of a report must equal the recorded one, except
 identity_residual: it measures the rounding of two independent evaluations
 of log H_Q, so above 17 digits it must lie below the report's working
 precision instead, at most 10^-(precision + 8).
+
+It also holds the stdout of the two bundled configs in configs/, at their
+own precision: bundled_roth_sqrt2_solve.json, which must be equal byte for
+byte, and bundled_identity_audit_audit.json, whose two residuals measure
+rounding and are held below a bound instead: product_formula_max_defect
+below 1e-30, identity_max_residual below 1e-12.
 """
 
 import json
@@ -23,7 +29,9 @@ import pytest
 
 from linscat.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden")
+CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
 
 
 def _residuals(doc):
@@ -56,3 +64,27 @@ def test_report_matches_golden(command, precision, capsys):
 @pytest.mark.parametrize("command", ["twisted", "sweep", "weil", "solve"])
 def test_complex_place_report_matches_golden(command, precision, capsys):
     _check("qi_inf_5_3.json", "qi_", command, precision, capsys)
+
+
+def _bundled(command, config, capsys):
+    code = main([command, "--config", os.path.join(CONFIGS, config + ".json")])
+    with open(os.path.join(GOLDEN, "bundled_%s_%s.json" % (config, command))) as fh:
+        want = fh.read()
+    return code, capsys.readouterr().out, want
+
+
+def test_bundled_roth_solve_matches_golden(capsys):
+    code, out, want = _bundled("solve", "roth_sqrt2", capsys)
+    assert code == 0
+    assert out == want
+
+
+def test_bundled_audit_matches_golden(capsys):
+    code, out, want = _bundled("audit", "identity_audit", capsys)
+    assert code == 0
+    doc, want = json.loads(out), json.loads(want)
+    assert doc.pop("product_formula_max_defect") < 1e-30
+    assert doc.pop("identity_max_residual") < 1e-12
+    want.pop("product_formula_max_defect")
+    want.pop("identity_max_residual")
+    assert doc == want

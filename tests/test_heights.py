@@ -135,8 +135,8 @@ def _reference_weil_value(form, x, place, precision):
     val = _reference_evaluate(form, x)
     if not val:
         raise errors.OnSupport("on the hyperplane")
-    la = log_abs(form.field, place, val, precision)
-    arch = place.kind == "arch"
+    la = log_abs(place, val, precision)
+    arch = place.is_arch
     if not (arch or la):
         return la
     if precision <= 17:

@@ -87,7 +87,7 @@ def test_non_maximal_order_traps():
     ws = places_above(K17, 2, precision=24)
     assert len(ws) == 2 and all((w.e, w.f) == (1, 1) for w in ws)
     th = K17.gen()
-    vals = sorted(nonarch_exponent(K17, w, 1 + th) for w in ws)
+    vals = sorted(nonarch_exponent(w, 1 + th) for w in ws)
     # N(1 + sqrt17) = -16; the two valuations split ord_2(16) = 4
     assert sum(vals) == 4 and all(v > 0 for v in vals)
 
@@ -122,12 +122,12 @@ def test_split_places_at_a_high_index_prime(min_poly, p, k):
             r = -w.local_factor[0]
             assert (r * r + min_poly[0]) % p ** precision == 0
     th = K.gen()
-    assert [nonarch_exponent(K, w, th) for w in ws] == [k, k]
+    assert [nonarch_exponent(w, th) for w in ws] == [k, k]
     rng = random.Random(p)
     for _ in range(40):
         a = _random_element(K, p, rng)
         if a:
-            assert (sum(nonarch_exponent(K, w, a) for w in ws)
+            assert (sum(nonarch_exponent(w, a) for w in ws)
                     == ord_p_fraction(norm(a), p)), a
 
 
@@ -212,13 +212,13 @@ def test_complex_place_float_path():
                                for _ in range(K.degree)])
                 if a.is_rational_value:
                     continue
-                z = arch_value(K, w, a, 17)
-                lg = log_abs(K, w, a, 17)
+                z = arch_value(w, a, 17)
+                lg = log_abs(w, a, 17)
                 assert type(z) is complex and type(lg) is float
                 with mpmath.workdps(45):
-                    z40 = arch_value(K, w, a, 40)
+                    z40 = arch_value(w, a, 40)
                 assert isinstance(z40, mpmath.mpc)
-                lg40 = log_abs(K, w, a, 40)
+                lg40 = log_abs(w, a, 40)
                 assert abs(z - complex(z40)) <= 1e-14 * abs(complex(z40))
                 assert abs(lg - float(lg40)) <= 1e-14 * abs(float(lg40))
 
@@ -229,7 +229,7 @@ def test_float_embedding_is_the_nearest_double():
     for d in (3, 5, 10, 17):
         assert upper.embedding_value(d) == math.sqrt(2)
         assert lower.embedding_value(d) == -math.sqrt(2)
-        assert log_abs(K, upper, 1 + K.gen(), d) == log_abs(K, upper, 1 + K.gen(), 17)
+        assert log_abs(upper, 1 + K.gen(), d) == log_abs(upper, 1 + K.gen(), 17)
 
 
 def test_embedding_that_evaluates_to_zero_raises():
@@ -244,8 +244,8 @@ def test_embedding_that_evaluates_to_zero_raises():
         a = x1 - x0 * K.gen()
         assert a and x1 ** 2 - 2 * x0 ** 2 == 1
         with pytest.raises(errors.PrecisionExhausted):
-            log_abs(K, w, a, precision)
-        assert log_abs(K, w, a, precision + 30) < -math.log(x0)
+            log_abs(w, a, precision)
+        assert log_abs(w, a, precision + 30) < -math.log(x0)
 
 
 def test_valuation_norm_consistency():
@@ -263,26 +263,42 @@ def test_valuation_norm_consistency():
             for p in primes:
                 if K.degree > 2 and K.poly_disc % p == 0:
                     continue
-                total = sum(w.local_degree * nonarch_exponent(K, w, a)
+                total = sum(w.local_degree * nonarch_exponent(w, a)
                             for w in places_above(K, p, 40))
                 assert total == ord_p_fraction(nm, p) if nm != 0 else True
 
 
 def test_extension_vs_field_normalization():
+    """log_abs is the extension value |.|_{v,K}; the field normalization
+    d_w/[K:Q] is checked through the product formula (criterion 01)."""
     K = nf_create([-2, 0, 1])
     th = K.gen()
     (w2,) = places_above(K, 2)
-    t_ext = nonarch_exponent(K, w2, th)
+    t_ext = nonarch_exponent(w2, th)
     assert t_ext == Fraction(1, 2)
-    # local degree 2 over field degree 2
-    assert log_abs(K, w2, th, normalization="field") == -math.log(2) / 2
     ws = places_above(K, INF, 20)
-    le = log_abs(K, ws[1], th, normalization="extension")
-    lf = log_abs(K, ws[1], th, normalization="field")
+    le = log_abs(ws[1], th)
     assert abs(le - math.log(2) / 2) < 1e-12
-    assert abs(lf - le / 2) < 1e-12
-    with pytest.raises(errors.BadParameter):
-        log_abs(K, ws[1], th, normalization="bogus")
+
+
+def test_element_of_another_field_is_refused():
+    """The place is the only context of an absolute value: an element of
+    Q(i) at a place of Q(sqrt2) raises FieldMismatch, at every place, and a
+    rational is read in the place's field."""
+    K, L = nf_create([-2, 0, 1]), nf_create([1, 0, 1])
+    a = 1 + L.gen()
+    w_inf, (w_2,) = places_above(K, INF)[1], places_above(K, 2)
+    for w in (w_inf, w_2):
+        with pytest.raises(errors.FieldMismatch):
+            log_abs(w, a)
+    with pytest.raises(errors.FieldMismatch):
+        nonarch_exponent(w_2, a)
+    with pytest.raises(errors.FieldMismatch):
+        arch_value(w_inf, a)
+    assert log_abs(w_inf, Fraction(-3, 2)) == math.log(1.5)
+    assert nonarch_exponent(w_2, 12) == 2
+    # a field equal to the place's, built separately, is the same field
+    assert log_abs(w_inf, 1 + nf_create([-2, 0, 1]).gen()) == log_abs(w_inf, 1 + K.gen())
 
 
 def _reference_exponent(field, place, a, _depth=0):
@@ -364,7 +380,7 @@ def test_exponent_matches_reference(name):
             if not a:
                 continue
             for w in ws:
-                t = nonarch_exponent(K, w, a)
+                t = nonarch_exponent(w, a)
                 assert t == _reference_exponent(K, w, a), (p, w, a)
                 values.append(t)
     assert len(values) >= 300 and min(values) < 0 < max(values)
@@ -382,8 +398,8 @@ def test_refinement_keeps_the_place():
     ws = places_above(K, 7, 40)
     at_r = [-w.local_factor[0] % 7 == 3 for w in ws]
     assert at_r == [-w.local_factor[0] % 7 == 3 for w in places_above(K, 7, 80)]
-    assert [nonarch_exponent(K, w, a) for w in ws] == [60 if m else 0 for m in at_r]
-    assert sum(nonarch_exponent(K, w, a) for w in ws) == ord_p_fraction(norm(a), 7) == 60
+    assert [nonarch_exponent(w, a) for w in ws] == [60 if m else 0 for m in at_r]
+    assert sum(nonarch_exponent(w, a) for w in ws) == ord_p_fraction(norm(a), 7) == 60
 
 
 def test_deep_valuation_is_decided_in_one_step():
@@ -395,7 +411,7 @@ def test_deep_valuation_is_decided_in_one_step():
              if -w.local_factor[0] % 7 == 3) % 7 ** 700
     a = K.gen() - r
     ws = places_above(K, 7, 40)
-    assert ([nonarch_exponent(K, w, a) for w in ws]
+    assert ([nonarch_exponent(w, a) for w in ws]
             == [700 if -w.local_factor[0] % 7 == 3 else 0 for w in ws])
 
 
@@ -445,10 +461,10 @@ def test_precision_escalation_at_split_prime():
     th = K.gen()
     a = (1 + th) ** 9  # valuation 27 at one place above 2, beyond 24 digits
     ws = places_above(K, 2, precision=24)
-    vals = sorted(nonarch_exponent(K, w, a) for w in ws)
+    vals = sorted(nonarch_exponent(w, a) for w in ws)
     assert vals == [9, 27]
     # the place of 27 refines past ord_2 N(a) = 36 digits and keeps its w_index
-    assert [nonarch_exponent(K, w, a) for w in ws] == [_reference_exponent(K, w, a) for w in ws]
+    assert [nonarch_exponent(w, a) for w in ws] == [_reference_exponent(K, w, a) for w in ws]
 
 
 def test_unsupported_ramification():

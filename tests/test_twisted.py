@@ -189,8 +189,8 @@ def test_evaluations_keep_a_higher_caller_precision():
         log7 = mpmath.log(7)
         assert log_height(x, 40) == log7
         assert log_twisted_report(spec, x, 40)["h"] == log7
-        assert log_abs(K, w_inf, Fraction(-22, 7), 40) == mpmath.log(mpmath.mpf(22) / 7)
-        assert log_abs(K, w_7, 49, 40) == -2 * log7
+        assert log_abs(w_inf, Fraction(-22, 7), 40) == mpmath.log(mpmath.mpf(22) / 7)
+        assert log_abs(w_7, 49, 40) == -2 * log7
         assert mpmath.mp.dps == 80
     assert mpmath.mp.dps == before
 
