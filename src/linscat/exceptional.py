@@ -11,6 +11,14 @@ Points on the support of some form are excluded and reported separately;
 verdicts inside the floating error band are flagged indeterminate rather
 than decided.  Every verdict is made by one loop, _settle, which evaluates
 each margin once; q_sweep is the parametric filter at each Q.
+
+Over Q with slack 0 each system compares rational powers of integers, so
+its margin is exact: the margin is its sign, -1, 0 or 1, read off the
+forms' integer rows (heights._exact_row) and decided by a float pre-check
+with a proven error bound, or inside that bound exactly, over a coprime
+basis of the integers (_exact_log_sign).  An exact margin is indeterminate
+only at 0.  Number fields and
+nonzero slack keep the mpmath margins.
 """
 
 import functools
@@ -20,11 +28,12 @@ import math
 from fractions import Fraction
 
 import mpmath
+from mpmath.ctx_iv import MPIntervalContext
 
 from . import kernels
 from .errors import (BadParameter, BudgetExceeded, Infeasible, OnSupport,
                      PrecisionExhausted)
-from .heights import ProjectivePoint
+from .heights import ProjectivePoint, _exact_row
 from .places import INF, arch_value, reals
 from .twisted import (FormSystemSpec, TwistedHeightSpec, _lambda_matrix,
                       log_twisted_height)
@@ -111,6 +120,161 @@ def _parametric_margin(spec, slack, x, dps):
         return -(log_twisted_height(spec, x, dps) + R.real(spec.epsilon) * lq - slack)
 
 
+# Float pre-check of an exact sign.  For an integer N >= 1, math.log(N) is
+# within 3u (1 + log N) of log N, u = 2^-53: CPython rounds N to a double,
+# or splits a larger int as m 2^e, before libm's log, which is within an
+# ulp.  That is within 8u log N for N >= 2, and exact for N = 1; float(r)
+# and the product add 2u relative, so a term r log N is within 10u |term|.
+# A float sum of k terms adds k u times mag, the sum of the |term|.  So for
+# k < 8990 terms the computed sum is within _CHECK (1 + mag) of the true
+# one, and a sum outside that bound has the true sign.  max and min are
+# 1-Lipschitz, so a max of such sums is within the bound over all terms.
+# The relative bounds hold in the double range; an underflow to 0 costs
+# under 2^-1074 log N, which the 1 in the bound covers.  An r past the
+# double range makes mag infinite, and a sum that is not finite never
+# passes the check, so both go to the exact comparison.
+_CHECK = 1e-12
+
+# The exact comparison's interval arithmetic, in a context of its own so
+# that setting its precision leaves mpmath.iv alone.
+_IV = MPIntervalContext()
+
+
+def _float_sum(terms):
+    """(sum of r log N, sum of |r log N|) over (r, N) terms, in floats;
+    (0.0, inf) when some r is past the double range."""
+    total = mag = 0.0
+    try:
+        for r, N in terms:
+            t = float(r) * math.log(N)
+            total += t
+            mag += abs(t)
+    except OverflowError:
+        return 0.0, math.inf
+    return total, mag
+
+
+def _coprime_basis(ns):
+    """Pairwise coprime integers > 1 whose products give every n >= 1 in ns.
+    Each split of m and b by g = gcd(m, b) > 1 into g, m/g and b/g divides
+    the product of all pending numbers by g, so the loop ends."""
+    basis, todo = [], [n for n in ns if n > 1]
+    while todo:
+        m = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(m, b)
+            if g > 1:
+                del basis[i]
+                todo += [k for k in (g, m // g, b // g) if k > 1]
+                break
+        else:
+            basis.append(m)
+    return basis
+
+
+def _exact_log_sign(terms):
+    """Sign of sum r log N over (r, N) terms, r rational and N a positive
+    integer, decided exactly.  Over a coprime basis b_j of the N the sum is
+    sum c_j log b_j, and the log b_j are linearly independent over Q, so it
+    is 0 exactly when every c_j is.  Otherwise an interval enclosure of the
+    sum, refined until it excludes 0, gives the sign.  The cost depends on
+    the sizes of the r and N and on the distance of the sum from 0, never
+    on a power N^r."""
+    coeffs = []
+    for b in _coprime_basis([N for _, N in terms]):
+        c = Fraction(0)
+        for r, N in terms:
+            while N % b == 0:
+                N //= b
+                c += r
+        if c:
+            coeffs.append((c, b))
+    if not coeffs:
+        return 0
+    prec = 64
+    while True:
+        _IV.prec = prec
+        s = _IV.mpf(0)
+        for c, b in coeffs:
+            s += _IV.mpf(c.numerator) / c.denominator * _IV.log(b)
+        if s.a > 0:
+            return 1
+        if s.b < 0:
+            return -1
+        prec *= 2
+
+
+def _log_sign(terms):
+    """Sign of sum r log N over (r, N) terms, r rational and N a positive
+    integer: the float pre-check, and inside its bound the exact sign."""
+    total, mag = _float_sum(terms)
+    if abs(total) > _CHECK * (1 + mag):
+        return 1 if total > 0 else -1
+    return _exact_log_sign(terms)
+
+
+def _schmidt_sign(spec, epsilon, x, dps=None):
+    """The exact schmidt margin over Q with slack 0 (dps is unused): the sign
+    of e log H - log P, with e = (n+1)([inf in S] - 1) - eps and
+    P = prod_{v,i} |L_vi(x)|_v = num/den; max_j|x_j|_p = 1 for primitive x."""
+    num = den = 1
+    for v in spec.S:
+        for a, b in _exact_row(spec.forms[v], x, v):
+            num *= a
+            den *= b
+    if not num:
+        raise OnSupport("point %r lies on the support of the form system" % (x,))
+    e = (spec.n + 1) * ((INF in spec.S) - 1) - epsilon
+    return _log_sign(((e, max(map(abs, x.coords))), (1, den), (-1, num)))
+
+
+def _fw_sign(spec, d_weights, x, dps=None):
+    """The exact fw margin over Q with slack 0 (dps is unused): the least sign
+    of ([v = inf] - d_vi) log H - log|L_vi(x)|_v over (v, i)."""
+    rows = [_exact_row(spec.forms[v], x, v) for v in spec.S]
+    if not all(a for row in rows for a, _ in row):
+        raise OnSupport("point %r lies on the support of the form system" % (x,))
+    H = max(map(abs, x.coords))
+    worst = 1
+    for v, row, drow in zip(spec.S, rows, d_weights):
+        for (a, b), d in zip(row, drow):
+            worst = min(worst, _log_sign((((v == INF) - d, H), (1, b), (-1, a))))
+            if worst < 0:
+                return worst
+    return worst
+
+
+def _parametric_sign(spec, x, dps=None):
+    """The exact parametric margin over Q with slack 0 (dps is unused): the
+    sign of -(log H_Q + eps log Q), where log H_Q + eps log Q is the sum
+    over v of max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is
+    not in S, plus eps log Q.  Inside the pre-check's bound the largest
+    term of each max is found by exact signs of differences.  A vanishing
+    form is skipped in the max, as in log_twisted_height."""
+    qn, qd = spec.Q.numerator, spec.Q.denominator
+    rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
+    if INF not in spec.S:
+        rest.append((1, max(map(abs, x.coords))))
+    places = [[((1, a), (-1, b), (-c, qn), (c, qd))
+               for (a, b), c in zip(_exact_row(spec.forms[v], x, v), spec.weights[v])
+               if a]
+              for v in spec.S]
+    total, mag = _float_sum(rest)
+    for cands in places:
+        sums = [_float_sum(terms) for terms in cands]
+        total += max(t for t, _ in sums)
+        mag += sum(m for _, m in sums)
+    if abs(total) > _CHECK * (1 + mag):
+        return -1 if total > 0 else 1
+    for cands in places:
+        best = cands[0]
+        for terms in cands[1:]:
+            if _log_sign(terms + tuple((-r, N) for r, N in best)) > 0:
+                best = terms
+        rest += best
+    return -_exact_log_sign(rest)
+
+
 def _settle(points, margin, precision):
     """The one verdict loop: (solutions, indeterminate, support), each sorted.
 
@@ -118,7 +282,9 @@ def _settle(points, margin, precision):
     support of the form system.  Each margin is evaluated once, at
     max(30, precision + 10) digits, whose rounding lies 20 digits or more
     below reals(precision).band; a margin inside the band, or one whose
-    evaluation raises PrecisionExhausted, is indeterminate.
+    evaluation raises PrecisionExhausted, is indeterminate.  An exact
+    margin is its sign: the band lies below 1 at every precision, so 0 is
+    indeterminate and -1 and 1 are decided, whatever the precision.
     """
     band = reals(precision).band
     dps = max(30, precision + 10)
@@ -142,22 +308,25 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                      d_weights=None, slack=0, precision=17, budget=DEFAULT_BUDGET):
     """Evaluate the named inequality system over a point set.
 
-    Either an explicit point list or a height bound must be given.  For
-    the schmidt system with S = {inf} at a real place and no explicit
-    points, the float prefilter in linscat.kernels scans only the windows
-    around the forms' roots; its candidates are then re-evaluated exactly.
-    Otherwise every point up to the bound is settled.
-    Every candidate is settled by _settle.
+    Either an explicit point list, whose repeated points count once, or a
+    height bound must be given.  For the schmidt system with S = {inf} at
+    a real place and no explicit points, the float prefilter in
+    linscat.kernels scans only the windows around the forms' roots; its
+    candidates are then re-evaluated exactly.  Otherwise every point up to
+    the bound is settled.  Every candidate is settled by _settle, with the
+    exact margin when the field is Q and the slack is 0.
     """
     if height_bound is not None and height_bound < 1:
         raise BadParameter("need height_bound >= 1")
+    exact = slack == 0 and isinstance(spec, FormSystemSpec) and spec.field.degree == 1
     if kind == "parametric":
         if not isinstance(spec, TwistedHeightSpec):
             raise BadParameter("parametric filtering needs a TwistedHeightSpec")
         digest = _digest("parametric", spec.digest_data(),
                          tuple(tuple(str(c) for c in spec.weights[v]) for v in spec.S),
                          str(spec.Q), str(spec.epsilon), str(slack))
-        margin = functools.partial(_parametric_margin, spec, slack)
+        margin = (functools.partial(_parametric_sign, spec) if exact
+                  else functools.partial(_parametric_margin, spec, slack))
     elif kind in ("schmidt", "fw"):
         if not isinstance(spec, FormSystemSpec):
             raise BadParameter("schmidt/fw filtering needs a FormSystemSpec")
@@ -165,7 +334,8 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             if epsilon is None:
                 raise BadParameter("schmidt filtering needs epsilon")
             epsilon = Fraction(epsilon)
-            margin = functools.partial(_schmidt_margin, spec, epsilon, slack)
+            margin = (functools.partial(_schmidt_sign, spec, epsilon) if exact
+                      else functools.partial(_schmidt_margin, spec, epsilon, slack))
         else:
             if d_weights is None:
                 raise BadParameter("fw filtering needs d-weights")
@@ -175,7 +345,8 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                 raise BadParameter(
                     "fw d-weights need one row of %d entries per place of S"
                     % (spec.n + 1))
-            margin = functools.partial(_fw_margin, spec, d_weights, slack)
+            margin = (functools.partial(_fw_sign, spec, d_weights) if exact
+                      else functools.partial(_fw_margin, spec, d_weights, slack))
         digest = _digest(kind, spec.digest_data(), str(epsilon),
                          tuple(tuple(str(c) for c in r) for r in (d_weights or [])),
                          str(slack))
@@ -192,6 +363,8 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                                                float(slack), budget=budget))
         else:
             points = enumerate_points(spec.n, height_bound, budget)
+    else:
+        points = set(points)
     sols, indet, supp = _settle(points, margin, precision)
     return SolutionSet(digest, sols, indet, supp)
 
@@ -199,11 +372,11 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
 def q_sweep(spec_template, Q_grid, points, precision=17):
     """Per-Q solution sets of H_Q(x) <= Q^(-epsilon): at each Q of the
     ascending grid, the solutions and indeterminate points of the
-    parametric filter with slack 0 over the distinct points."""
+    parametric filter with slack 0 over the distinct points of the
+    collection points, which the filter reads once per Q."""
     grid = [Fraction(q) for q in Q_grid]
     if not grid or any(b < a for a, b in zip(grid, grid[1:])):
         raise BadParameter("Q grid must be nonempty and ascending")
-    points = sorted(set(points))
     out = []
     for q in grid:
         ss = filter_solutions("parametric", spec_template.with_Q(q), points=points,
@@ -418,10 +591,10 @@ def density_report(solutions, cover=None):
     """Cover-economy summary.
 
     Finite sets are never dense; the useful signal is how few subspaces
-    absorb how many solutions, so the verdict text reports economy (mean
-    points per subspace), not a density claim.
+    absorb how many distinct solutions, so the verdict text reports economy
+    (mean points per subspace), not a density claim.
     """
-    points = list(solutions.points if isinstance(solutions, SolutionSet) else solutions)
+    points = set(solutions.points if isinstance(solutions, SolutionSet) else solutions)
     if not points:
         return {"point_count": 0, "cover_size": 0,
                 "max_points_per_subspace": 0, "verdict_text":

@@ -7,6 +7,8 @@ local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
 extension absolute value at a chosen place w above v.  _weil_row is its one
 definition, for all forms of one place at one point, built on
 places.log_abs and log_height; weil_hyperplane is its one-form case.
+_exact_row is the exact |L(x)|_v of forms over Q, read off the same
+integer rows, for the exact verdicts of the filters.
 """
 
 import math
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS
-from .places import INF, log_abs, normalize_place, places_above, reals
+from .places import INF, log_abs, normalize_place, ord_p_int, places_above, reals
 
 
 class ProjectivePoint:
@@ -105,18 +107,22 @@ class LinearForm:
     def n_vars(self):
         return len(self.coeffs)
 
-    def evaluate(self, x):
-        """Value at a projective point, as a field element: one integer dot
-        product per power-basis slot, reduced over the common denominator."""
+    def _dots(self, x):
+        """[row . x for row in _rows]: the integer numerators over _den of
+        the power-basis coefficients of the value at a projective point."""
         coords = x.coords
         if len(coords) != len(self.coeffs):
             raise BadParameter(
                 "form in %d variables applied to a point of P^%d"
                 % (len(self.coeffs), x.n)
             )
+        return [sum(map(operator.mul, row, coords)) for row in self._rows]
+
+    def evaluate(self, x):
+        """Value at a projective point, as a field element: one integer dot
+        product per power-basis slot, reduced over the common denominator."""
         den = self._den
-        return FieldElement(self.field, [
-            Fraction(sum(map(operator.mul, row, coords)), den) for row in self._rows])
+        return FieldElement(self.field, [Fraction(a, den) for a in self._dots(x)])
 
     def __repr__(self):
         return "LinearForm(%r)" % (list(self.coeffs),)
@@ -153,6 +159,24 @@ def _weil_row(forms, x, place, log_max, precision=17):
         # log_abs's zero and any other is 0 - log_abs
         return [0 - la if la else la for la in las]
     return [log_max - la for la in las]
+
+
+def _exact_row(forms, x, v):
+    """[(num, den) for L in forms]: |L(x)|_v = num/den exactly, for forms
+    over Q at the place v of Q, with nonnegative integers read off each
+    form's integer row: for a = row . x, |L(x)|_inf = |a|/_den and
+    |L(x)|_p = p^-(ord_p a - ord_p _den).  A vanishing form gives (0, 1)."""
+    out = []
+    for form in forms:
+        a, den = form._dots(x)[0], form._den
+        if not a:
+            out.append((0, 1))
+        elif v == INF:
+            out.append((abs(a), den))
+        else:
+            k = ord_p_int(a, v) - ord_p_int(den, v)
+            out.append((1, v ** k) if k >= 0 else (v ** -k, 1))
+    return out
 
 
 def weil_hyperplane(form, x, v, w_index=0, precision=17):

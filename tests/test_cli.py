@@ -158,6 +158,19 @@ def test_solve_with_an_indeterminate_point_exits_2(tmp_path, capsys):
     assert doc["indeterminate"] == [[1, 1]] and [3, 4] not in doc["indeterminate"]
 
 
+def test_solve_lists_a_repeated_point_once(tmp_path, capsys):
+    """A point given twice, or as [1, 2] and [2, 4], is one solution of
+    solve, as sweep lists it once; the cover report counts two points."""
+    cfg = write_cfg(tmp_path, "s.json", {
+        "mode": "schmidt", "field": [0, 1], "S": ["inf"],
+        "forms": {"inf": [["1", "0"], ["0", "1"]]}, "epsilon": "-2",
+        "points": [[1, 2], [1, 2], [2, 4], [2, 3]]})
+    code, doc = run(capsys, "solve", "--config", cfg)
+    assert code == 0
+    assert doc["solutions"] == [[1, 2], [2, 3]]
+    assert doc["density"]["point_count"] == 2 and doc["density"]["economy"] == 1.0
+
+
 def test_twisted_verdict_inside_the_band_is_indeterminate(tmp_path, capsys):
     """twisted decides with the filters' band: [1:1] at Q = 1 has
     lhs = rhs, so its verdict is null and the command exits 2, as

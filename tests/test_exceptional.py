@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linscat import errors, exceptional, nf_create
 from linscat.exceptional import (
@@ -21,7 +23,7 @@ from linscat.exceptional import (
 )
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint
-from linscat.places import INF
+from linscat.places import INF, reals
 from linscat.twisted import TwistedHeightSpec
 
 
@@ -533,3 +535,233 @@ def test_collinear_set_is_one_subspace():
         assert len(cover) == 1
         assert cover.subspaces[0].equations == ((7, 1, -3),)
         assert set(cover.assignment.values()) == {0}
+
+
+def _coordinate_forms(n):
+    return [LinearForm(RATIONALS, [1 if j == i else 0 for j in range(n + 1)])
+            for i in range(n + 1)]
+
+
+def test_repeated_points_count_once():
+    """An explicit point given twice, or in two spellings, is one point:
+    filter_solutions lists it once, and density_report counts it once."""
+    spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
+    pts = [ProjectivePoint(c) for c in ([1, 2], [1, 2], [2, 4], [2, 3])]
+    ss = filter_solutions("schmidt", spec, points=pts, epsilon=-2)
+    assert [p.coords for p in ss.points] == [(1, 2), (2, 3)]
+    rep = density_report(pts)
+    assert rep["point_count"] == 2 and rep["cover_size"] == 2
+    assert rep["economy"] == 1.0
+    assert "2 points absorbed by 2 proper subspaces" in rep["verdict_text"]
+
+
+# ---------------------------------------------------------------------------
+# exact verdicts over Q
+
+
+NEAR_TIES = [ProjectivePoint([10 ** 8, 10 ** 8 + 1]), ProjectivePoint([10 ** 8 + 1, 10 ** 8])]
+
+
+@pytest.mark.parametrize("precision", [17, 40, 60])
+def test_schmidt_near_tie_is_decided_exactly(precision):
+    """With S = {inf}, the coordinate forms and eps = -2, the margin is
+    2 log H - log|x0 x1|: log(1 + 10^-8) at the two near ties, inside the
+    float band at precision 17, and exactly 0 at [1:1]."""
+    spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
+    ss = filter_solutions("schmidt", spec, points=NEAR_TIES + [ProjectivePoint([1, 1])],
+                          epsilon=-2, precision=precision)
+    assert ss.points == sorted(NEAR_TIES)
+    assert ss.indeterminate == [ProjectivePoint([1, 1])]
+
+
+@pytest.mark.parametrize("precision", [17, 40, 60])
+def test_fw_near_tie_is_decided_exactly(precision):
+    """fw margins (1 - d_i) log H - log|x_i|: with d = (0, -1), [10^8:10^8+1]
+    has the margins log(1 + 10^-8) and log H, and [1:1] has 0 and 0."""
+    spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
+    pts = [NEAR_TIES[0], ProjectivePoint([1, 1])]
+    ss = filter_solutions("fw", spec, points=pts, d_weights=[[0, -1]],
+                          precision=precision)
+    assert ss.points == [NEAR_TIES[0]]
+    assert ss.indeterminate == [ProjectivePoint([1, 1])]
+
+
+@pytest.mark.parametrize("precision", [17, 40, 60])
+def test_parametric_near_tie_is_decided_exactly(precision):
+    """With weights 0 and eps = -1 the parametric margin is log Q - log H:
+    log(1 + 10^-8) at Q = (10^8+1)^2 / 10^8 for the near ties, and
+    exactly 0 at Q = 10^8 + 1."""
+    spec = TwistedHeightSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)},
+                             {INF: [0, 0]}, epsilon=-1,
+                             Q=Fraction((10 ** 8 + 1) ** 2, 10 ** 8))
+    ss = filter_solutions("parametric", spec, points=NEAR_TIES, precision=precision)
+    assert ss.points == sorted(NEAR_TIES) and not ss.indeterminate
+    at_tie = filter_solutions("parametric", spec.with_Q(10 ** 8 + 1), points=NEAR_TIES,
+                              precision=precision)
+    assert at_tie.indeterminate == sorted(NEAR_TIES) and not at_tie.points
+
+
+_rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _rational_systems(draw):
+    """(n, S, forms, weights, d-weights, eps, Q, points): a form system over
+    Q with S inside {inf, 2, 3, 5}, its parameters and primitive points."""
+    n = draw(st.sampled_from([1, 2]))
+    S = draw(st.lists(st.sampled_from([INF, 2, 3, 5]), min_size=1, max_size=4,
+                      unique=True))
+    row = st.lists(_rational, min_size=n + 1, max_size=n + 1)
+    forms = {v: [draw(row) for _ in range(n + 1)] for v in S}
+    weights = {}
+    for v in S:
+        w = draw(st.lists(_rational, min_size=n, max_size=n))
+        weights[v] = w + [-sum(w)]
+    d_weights = [draw(row) for _ in S]
+    eps = draw(_rational)
+    Q = 1 + draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
+    coords = st.lists(st.integers(-15, 15), min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(coords, min_size=1, max_size=4))
+    return n, S, forms, weights, d_weights, eps, Q, points
+
+
+def _agrees(exact, approx, band):
+    """An exact sign against a float margin: the same support verdict, the
+    same sign wherever the float margin is outside the band, and a float
+    margin inside the band at an exact 0."""
+    try:
+        sign = exact()
+    except errors.OnSupport:
+        with pytest.raises(errors.OnSupport):
+            approx()
+        return
+    m = approx()
+    if sign == 0:
+        assert abs(m) <= band
+    elif abs(m) > band:
+        assert (m > 0) == (sign > 0), (sign, m)
+
+
+_TIE = (1, [INF], {INF: [[1, 0], [0, 1]]}, {INF: [0, 0]}, [[1, 1]], Fraction(-2), 1,
+        [[1, 1], [3, 5]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=_rational_systems())
+# [1:1] is a tie of all three systems
+@example(system=_TIE)
+# |2|_2 cancels the 2 at inf: e log 2 - log P = 0 at eps = 0, after the
+# float pre-check hands it to the exact comparison
+@example(system=(1, [INF, 2], {INF: [[1, 0], [0, 1]], 2: [[1, 0], [0, 1]]},
+                 {INF: [1, -1], 2: [0, 0]}, [[0, 1], [1, 0]], Fraction(0), 2,
+                 [[2, 1], [1, 2]]))
+def test_exact_signs_agree_with_float_margins(system):
+    """On random rational form systems, the exact schmidt, fw and
+    parametric signs agree with the mpmath margins at precision 40."""
+    n, S, forms, weights, d_weights, eps, Q, points = system
+    try:
+        spec = TwistedHeightSpec(
+            RATIONALS, S, {v: [LinearForm(RATIONALS, r) for r in forms[v]] for v in S},
+            weights, epsilon=eps, Q=Q)
+    except errors.BadParameter:
+        assume(False)
+    band = reals(40).band
+    for x in map(ProjectivePoint, points):
+        _agrees(lambda: exceptional._schmidt_sign(spec, eps, x),
+                lambda: exceptional._schmidt_margin(spec, eps, 0, x, 40), band)
+        _agrees(lambda: exceptional._fw_sign(spec, d_weights, x),
+                lambda: exceptional._fw_margin(spec, d_weights, 0, x, 40), band)
+        _agrees(lambda: exceptional._parametric_sign(spec, x),
+                lambda: exceptional._parametric_margin(spec, 0, x, 40), band)
+
+
+def _sunit_spec(s1, s2):
+    """forms x0, x1, x0 + s1 x1 + s2 x2 at inf and the coordinates at 2 and 3."""
+    coords = _coordinate_forms(2)
+    return FormSystemSpec(RATIONALS, [INF, 2, 3], {
+        INF: coords[:2] + [LinearForm(RATIONALS, [1, s1, s2])], 2: coords, 3: coords})
+
+
+def _sunit_oracle(s1, s2, bound):
+    """Integer brute force: on support iff x0 x1 x2 L(x) = 0, a solution iff
+    P^2 > max|x_i| (x0 x1 L(x))^2 with P the {2,3}-part of |x0 x1 x2|, and
+    indeterminate at equality."""
+    sols, indet, supp = [], [], []
+    for x in brute_points(2, bound):
+        x0, x1, x2 = x
+        L = x0 + s1 * x1 + s2 * x2
+        if x0 * x1 * x2 * L == 0:
+            supp.append(x)
+            continue
+        P, rest = 1, abs(x0 * x1 * x2)
+        for p in (2, 3):
+            while rest % p == 0:
+                rest //= p
+                P *= p
+        lhs, rhs = P * P, max(map(abs, x)) * (x0 * x1 * L) ** 2
+        if lhs > rhs:
+            sols.append(x)
+        elif lhs == rhs:
+            indet.append(x)
+    return sols, indet, supp
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_sunit_system_matches_integer_oracle(s1, s2):
+    """The S = {inf, 2, 3} schmidt system at eps = 1/2, B = 12: each sign
+    choice gives the oracle's buckets, 124 / 19 / 684."""
+    ss = filter_solutions("schmidt", _sunit_spec(s1, s2), height_bound=12,
+                          epsilon=Fraction(1, 2))
+    got = tuple([p.coords for p in b] for b in (ss.points, ss.indeterminate, ss.support))
+    assert got == _sunit_oracle(s1, s2, 12)
+    assert tuple(map(len, got)) == (124, 19, 684)
+
+
+def test_exact_sign_cost_does_not_grow_with_the_denominator_of_eps():
+    """At eps = 1/10^12 the point [3:1:-2] of the sunit system has P = 6/6
+    and the margin -eps log 3, inside the float pre-check's bound.  Its
+    exact sign is read off a coprime basis and an interval enclosure, with
+    no power raised to the 10^12th, and every verdict of the B = 12 pass
+    is the 40-digit one wherever that is decided."""
+    spec = _sunit_spec(1, 1)
+    eps = Fraction(1, 10 ** 12)
+    x = ProjectivePoint([3, 1, -2])
+    assert abs(-float(eps) * math.log(3)) <= exceptional._CHECK * (1 + 2 * math.log(6))
+    ss = filter_solutions("schmidt", spec, height_bound=12, epsilon=eps)
+    assert x not in ss.points and x not in ss.indeterminate
+    floats = exceptional._settle(enumerate_points(2, 12), functools.partial(
+        exceptional._schmidt_margin, spec, eps, 0), 40)
+    assert x not in floats[0] + floats[1]
+    sols, indet = set(ss.points), set(ss.indeterminate)
+    assert set(floats[0]) <= sols <= set(floats[0] + floats[1])
+    assert indet <= set(floats[1]) and ss.support == floats[2]
+
+
+def test_exact_log_sign_needs_no_large_powers():
+    """Exponents with denominators of 12 and 100 digits: an exact tie, a
+    margin of -eps log 3, and a near tie of size 1.5e-11."""
+    big = 10 ** 100 + 1
+    assert exceptional._exact_log_sign(((Fraction(big, 2), 4), (-big, 2))) == 0
+    assert exceptional._exact_log_sign(
+        ((Fraction(-1, 10 ** 100), 3), (1, 6), (-1, 6))) == -1
+    h = 10 ** 11 + 1
+    assert exceptional._exact_log_sign(
+        ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h))) == -1
+    assert exceptional._exact_log_sign(
+        ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h), (-1, 1))) == -1
+
+
+@pytest.mark.parametrize("eps", [10 ** 400, -10 ** 400])
+def test_exact_signs_past_the_double_range(eps):
+    """An eps past the range of a double skips the float pre-check and is
+    settled exactly: [1:1] is a tie, and [1:2] and [2:3] are solutions
+    exactly when eps < 0, for schmidt and, with zero weights, parametric."""
+    forms = {INF: _coordinate_forms(1)}
+    pts = [ProjectivePoint(c) for c in ([1, 1], [1, 2], [2, 3])]
+    ss = filter_solutions("schmidt", FormSystemSpec(RATIONALS, [INF], forms),
+                          points=pts, epsilon=eps)
+    assert ss.indeterminate == pts[:1]
+    assert ss.points == (pts[1:] if eps < 0 else [])
+    spec = TwistedHeightSpec(RATIONALS, [INF], forms, {INF: [0, 0]}, epsilon=eps, Q=2)
+    ps = filter_solutions("parametric", spec, points=pts)
+    assert ps.points == (pts if eps < 0 else [])
