@@ -283,7 +283,7 @@ def cmd_sweep(cfg, digest, precision, outdir):
     if not pts and "height_bound" in cfg:
         pts = exceptional.enumerate_points(
             spec.n, _int(cfg["height_bound"], "height_bound"))
-    rows = exceptional.q_sweep(spec, grid, pts, precision)
+    rows = exceptional.q_sweep(spec, grid, pts)
     payload = [{"Q": str(r["Q"]),
                 "solutions": [list(p.coords) for p in r["solutions"]],
                 "indeterminate": [list(p.coords) for p in r["indeterminate"]]}
@@ -311,7 +311,7 @@ def cmd_solve(cfg, digest, precision, outdir):
         params["d_weights"] = [[_frac(c, "d_weights") for c in table[v]]
                                for v in spec.S]
     ss = exceptional.filter_solutions(mode, spec, points=pts, height_bound=bound,
-                                      slack=slack, precision=precision, **params)
+                                      slack=slack, **params)
     payload = {
         "mode": mode,
         "solutions": [list(p.coords) for p in ss.points],
@@ -495,7 +495,8 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--precision", type=int, default=None,
-                        help="working decimal digits (default: the config's, else 40)")
+                        help="digits of printed values (default: the config's, "
+                             "else 40); no solve or sweep verdict depends on it")
     parser.add_argument("--out", default=None, help="report output directory")
     args = parser.parse_args(argv)
     try:

@@ -7,18 +7,15 @@ The filter evaluates one of three inequality systems at every point:
 * fw          lambda_vi(x) >= d_vi h(x) - slack for every (v, i)
 * parametric  H_Q(x) <= Q^(-eps) (log margin <= slack)
 
-Points on the support of some form are excluded and reported separately;
-verdicts inside the floating error band are flagged indeterminate rather
-than decided.  Every verdict is made by one loop, _settle, which evaluates
-each margin once; q_sweep is the parametric filter at each Q.
-
-Over Q with slack 0 each system compares rational powers of integers, so
-its margin is exact: the margin is its sign, -1, 0 or 1, read off the
-forms' integer rows (heights._exact_row) and decided by a float pre-check
-with a proven error bound, or inside that bound exactly, over a coprime
-basis of the integers (_exact_log_sign).  An exact margin is indeterminate
-only at 0.  Number fields and
-nonzero slack keep the mpmath margins.
+Points on the support of some form are excluded and reported separately.
+Every verdict is made by one loop, _settle, from the certified sign of each
+margin; q_sweep is the parametric filter at each Q.  A margin is a sum of
+terms r log N (the height, Q and the exact values of heights._log_abs_terms),
+r log|sigma_w(A(theta))| at archimedean places, and the rational slack.  Its
+sign comes from a float pre-check with a proven error bound (_CHECK), or
+from interval enclosures (_exact_log_sign): an exact tie of integer terms at
+slack 0, or a sum with an archimedean term still undecided at _ARCH_BITS, is
+indeterminate.  No verdict depends on a decimal precision.
 """
 
 import functools
@@ -27,16 +24,13 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from . import kernels
-from .errors import (BadParameter, BudgetExceeded, Infeasible, OnSupport,
-                     PrecisionExhausted)
-from .heights import ProjectivePoint, _exact_row
-from .places import INF, arch_value, reals
-from .twisted import (FormSystemSpec, TwistedHeightSpec, _lambda_matrix,
-                      log_twisted_height)
+from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
+from .heights import ProjectivePoint, _log_abs_terms
+from .places import INF, arch_value
+from .twisted import FormSystemSpec, TwistedHeightSpec
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -91,67 +85,64 @@ def _digest(*parts):
     return h.hexdigest()[:16]
 
 
-def _schmidt_margin(spec, epsilon, slack, x, dps):
-    rows, lmx = _lambda_matrix(spec, x, dps)
-    R = reals(dps)
-    with R.guard(0):
-        total = mpmath.fsum(v for row in rows for v in row)
-        return total - ((spec.n + 1 + R.real(epsilon)) * lmx - slack)
-
-
-def _fw_margin(spec, d_weights, slack, x, dps):
-    rows, lmx = _lambda_matrix(spec, x, dps)
-    R = reals(dps)
-    with R.guard(0):
-        worst = None
-        for row, drow in zip(rows, d_weights):
-            for lam, d in zip(row, drow):
-                m = lam - (R.real(d) * lmx - slack)
-                if worst is None or m < worst:
-                    worst = m
-        return worst
-
-
-def _parametric_margin(spec, slack, x, dps):
-    # slack - (log H_Q + eps log Q), negated last: Fraction - mpf is undefined
-    R = reals(dps)
-    with R.guard(0):
-        lq = R.log(R.real(spec.Q))
-        return -(log_twisted_height(spec, x, dps) + R.real(spec.epsilon) * lq - slack)
-
-
-# Float pre-check of an exact sign.  For an integer N >= 1, math.log(N) is
-# within 3u (1 + log N) of log N, u = 2^-53: CPython rounds N to a double,
-# or splits a larger int as m 2^e, before libm's log, which is within an
-# ulp.  That is within 8u log N for N >= 2, and exact for N = 1; float(r)
-# and the product add 2u relative, so a term r log N is within 10u |term|.
-# A float sum of k terms adds k u times mag, the sum of the |term|.  So for
-# k < 8990 terms the computed sum is within _CHECK (1 + mag) of the true
-# one, and a sum outside that bound has the true sign.  max and min are
-# 1-Lipschitz, so a max of such sums is within the bound over all terms.
-# The relative bounds hold in the double range; an underflow to 0 costs
-# under 2^-1074 log N, which the 1 in the bound covers.  An r past the
-# double range makes mag infinite, and a sum that is not finite never
-# passes the check, so both go to the exact comparison.
+# Float pre-check, u = 2^-53.  math.log(N) of an integer N >= 1 is within
+# 3u (1 + log N) of log N (N is rounded, or split as m 2^e, before libm's
+# log), so within 8u log N, and a term r log N within 10u |term|; a slack s,
+# float(s), within u |s|.  For a term r log|A(theta)|, A of degree n, and t
+# the double nearest the center of Place.root_disc(17), |t - theta| <= eta,
+# Horner's rule gives A(t) within (4n+2)u size even in complex arithmetic
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.6, 5.1),
+# and |A(theta) - A(t)| <= n eta/|t| size, size = sum|a_k|(|t| + eta)^k.  So
+# v = |fl(A(t))| is within bound = (8(n+1)u + n eta/|t|) size of |A(theta)|,
+# and if bound < v/2, log v is within 2 bound/v of log|A(theta)|; err sums
+# 3|r| bound/v, the spare factors covering roundings.  A float sum of
+# k < 8990 terms adds k u mag, mag the sum of the |term|, so it is within
+# _CHECK (1 + mag) + err of the true sum, and so is a max of such sums.  An
+# underflow costs under 2^-1074 log N, inside the 1; a value past the
+# double range, or a bound not below v/2, fails the check.
 _CHECK = 1e-12
+_U = 2.0 ** -53
 
-# The exact comparison's interval arithmetic, in a context of its own so
-# that setting its precision leaves mpmath.iv alone.
-_IV = MPIntervalContext()
+# A sum with an archimedean term is indeterminate past this many bits: it is
+# 0 only through a multiplicative relation, which no enclosure sees.
+_ARCH_BITS = 4096
+
+_IV = MPIntervalContext()  # of its own: setting its precision leaves mpmath.iv alone
 
 
-def _float_sum(terms):
-    """(sum of r log N, sum of |r log N|) over (r, N) terms, in floats;
-    (0.0, inf) when some r is past the double range."""
-    total = mag = 0.0
+def _horner_log(place, A):
+    """(log v, bound/v) for v = |A(t)| in floats, as in _CHECK; (0.0, inf)
+    when the bound is not below v/2."""
+    c, r = place.root_disc(17)
+    t = float(c) if place.is_real else complex(c)
+    eta = (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)  # |c - t| <= u|c| per part
+    at, acc, size = abs(t) + eta, 0.0, 0.0
+    for a in reversed(A):
+        acc = acc * t + a
+        size = size * at + abs(a)
+    v, n = abs(acc), len(A) - 1
+    bound = (8 * (n + 1) * _U + n * eta / abs(t)) * size
+    return (math.log(v), bound / v) if bound < v / 2 else (0.0, math.inf)
+
+
+def _float_sum(terms, slack=0):
+    """(sum, mag, err) of slack plus the terms in floats, as in _CHECK; a
+    term (r, N) is r log N and (r, place, A) is r log|sigma_w(A(theta))|."""
     try:
-        for r, N in terms:
-            t = float(r) * math.log(N)
+        total = float(slack) if slack else 0.0
+        mag, err = abs(total), 0.0
+        for term in terms:
+            r = float(term[0])
+            if len(term) == 2:
+                t = r * math.log(term[1])
+            else:
+                lg, b = _horner_log(term[1], term[2])
+                t, err = r * lg, err + 3 * abs(r) * b
             total += t
             mag += abs(t)
     except OverflowError:
-        return 0.0, math.inf
-    return total, mag
+        return 0.0, math.inf, 0.0
+    return total, mag, err
 
 
 def _coprime_basis(ns):
@@ -172,140 +163,157 @@ def _coprime_basis(ns):
     return basis
 
 
-def _exact_log_sign(terms):
-    """Sign of sum r log N over (r, N) terms, r rational and N a positive
-    integer, decided exactly.  Over a coprime basis b_j of the N the sum is
-    sum c_j log b_j, and the log b_j are linearly independent over Q, so it
-    is 0 exactly when every c_j is.  Otherwise an interval enclosure of the
-    sum, refined until it excludes 0, gives the sign.  The cost depends on
-    the sizes of the r and N and on the distance of the sum from 0, never
-    on a power N^r."""
+def _iv(q):
+    """An int, a Fraction or an mpf as an interval of _IV."""
+    return _IV.mpf(q.numerator) / q.denominator if hasattr(q, "denominator") else _IV.mpf(q)
+
+
+def _iv_log_abs(place, A, prec):
+    """An enclosure of log|sigma_w(A(theta))|, by Horner's rule over the
+    place's root disc at prec/3.4 digits; all of R while |A| may be 0."""
+    c, r = place.root_disc(prec * 3 // 10)
+    rad = _iv(r) * _IV.mpf([-1, 1])
+    theta = _iv(c) + rad if place.is_real else _IV.mpc(_iv(c.real) + rad, _iv(c.imag) + rad)
+    acc = 0
+    for a in reversed(A):
+        acc = acc * theta + a
+    mag = abs(acc)
+    return _IV.log(mag) if mag > 0 else _IV.mpf(["-inf", "inf"])
+
+
+def _exact_log_sign(terms, slack=0):
+    """Sign of slack plus _float_sum's terms.  Over a coprime basis b_j of
+    the N, the (r, N) terms are sum c_j log b_j, the log b_j independent over
+    Q: with no other term the sum is 0 exactly when every c_j is.  A slack
+    s != 0 is never cancelled, as e^s is transcendental (Lindemann).  Else an
+    interval enclosure refined until it excludes 0 gives the sign, or 0 at
+    _ARCH_BITS with an archimedean term; no power N^r is formed."""
+    rational = [t for t in terms if len(t) == 2]
+    arch = [t for t in terms if len(t) == 3]
     coeffs = []
-    for b in _coprime_basis([N for _, N in terms]):
+    for b in _coprime_basis([N for _, N in rational]):
         c = Fraction(0)
-        for r, N in terms:
+        for r, N in rational:
             while N % b == 0:
                 N //= b
                 c += r
         if c:
             coeffs.append((c, b))
-    if not coeffs:
+    if not (coeffs or arch or slack):
         return 0
     prec = 64
-    while True:
+    while not arch or prec <= _ARCH_BITS:
         _IV.prec = prec
-        s = _IV.mpf(0)
-        for c, b in coeffs:
-            s += _IV.mpf(c.numerator) / c.denominator * _IV.log(b)
-        if s.a > 0:
+        s = _iv(slack) + sum(_iv(c) * _IV.log(b) for c, b in coeffs) + sum(
+            _iv(r) * _iv_log_abs(place, A, prec) for r, place, A in arch)
+        if s > 0:
             return 1
-        if s.b < 0:
+        if s < 0:
             return -1
         prec *= 2
+    return 0
 
 
-def _log_sign(terms):
-    """Sign of sum r log N over (r, N) terms, r rational and N a positive
-    integer: the float pre-check, and inside its bound the exact sign."""
-    total, mag = _float_sum(terms)
-    if abs(total) > _CHECK * (1 + mag):
+def _log_sign(terms, slack=0):
+    """Sign of slack plus the terms: the float pre-check, and inside its
+    bound the interval stage."""
+    total, mag, err = _float_sum(terms, slack)
+    if abs(total) > _CHECK * (1 + mag) + err:
         return 1 if total > 0 else -1
-    return _exact_log_sign(terms)
+    return _exact_log_sign(terms, slack)
 
 
-def _schmidt_sign(spec, epsilon, x, dps=None):
-    """The exact schmidt margin over Q with slack 0 (dps is unused): the sign
-    of e log H - log P, with e = (n+1)([inf in S] - 1) - eps and
-    P = prod_{v,i} |L_vi(x)|_v = num/den; max_j|x_j|_p = 1 for primitive x."""
-    num = den = 1
+def _neg(terms):
+    return tuple((-t[0],) + t[1:] for t in terms)
+
+
+def _schmidt_sign(spec, epsilon, slack, x):
+    """The sign of the schmidt margin e log H - log P + slack, with
+    e = (n+1)([inf in S] - 1) - eps and P = prod_{v,i} |L_vi(x)|_v = num/den
+    times the extra terms, as max_j|x_j|_p = 1 for primitive x."""
+    num, den, extra = 1, 1, ()
+    places = spec.places()
     for v in spec.S:
-        for a, b in _exact_row(spec.forms[v], x, v):
-            num *= a
-            den *= b
+        for a, b, more in _log_abs_terms(spec.forms[v], x, places[v]):
+            num, den, extra = num * a, den * b, extra + more
     if not num:
         raise OnSupport("point %r lies on the support of the form system" % (x,))
     e = (spec.n + 1) * ((INF in spec.S) - 1) - epsilon
-    return _log_sign(((e, max(map(abs, x.coords))), (1, den), (-1, num)))
+    return _log_sign(((e, max(map(abs, x.coords))), (1, den), (-1, num)) + _neg(extra),
+                     slack)
 
 
-def _fw_sign(spec, d_weights, x, dps=None):
-    """The exact fw margin over Q with slack 0 (dps is unused): the least sign
-    of ([v = inf] - d_vi) log H - log|L_vi(x)|_v over (v, i)."""
-    rows = [_exact_row(spec.forms[v], x, v) for v in spec.S]
-    if not all(a for row in rows for a, _ in row):
+def _fw_sign(spec, d_weights, slack, x):
+    """The least sign of the fw margins ([v = inf] - d_vi) log H
+    - log|L_vi(x)|_v + slack over (v, i)."""
+    places = spec.places()
+    rows = [_log_abs_terms(spec.forms[v], x, places[v]) for v in spec.S]
+    if not all(t[0] for row in rows for t in row):
         raise OnSupport("point %r lies on the support of the form system" % (x,))
     H = max(map(abs, x.coords))
     worst = 1
     for v, row, drow in zip(spec.S, rows, d_weights):
-        for (a, b), d in zip(row, drow):
-            worst = min(worst, _log_sign((((v == INF) - d, H), (1, b), (-1, a))))
+        for (a, b, extra), d in zip(row, drow):
+            worst = min(worst, _log_sign(
+                (((v == INF) - d, H), (1, b), (-1, a)) + _neg(extra), slack))
             if worst < 0:
                 return worst
     return worst
 
 
-def _parametric_sign(spec, x, dps=None):
-    """The exact parametric margin over Q with slack 0 (dps is unused): the
-    sign of -(log H_Q + eps log Q), where log H_Q + eps log Q is the sum
-    over v of max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is
-    not in S, plus eps log Q.  Inside the pre-check's bound the largest
-    term of each max is found by exact signs of differences.  A vanishing
-    form is skipped in the max, as in log_twisted_height."""
+def _parametric_sign(spec, slack, x):
+    """The sign of slack - (log H_Q + eps log Q), the sum over v of
+    max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is not in S,
+    plus eps log Q.  Inside the pre-check's bound each max is found by signs
+    of differences; one left 0 with an archimedean term makes the point
+    indeterminate.  A vanishing form is skipped, as in log_twisted_height."""
     qn, qd = spec.Q.numerator, spec.Q.denominator
     rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
     if INF not in spec.S:
         rest.append((1, max(map(abs, x.coords))))
-    places = [[((1, a), (-1, b), (-c, qn), (c, qd))
-               for (a, b), c in zip(_exact_row(spec.forms[v], x, v), spec.weights[v])
-               if a]
+    places = spec.places()
+    maxima = [[((1, a), (-1, b), (-c, qn), (c, qd)) + more for (a, b, more), c in
+               zip(_log_abs_terms(spec.forms[v], x, places[v]), spec.weights[v]) if a]
               for v in spec.S]
-    total, mag = _float_sum(rest)
-    for cands in places:
-        sums = [_float_sum(terms) for terms in cands]
-        total += max(t for t, _ in sums)
-        mag += sum(m for _, m in sums)
-    if abs(total) > _CHECK * (1 + mag):
+    total, mag, err = _float_sum(rest, -slack)
+    for cands in maxima:
+        sums = list(zip(*(_float_sum(terms) for terms in cands)))
+        total, mag, err = total + max(sums[0]), mag + sum(sums[1]), err + sum(sums[2])
+    if abs(total) > _CHECK * (1 + mag) + err:
         return -1 if total > 0 else 1
-    for cands in places:
+    for cands in maxima:
         best = cands[0]
         for terms in cands[1:]:
-            if _log_sign(terms + tuple((-r, N) for r, N in best)) > 0:
+            diff = terms + _neg(best)
+            sign = _log_sign(diff)
+            if not sign and any(len(t) == 3 for t in diff):
+                return 0
+            if sign > 0:
                 best = terms
         rest += best
-    return -_exact_log_sign(rest)
+    return -_exact_log_sign(rest, -slack)
 
 
-def _settle(points, margin, precision):
-    """The one verdict loop: (solutions, indeterminate, support), each sorted.
-
-    margin(x, dps) is positive on solutions and raises OnSupport on the
-    support of the form system.  Each margin is evaluated once, at
-    max(30, precision + 10) digits, whose rounding lies 20 digits or more
-    below reals(precision).band; a margin inside the band, or one whose
-    evaluation raises PrecisionExhausted, is indeterminate.  An exact
-    margin is its sign: the band lies below 1 at every precision, so 0 is
-    indeterminate and -1 and 1 are decided, whatever the precision.
-    """
-    band = reals(precision).band
-    dps = max(30, precision + 10)
+def _settle(points, sign):
+    """The one verdict loop: (solutions, indeterminate, support), each
+    sorted.  sign(x), the certified sign of the point's margin, is 0 where
+    undecided and raises OnSupport on the support of the form system."""
     sols, indet, supp = [], [], []
     for x in points:
         try:
-            m = margin(x, dps)
+            s = sign(x)
         except OnSupport:
             supp.append(x)
             continue
-        except PrecisionExhausted:
-            m = 0
-        if abs(m) <= band:
-            indet.append(x)
-        elif m > 0:
+        if s > 0:
             sols.append(x)
+        elif not s:
+            indet.append(x)
     return sorted(sols), sorted(indet), sorted(supp)
 
 
 def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
-                     d_weights=None, slack=0, precision=17, budget=DEFAULT_BUDGET):
+                     d_weights=None, slack=0, budget=DEFAULT_BUDGET):
     """Evaluate the named inequality system over a point set.
 
     Either an explicit point list, whose repeated points count once, or a
@@ -314,19 +322,19 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     linscat.kernels scans only the windows around the forms' roots; its
     candidates are then re-evaluated exactly.  Otherwise every point up to
     the bound is settled.  Every candidate is settled by _settle, with the
-    exact margin when the field is Q and the slack is 0.
+    certified sign of its margin, in every field and at every rational
+    slack.
     """
     if height_bound is not None and height_bound < 1:
         raise BadParameter("need height_bound >= 1")
-    exact = slack == 0 and isinstance(spec, FormSystemSpec) and spec.field.degree == 1
+    slack = Fraction(slack)
     if kind == "parametric":
         if not isinstance(spec, TwistedHeightSpec):
             raise BadParameter("parametric filtering needs a TwistedHeightSpec")
         digest = _digest("parametric", spec.digest_data(),
                          tuple(tuple(str(c) for c in spec.weights[v]) for v in spec.S),
                          str(spec.Q), str(spec.epsilon), str(slack))
-        margin = (functools.partial(_parametric_sign, spec) if exact
-                  else functools.partial(_parametric_margin, spec, slack))
+        sign = functools.partial(_parametric_sign, spec, slack)
     elif kind in ("schmidt", "fw"):
         if not isinstance(spec, FormSystemSpec):
             raise BadParameter("schmidt/fw filtering needs a FormSystemSpec")
@@ -334,8 +342,7 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             if epsilon is None:
                 raise BadParameter("schmidt filtering needs epsilon")
             epsilon = Fraction(epsilon)
-            margin = (functools.partial(_schmidt_sign, spec, epsilon) if exact
-                      else functools.partial(_schmidt_margin, spec, epsilon, slack))
+            sign = functools.partial(_schmidt_sign, spec, epsilon, slack)
         else:
             if d_weights is None:
                 raise BadParameter("fw filtering needs d-weights")
@@ -345,8 +352,7 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                 raise BadParameter(
                     "fw d-weights need one row of %d entries per place of S"
                     % (spec.n + 1))
-            margin = (functools.partial(_fw_sign, spec, d_weights) if exact
-                      else functools.partial(_fw_margin, spec, d_weights, slack))
+            sign = functools.partial(_fw_sign, spec, d_weights, slack)
         digest = _digest(kind, spec.digest_data(), str(epsilon),
                          tuple(tuple(str(c) for c in r) for r in (d_weights or [])),
                          str(slack))
@@ -365,11 +371,11 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
             points = enumerate_points(spec.n, height_bound, budget)
     else:
         points = set(points)
-    sols, indet, supp = _settle(points, margin, precision)
+    sols, indet, supp = _settle(points, sign)
     return SolutionSet(digest, sols, indet, supp)
 
 
-def q_sweep(spec_template, Q_grid, points, precision=17):
+def q_sweep(spec_template, Q_grid, points):
     """Per-Q solution sets of H_Q(x) <= Q^(-epsilon): at each Q of the
     ascending grid, the solutions and indeterminate points of the
     parametric filter with slack 0 over the distinct points of the
@@ -379,8 +385,7 @@ def q_sweep(spec_template, Q_grid, points, precision=17):
         raise BadParameter("Q grid must be nonempty and ascending")
     out = []
     for q in grid:
-        ss = filter_solutions("parametric", spec_template.with_Q(q), points=points,
-                              precision=precision)
+        ss = filter_solutions("parametric", spec_template.with_Q(q), points=points)
         out.append({"Q": q, "solutions": ss.points, "indeterminate": ss.indeterminate})
     return out
 

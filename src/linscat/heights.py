@@ -7,8 +7,8 @@ local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
 extension absolute value at a chosen place w above v.  _weil_row is its one
 definition, for all forms of one place at one point, built on
 places.log_abs and log_height; weil_hyperplane is its one-form case.
-_exact_row is the exact |L(x)|_v of forms over Q, read off the same
-integer rows, for the exact verdicts of the filters.
+_log_abs_terms is log|L(x)|_{v,K} as exact terms, read off the same
+integer rows, for the certified verdicts of the filters.
 """
 
 import math
@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS
-from .places import INF, log_abs, normalize_place, ord_p_int, places_above, reals
+from .places import (INF, _local_norm, log_abs, nonarch_exponent, normalize_place,
+                     ord_p_int, places_above, reals)
 
 
 class ProjectivePoint:
@@ -161,21 +162,29 @@ def _weil_row(forms, x, place, log_max, precision=17):
     return [log_max - la for la in las]
 
 
-def _exact_row(forms, x, v):
-    """[(num, den) for L in forms]: |L(x)|_v = num/den exactly, for forms
-    over Q at the place v of Q, with nonnegative integers read off each
-    form's integer row: for a = row . x, |L(x)|_inf = |a|/_den and
-    |L(x)|_p = p^-(ord_p a - ord_p _den).  A vanishing form gives (0, 1)."""
-    out = []
+def _log_abs_terms(forms, x, place):
+    """[(a, b, extra) for L in forms], log|L(x)|_{v,K} = log(a/b) + sum(extra),
+    with a = 0 where L(x) = A(theta)/_den is 0.  A rational value has
+    integers a, b and no extra; else extra is (-t, p) (-t log p) at a finite
+    place, (1/d, |Res(f, A)|) at a place that is the whole completion C, and
+    (1, place, A) (log|sigma_w(A(theta))|) at any other."""
+    out, p = [], place.prime
     for form in forms:
-        a, den = form._dots(x)[0], form._den
-        if not a:
-            out.append((0, 1))
-        elif v == INF:
-            out.append((abs(a), den))
+        A, den = form._dots(x), form._den
+        if len(A) == 1 or not any(A[1:]):
+            if not A[0] or place.is_arch:
+                out.append((abs(A[0]), den, ()))
+            else:
+                k = ord_p_int(A[0], p) - ord_p_int(den, p)
+                out.append((1, p ** k, ()) if k >= 0 else (p ** -k, 1, ()))
+        elif not place.is_arch:
+            t = nonarch_exponent(place, FieldElement(form.field, [Fraction(c, den) for c in A]))
+            out.append((1, 1, ((-t, p),)))
+        elif place.local_degree == form.field.degree:
+            res = abs(int(_local_norm(form.field.min_poly, A)))
+            out.append((1, den, ((Fraction(1, form.field.degree), res),)))
         else:
-            k = ord_p_int(a, v) - ord_p_int(den, v)
-            out.append((1, v ** k) if k >= 0 else (v ** -k, 1))
+            out.append((1, den, ((1, place, tuple(A)),)))
     return out
 
 

@@ -12,7 +12,7 @@ come, in every degree, from one factorization mod p and one Hensel lift
 (of a p-maximal generator in a quadratic field), exact to the p-adic
 digits asked for.  Archimedean values come from real embeddings isolated
 by sympy's continued-fraction method (certified rational enclosures) or
-from complex conjugate root pairs.
+from complex root pairs certified by disjoint Henrici discs.
 
 reals(precision) is the one float/mpf rule of every evaluation, real or
 complex, with its guard digits; places carry no decimal precision.
@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import mpmath
 import sympy
+from mpmath.ctx_iv import MPIntervalContext
 from sympy.polys.densebasic import dup_strip
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_resultant
@@ -35,6 +36,8 @@ from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_rea
 from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
 
 INF = "inf"
+
+_IV = MPIntervalContext()  # the root discs' interval arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +100,7 @@ class Place:
     asked for), or the minimal polynomial itself when the place is the whole
     completion.  Archimedean places carry their root:
     a real root's isolating interval, or a complex pair's rank among the
-    roots of positive imaginary part (_complex_embedding), and no precision.
+    roots of positive imaginary part (_complex_discs), and no precision.
     Embedding indices w_index enumerate the real roots first, ascending,
     then the complex pairs.  A place is archimedean when it has no prime.
     """
@@ -144,7 +147,7 @@ class Place:
         if key in self._approx:
             return self._approx[key]
         if not self.is_real:
-            val = _complex_embedding(self.field, self._root, dps)
+            val = _complex_discs(self.field, dps)[self._root][0]
             if is_float:
                 val = complex(val)
         else:
@@ -157,6 +160,18 @@ class Place:
         self._approx[key] = val
         return val
 
+    def root_disc(self, digits):
+        """(c, r), theta's embedding within r of c: the 10^-digits enclosure's
+        midpoint and half-width, or the Henrici disc of _complex_discs."""
+        key = ("disc", digits)
+        if key not in self._approx:
+            if self.is_real:
+                lo, hi = self.real_enclosure(digits)
+                self._approx[key] = (lo + hi) / 2, (hi - lo) / 2
+            else:
+                self._approx[key] = _complex_discs(self.field, digits)[self._root]
+        return self._approx[key]
+
     def serial(self):
         v = "inf" if self.is_arch else self.prime
         return {"v": v, "w_index": self.w_index, "e": self.e, "f": self.f}
@@ -166,15 +181,35 @@ class Place:
         return "Place(v=%s, w=%d, e=%d, f=%d)" % (v, self.w_index, self.e, self.f)
 
 
-def _complex_embedding(field, k, dps):
-    """The k-th root of positive imaginary part, the roots sorted by
-    (real part, imaginary part)."""
-    with mpmath.workdps(dps + 15):
-        coeffs = [mpmath.mpf(c) for c in reversed(field.min_poly)]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=80)
-        upper = [r for r in roots if mpmath.im(r) > 1e-20]
-        upper.sort(key=lambda z: (mpmath.re(z), mpmath.im(z)))
-        return upper[k]
+def _complex_discs(field, dps):
+    """[(z, r)] for the roots above the real axis, by (real, imaginary part),
+    each within r of z, from polyroots at dps + 15 digits.  A disc of radius
+    d|f(z)/f'(z)| holds a root of f of degree d (Henrici, Applied and
+    Computational Complex Analysis I, 1974, 6.4): if the d discs are disjoint
+    and one per complex pair lies above the axis, those hold the upper
+    roots.  Else the digits double, up to four tries."""
+    key, f, work = ("discs", dps), field.min_poly, dps + 15
+    pairs = (len(f) - 1 - len(isolate_real_roots(list(f)))) // 2
+    while key not in field._places_cache:
+        if work > 8 * (dps + 15):
+            raise PrecisionExhausted("no disjoint root discs for %r" % (field,))
+        with mpmath.workdps(work):
+            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)],
+                                     maxsteps=200, extraprec=80)
+        _IV.prec, discs = 4 * work, []
+        for z in roots:
+            p, val, der = _IV.mpc(z.real, z.imag), 0, 0
+            for c in reversed(f):
+                der, val = der * p + val, val * p + c
+            r = ((len(f) - 1) * abs(val) / abs(der)).b if abs(der) > 0 else _IV.inf
+            discs.append((z, p, r))
+        upper = sorted(((z, r) for z, _, r in discs if z.imag > r),
+                       key=lambda d: (d[0].real, d[0].imag))
+        if len(upper) == pairs and all(abs(p - q) > r + s for i, (_, p, r) in
+                                       enumerate(discs) for _, q, s in discs[:i]):
+            field._places_cache[key] = upper
+        work *= 2
+    return field._places_cache[key]
 
 
 def _arch_places(field):
@@ -391,8 +426,8 @@ class Reals:
     PrecisionExhausted outside the float range.  guard(digits), the context an
     evaluation runs in, is none for floats and working_dps(precision +
     digits), which never lowers a caller's higher precision, for mpmath.
-    band, 10^-(max(precision, 17) - 10), is the one verdict band: a margin
-    of at most band in absolute value is indeterminate."""
+    band, 10^-(max(precision, 17) - 10), is the twisted report's verdict
+    band; the filters' verdicts are certified signs and do not read it."""
 
     __slots__ = ("precision", "is_float", "band", "zero", "log", "exp", "real")
 

@@ -146,7 +146,7 @@ def log_twisted_report(spec, x, precision=17):
 
     lhs = sum over v in S of min_i(lambda_vi + c_vi log Q); the inequality
     compares lhs against h(x) + epsilon log Q: the verdict is lhs > rhs, or
-    None (indeterminate) inside the filters' band, reals(precision).band.
+    None (indeterminate) inside the report's band, reals(precision).band.
     The identity -log H_Q = lhs - h is returned as a residual for
     cross-checking; it compares two independent evaluations of every form.
     H_Q = exp(-neg_log_HQ).

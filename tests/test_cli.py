@@ -2,6 +2,7 @@ import json
 import os
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from linscat import nf_create
@@ -172,7 +173,7 @@ def test_solve_lists_a_repeated_point_once(tmp_path, capsys):
 
 
 def test_twisted_verdict_inside_the_band_is_indeterminate(tmp_path, capsys):
-    """twisted decides with the filters' band: [1:1] at Q = 1 has
+    """twisted decides with its report band: [1:1] at Q = 1 has
     lhs = rhs, so its verdict is null and the command exits 2, as
     parametric solve on the same spec lists it as indeterminate; [3:4] is
     decided."""
@@ -225,13 +226,44 @@ def test_solve_slack_stays_exact(tmp_path, capsys):
     spec = FormSystemSpec(
         K, [INF], {INF: [LinearForm(K, [K.element(c) for c in f]) for f in forms]},
         w_choices={INF: 1})
-    kwargs = {"height_bound": 60, "epsilon": Fraction(3, 10), "precision": 17}
+    kwargs = {"height_bound": 60, "epsilon": Fraction(3, 10)}
     ss = filter_solutions("schmidt", spec, slack=Fraction(1, 3), **kwargs)
     assert doc["spec_digest"] == ss.spec_digest
     assert doc["solutions"] == [list(p.coords) for p in ss.points]
     assert doc["indeterminate"] == [list(p.coords) for p in ss.indeterminate]
     assert doc["support"] == [list(p.coords) for p in ss.support]
     assert len(ss) > len(filter_solutions("schmidt", spec, slack=0, **kwargs))
+
+
+def _pell_points(count):
+    """[x0:x1] with x1^2 - 2 x0^2 = +-1, from [1:1] on."""
+    pts, x0, x1 = [], 1, 1
+    while len(pts) < count:
+        pts.append([x0, x1])
+        x0, x1 = x0 + x1, x1 + 2 * x0
+    return pts
+
+
+@pytest.mark.parametrize("precision", [17, 40, 60])
+def test_solve_decides_every_pell_point_at_every_precision(tmp_path, capsys, precision):
+    """schmidt with eps = 3 on x1 - sqrt2 x0 and x0, at the first 80 Pell
+    points, where x1 - sqrt2 x0 cancels to about 1/(2 sqrt2 x0): the
+    margin -3 log H - log|(x1 - sqrt2 x0) x0|, at 250 digits, makes [1:1]
+    the one solution and every other point a non-solution, at every
+    --precision."""
+    pts = _pell_points(80)
+    with mpmath.workdps(250):
+        want = [[x0, x1] for x0, x1 in pts
+                if -3 * mpmath.log(x1) - mpmath.log(abs(x1 - mpmath.sqrt(2) * x0) * x0) > 0]
+    assert want == [[1, 1]]
+    cfg = write_cfg(tmp_path, "pell.json", {
+        "mode": "schmidt", "field": [-2, 0, 1], "S": ["inf"], "w_choices": {"inf": 1},
+        "forms": {"inf": [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "0"]]]},
+        "epsilon": "3", "points": pts, "cover": False,
+    })
+    code, doc = run(capsys, "solve", "--config", cfg, "--precision", str(precision))
+    assert code == 0
+    assert doc["solutions"] == want and doc["indeterminate"] == [] == doc["support"]
 
 
 def test_report_determinism(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -23,8 +22,8 @@ from linscat.exceptional import (
 )
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint
-from linscat.places import INF, reals
-from linscat.twisted import TwistedHeightSpec
+from linscat.places import INF, places_above, reals
+from linscat.twisted import TwistedHeightSpec, _lambda_matrix, log_twisted_height
 
 
 def brute_points(n, bound):
@@ -247,26 +246,32 @@ def test_q_sweep_matches_parametric_filter():
 
 def test_q_sweep_verdict_is_the_filter_verdict_at_a_pell_point():
     """At Q = 2679 a float evaluation of the margin of [2744210:3880899]
-    gives +1.8e-3, and 30 digits give -6.1e-4: the sweep at precision 17
-    must make the filter's verdict, not a float one."""
+    gives +1.8e-3, and 30 digits give -6.1e-4: the sweep must make the
+    filter's verdict, not a float one."""
     K, base = sqrt2_spec()
     spec = TwistedHeightSpec(K, [INF], base.forms, {INF: [-2, 2]}, epsilon="1/100",
                              w_choices={INF: 1})
     x = ProjectivePoint([2744210, 3880899])
-    (row,) = q_sweep(spec, [2679], [x], precision=17)
-    ss = filter_solutions("parametric", spec.with_Q(2679), points=[x], precision=17)
+    (row,) = q_sweep(spec, [2679], [x])
+    ss = filter_solutions("parametric", spec.with_Q(2679), points=[x])
     assert row["solutions"] == ss.points == []
     assert row["indeterminate"] == ss.indeterminate == []
 
 
-def test_margin_that_evaluates_to_zero_is_indeterminate():
+def test_margin_that_evaluates_to_zero_is_decided():
     """x1 - sqrt2 x0 at this Pell point is 0 at 35 digits; its lambda was
-    +inf, which made the point a solution.  The true sum of lambda is about
-    2.05 h, below (2 + 3/10) h."""
+    +inf, which made the point a solution, and later indeterminate.  The
+    true sum of lambda is about 2.025 h, below (2 + 3/10) h: at 250 digits
+    the margin is -0.275 h, and the filter decides a non-solution."""
     _, spec = sqrt2_spec()
     x = ProjectivePoint([835002744095575440, 1180872205318713601])
+    with mpmath.workdps(250):
+        x0, x1 = map(mpmath.mpf, x.coords)
+        h = mpmath.log(x1)
+        margin = -mpmath.log(abs(x1 - mpmath.sqrt(2) * x0) * x0) - Fraction(3, 10) * h
+        assert -0.28 * h < margin < -0.27 * h
     ss = filter_solutions("schmidt", spec, points=[x], epsilon="3/10")
-    assert ss.points == [] and ss.indeterminate == [x]
+    assert ss.points == [] and ss.indeterminate == []
 
 
 def test_parametric_digest_covers_forms_and_weights():
@@ -565,11 +570,12 @@ NEAR_TIES = [ProjectivePoint([10 ** 8, 10 ** 8 + 1]), ProjectivePoint([10 ** 8 +
 @pytest.mark.parametrize("precision", [17, 40, 60])
 def test_schmidt_near_tie_is_decided_exactly(precision):
     """With S = {inf}, the coordinate forms and eps = -2, the margin is
-    2 log H - log|x0 x1|: log(1 + 10^-8) at the two near ties, inside the
-    float band at precision 17, and exactly 0 at [1:1]."""
+    2 log H - log|x0 x1|: log(1 + 10^-8) at the two near ties, inside a
+    1e-7 band, and exactly 0 at [1:1]; at any mpmath working precision."""
     spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
-    ss = filter_solutions("schmidt", spec, points=NEAR_TIES + [ProjectivePoint([1, 1])],
-                          epsilon=-2, precision=precision)
+    with mpmath.workdps(precision):
+        ss = filter_solutions("schmidt", spec, epsilon=-2,
+                              points=NEAR_TIES + [ProjectivePoint([1, 1])])
     assert ss.points == sorted(NEAR_TIES)
     assert ss.indeterminate == [ProjectivePoint([1, 1])]
 
@@ -580,8 +586,8 @@ def test_fw_near_tie_is_decided_exactly(precision):
     has the margins log(1 + 10^-8) and log H, and [1:1] has 0 and 0."""
     spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
     pts = [NEAR_TIES[0], ProjectivePoint([1, 1])]
-    ss = filter_solutions("fw", spec, points=pts, d_weights=[[0, -1]],
-                          precision=precision)
+    with mpmath.workdps(precision):
+        ss = filter_solutions("fw", spec, points=pts, d_weights=[[0, -1]])
     assert ss.points == [NEAR_TIES[0]]
     assert ss.indeterminate == [ProjectivePoint([1, 1])]
 
@@ -594,10 +600,10 @@ def test_parametric_near_tie_is_decided_exactly(precision):
     spec = TwistedHeightSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)},
                              {INF: [0, 0]}, epsilon=-1,
                              Q=Fraction((10 ** 8 + 1) ** 2, 10 ** 8))
-    ss = filter_solutions("parametric", spec, points=NEAR_TIES, precision=precision)
+    with mpmath.workdps(precision):
+        ss = filter_solutions("parametric", spec, points=NEAR_TIES)
+        at_tie = filter_solutions("parametric", spec.with_Q(10 ** 8 + 1), points=NEAR_TIES)
     assert ss.points == sorted(NEAR_TIES) and not ss.indeterminate
-    at_tie = filter_solutions("parametric", spec.with_Q(10 ** 8 + 1), points=NEAR_TIES,
-                              precision=precision)
     assert at_tie.indeterminate == sorted(NEAR_TIES) and not at_tie.points
 
 
@@ -623,6 +629,37 @@ def _rational_systems(draw):
     coords = st.lists(st.integers(-15, 15), min_size=n + 1, max_size=n + 1).filter(any)
     points = draw(st.lists(coords, min_size=1, max_size=4))
     return n, S, forms, weights, d_weights, eps, Q, points
+
+
+def _mp(q):
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _reference_margins(spec, eps, d_weights, slack, x, dps):
+    """The schmidt, fw and parametric margins of x at dps digits, each a
+    thunk: sum lambda_vi - (n+1+eps) h + slack, min_vi (lambda_vi - d_vi h)
+    + slack and slack - (log H_Q + eps_Q log Q), from the lambda matrix and
+    log H_Q of linscat.twisted, which share no code with the filters'
+    signs.  The schmidt and fw thunks raise OnSupport on the support."""
+    def schmidt():
+        with mpmath.workdps(dps):
+            rows, h = _lambda_matrix(spec, x, dps)
+            return mpmath.fsum(v for row in rows for v in row) - (
+                (spec.n + 1 + _mp(eps)) * h - _mp(slack))
+
+    def fw():
+        with mpmath.workdps(dps):
+            rows, h = _lambda_matrix(spec, x, dps)
+            return min(lam - _mp(d) * h + _mp(slack)
+                       for row, drow in zip(rows, d_weights) for lam, d in zip(row, drow))
+
+    def parametric():
+        with mpmath.workdps(dps):
+            return _mp(slack) - (log_twisted_height(spec, x, dps)
+                                 + _mp(spec.epsilon) * mpmath.log(_mp(spec.Q)))
+
+    return schmidt, fw, parametric
 
 
 def _agrees(exact, approx, band):
@@ -657,7 +694,7 @@ _TIE = (1, [INF], {INF: [[1, 0], [0, 1]]}, {INF: [0, 0]}, [[1, 1]], Fraction(-2)
                  [[2, 1], [1, 2]]))
 def test_exact_signs_agree_with_float_margins(system):
     """On random rational form systems, the exact schmidt, fw and
-    parametric signs agree with the mpmath margins at precision 40."""
+    parametric signs agree with the 40-digit reference margins."""
     n, S, forms, weights, d_weights, eps, Q, points = system
     try:
         spec = TwistedHeightSpec(
@@ -667,12 +704,108 @@ def test_exact_signs_agree_with_float_margins(system):
         assume(False)
     band = reals(40).band
     for x in map(ProjectivePoint, points):
-        _agrees(lambda: exceptional._schmidt_sign(spec, eps, x),
-                lambda: exceptional._schmidt_margin(spec, eps, 0, x, 40), band)
-        _agrees(lambda: exceptional._fw_sign(spec, d_weights, x),
-                lambda: exceptional._fw_margin(spec, d_weights, 0, x, 40), band)
-        _agrees(lambda: exceptional._parametric_sign(spec, x),
-                lambda: exceptional._parametric_margin(spec, 0, x, 40), band)
+        schmidt, fw, parametric = _reference_margins(spec, eps, d_weights, 0, x, 40)
+        _agrees(lambda: exceptional._schmidt_sign(spec, eps, 0, x), schmidt, band)
+        _agrees(lambda: exceptional._fw_sign(spec, d_weights, 0, x), fw, band)
+        _agrees(lambda: exceptional._parametric_sign(spec, 0, x), parametric, band)
+
+
+# Q(sqrt2), Q(i) and Q(2^(1/3)), each with the places of Q it is tried at:
+# the cubic field only away from its discriminant, -108
+_FIELDS = [(nf_create([-2, 0, 1]), [INF, 2, 3, 5]),
+           (nf_create([1, 0, 1]), [INF, 2, 3, 5]),
+           (nf_create([-2, 0, 0, 1]), [INF, 5, 7])]
+
+
+@st.composite
+def _field_systems(draw):
+    """(spec, d-weights, eps, slack, points): a form system with small
+    integer coefficients over one of _FIELDS, at a random place above each v
+    of S, and a nonzero slack k/7."""
+    K, vs = draw(st.sampled_from(_FIELDS))
+    n = draw(st.sampled_from([1, 2]))
+    S = draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3, unique=True))
+    w_choices = {v: draw(st.integers(0, len(places_above(K, v)) - 1)) for v in S}
+    coeff = st.lists(st.integers(-3, 3), min_size=K.degree, max_size=K.degree)
+    rows = {v: [[draw(coeff) for _ in range(n + 1)] for _ in range(n + 1)] for v in S}
+    weights = {}
+    for v in S:
+        w = draw(st.lists(_rational, min_size=n, max_size=n))
+        weights[v] = w + [-sum(w)]
+    d_weights = [draw(st.lists(_rational, min_size=n + 1, max_size=n + 1)) for _ in S]
+    eps = draw(_rational)
+    Q = 1 + draw(st.builds(Fraction, st.integers(0, 40), st.integers(1, 4)))
+    slack = Fraction(draw(st.integers(1, 7)) * draw(st.sampled_from([1, -1])), 7)
+    coords = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1).filter(any)
+    points = draw(st.lists(coords, min_size=1, max_size=3))
+    try:
+        forms = {v: [LinearForm(K, [K.element(c) for c in row]) for row in rows[v]]
+                 for v in S}
+        spec = TwistedHeightSpec(K, S, forms, weights, epsilon=eps, Q=Q,
+                                 w_choices=w_choices)
+    except errors.BadParameter:
+        assume(False)
+    return spec, d_weights, eps, slack, [ProjectivePoint(c) for c in points]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=_field_systems())
+def test_signs_over_number_fields_agree_with_200_digit_margins(system):
+    """Over number fields, at real, complex and finite places and with a
+    nonzero slack, the schmidt, fw and parametric signs agree with the
+    200-digit reference margins wherever those are above 10^-150; and so
+    do they with the float pre-check switched off, from the interval stage."""
+    spec, d_weights, eps, slack, points = system
+    for check in (exceptional._CHECK, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exceptional, "_CHECK", check)
+            for x in points:
+                schmidt, fw, parametric = _reference_margins(
+                    spec, eps, d_weights, slack, x, 200)
+                _agrees(lambda: exceptional._schmidt_sign(spec, eps, slack, x), schmidt,
+                        1e-150)
+                _agrees(lambda: exceptional._fw_sign(spec, d_weights, slack, x), fw, 1e-150)
+                _agrees(lambda: exceptional._parametric_sign(spec, slack, x), parametric,
+                        1e-150)
+
+
+@pytest.mark.parametrize("w_index", [0, 1])
+def test_irrational_tie_stays_indeterminate_and_a_slack_decides_it(w_index):
+    """The forms sqrt2 x0 and sqrt2 x1 with eps = -2: at [1:2] the schmidt
+    margin is 2 log 2 - log|sqrt2| - log|2 sqrt2| = 0, at either real
+    place, a tie of irrational values that stays indeterminate at any
+    mpmath working precision.  A slack of 10^-9 or -10^-9 decides it."""
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    spec = FormSystemSpec(K, [INF], {INF: [LinearForm(K, [th, 0]), LinearForm(K, [0, th])]},
+                          w_choices={INF: w_index})
+    x = [ProjectivePoint([1, 2])]
+    for precision in (17, 40, 60):
+        with mpmath.workdps(precision):
+            ss = filter_solutions("schmidt", spec, points=x, epsilon=-2)
+        assert ss.indeterminate == x and not ss.points
+    up = filter_solutions("schmidt", spec, points=x, epsilon=-2, slack=Fraction(1, 10 ** 9))
+    assert up.points == x and not up.indeterminate
+    down = filter_solutions("schmidt", spec, points=x, epsilon=-2,
+                            slack=-Fraction(1, 10 ** 9))
+    assert not down.points and not down.indeterminate
+
+
+def test_slack_is_read_as_a_rational():
+    """slack, like epsilon, goes through Fraction once: "1/3", "0" and
+    "-2/7" settle every filter as the rationals they spell, with the same
+    digest."""
+    spec = TwistedHeightSpec(RATIONALS, [INF, 2], {INF: _coordinate_forms(1),
+                                                   2: _coordinate_forms(1)},
+                             {INF: [1, -1], 2: [0, 0]}, epsilon="1/10", Q=2)
+    pts = [ProjectivePoint(c) for c in ([1, 1], [1, 2], [2, 3], [4, 9])]
+    for slack in ("1/3", "0", "-2/7"):
+        for kind, kw in (("schmidt", {"epsilon": "3/10"}), ("fw", {"d_weights": [[0, 1], [1, 0]]}),
+                         ("parametric", {})):
+            got = filter_solutions(kind, spec, points=pts, slack=slack, **kw)
+            want = filter_solutions(kind, spec, points=pts, slack=Fraction(slack), **kw)
+            assert (got.points, got.indeterminate, got.spec_digest) == (
+                want.points, want.indeterminate, want.spec_digest)
 
 
 def _sunit_spec(s1, s2):
@@ -729,8 +862,18 @@ def test_exact_sign_cost_does_not_grow_with_the_denominator_of_eps():
     assert abs(-float(eps) * math.log(3)) <= exceptional._CHECK * (1 + 2 * math.log(6))
     ss = filter_solutions("schmidt", spec, height_bound=12, epsilon=eps)
     assert x not in ss.points and x not in ss.indeterminate
-    floats = exceptional._settle(enumerate_points(2, 12), functools.partial(
-        exceptional._schmidt_margin, spec, eps, 0), 40)
+    band = reals(40).band
+    floats = [], [], []
+    for p in enumerate_points(2, 12):
+        try:
+            m = _reference_margins(spec, eps, None, 0, p, 40)[0]()
+        except errors.OnSupport:
+            floats[2].append(p)
+            continue
+        if abs(m) <= band:
+            floats[1].append(p)
+        elif m > 0:
+            floats[0].append(p)
     assert x not in floats[0] + floats[1]
     sols, indet = set(ss.points), set(ss.indeterminate)
     assert set(floats[0]) <= sols <= set(floats[0] + floats[1])

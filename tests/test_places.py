@@ -6,7 +6,7 @@ import mpmath
 import pytest
 import sympy
 
-from linscat import errors, nf_create, places_above, product_formula_defect
+from linscat import errors, nf_create, places, places_above, product_formula_defect
 from linscat.fieldarith import charpoly_norm, norm
 from linscat.places import (
     INF,
@@ -186,6 +186,46 @@ def test_arch_places_shapes():
     z = ws4[0].embedding_value(30)
     import mpmath
     assert abs(z ** 4 + 1) < 1e-25
+
+
+@pytest.mark.parametrize("min_poly", [[1, 0, 0, 0, 1], [-2, 0, 0, 1]])
+def test_complex_embeddings_are_certified(min_poly):
+    """Each root of positive imaginary part lies in its Henrici disc, the
+    discs lie above the real axis and apart, and each complex place's
+    embedding value is its disc's center, the value of the former rule
+    (polyroots at dps + 15 digits, roots above 1e-20 sorted)."""
+    K = nf_create(min_poly)
+    x = sympy.Symbol("x")
+    ws = [w for w in places_above(K, INF) if not w.is_real]
+    with mpmath.workdps(80):
+        roots = [mpmath.mpc(*(str(c) for c in r.evalf(80).as_real_imag()))
+                 for r in sympy.Poly(list(reversed(min_poly)), x).all_roots()]
+    for dps in (17, 40):
+        discs = places._complex_discs(K, dps)
+        assert len(discs) == len(ws) == len([z for z in roots if z.imag > 0])
+        with mpmath.workdps(80):
+            for (z, r), w in zip(discs, ws):
+                assert 0 < float(r) < 10.0 ** -dps and z.imag > r
+                assert sum(abs(z - root) <= r for root in roots) == 1
+            for i, (z, r) in enumerate(discs):
+                assert all(abs(z - y) > r + s for y, s in discs[:i])
+        with mpmath.workdps(dps + 15):
+            former = sorted((z for z in mpmath.polyroots(
+                [mpmath.mpf(c) for c in reversed(min_poly)], maxsteps=200, extraprec=80)
+                if z.imag > 1e-20), key=lambda z: (z.real, z.imag))
+        assert [w.embedding_value(dps) for w in ws] == (
+            [complex(z) for z in former] if dps == 17 else former)
+
+
+def test_complex_embedding_raises_without_disjoint_discs(monkeypatch):
+    """Roots whose discs overlap at every try are refused, not ordered by
+    a threshold: a root of x^4 + 1 and its conjugate, each returned twice,
+    or points too far from any root to leave the real axis."""
+    z = mpmath.expjpi(mpmath.mpf(1) / 4)
+    for fake in ([z, z, z.conjugate(), z.conjugate()], [1j, 1j, -1j, -1j]):
+        monkeypatch.setattr(mpmath, "polyroots", lambda coeffs, **kw: fake)
+        with pytest.raises(errors.PrecisionExhausted):
+            places._complex_discs(nf_create([1, 0, 0, 0, 1]), 17)
 
 
 def test_archimedean_places_built_once_per_field():

@@ -167,7 +167,7 @@ def test_high_precision_leaves_mpmath_dps_alone():
     lg = log_twisted_height(spec, x, precision=60)
     rep = log_twisted_report(spec, x, precision=60)
     math.exp(log_twisted_height(spec, x, precision=60))
-    q_sweep(spec, [1, 3], [x], precision=60)
+    q_sweep(spec, [1, 3], [x])
     assert mpmath.mp.dps == before
     # the terms are log|3| - log 3 and log|4| + log 3, so log H_Q = log 12,
     # still computed to the requested 60 digits
