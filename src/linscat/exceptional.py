@@ -20,8 +20,10 @@ indeterminate.  No verdict depends on a decimal precision.
 
 import functools
 import hashlib
+import heapq
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from mpmath.ctx_iv import MPIntervalContext
@@ -484,6 +486,12 @@ class SubspaceCover:
         }
 
 
+def _det(rows):
+    """Determinant of a square integer matrix by Laplace expansion."""
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0])) if rows else 1
+
+
 def _candidate_subspaces(points, n):
     """Cover candidates, each with the set of point indices it covers.
 
@@ -493,35 +501,51 @@ def _candidate_subspaces(points, n):
     and none covers a strict subset of another's points (the shared points
     would lie in a flat of rank n - 1), so no candidate is dominated.  A
     point on such a hyperplane lies in some n-subset spanning it, so one
-    pass over the n-subsets collects each full point set.
+    pass over the n-subsets collects each full point set.  The hyperplane
+    through n points is their vector of signed n x n minors, (-1)^j times
+    the minor without column j, 0 when they are dependent; primitive with
+    a positive leading entry, it is span_subspace's equation.  The minors
+    are linear in the last point, so each (n-1)-prefix gives them once, as
+    a matrix C.
     """
     whole = span_subspace(points, n)
     if whole is not None:
         return [(whole, frozenset(range(len(points))))]
-    found = {}
-    for idx in itertools.combinations(range(len(points)), n):
-        sub = span_subspace([points[i] for i in idx], n)
-        if len(sub.equations) == 1:
-            found.setdefault(sub.equations, (sub, []))[1].extend(idx)
-    candidates = [(sub, frozenset(cov)) for sub, cov in found.values()]
+    found, zero = {}, [0] * (n + 1)
+    unit = [tuple(int(j == k) for j in range(n + 1)) for k in range(n + 1)]
+    for pre in itertools.combinations(range(len(points)), n - 1):
+        rows = [points[i].coords for i in pre]
+        C = [[(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows + [u]]) for u in unit]
+             for j in range(n + 1)]
+        for i in range(pre[-1] + 1 if pre else 0, len(points)):
+            eq = [sum(map(operator.mul, row, points[i].coords)) for row in C]
+            g = math.gcd(*eq) * (1 if eq > zero else -1)  # a positive leading entry
+            if g:
+                found.setdefault(tuple(c // g for c in eq), []).extend(pre + (i,))
+    candidates = [(Subspace((eq,), n), frozenset(cov)) for eq, cov in found.items()]
     candidates.sort(key=lambda t: (-len(t[1]), t[0].equations))
     return candidates
 
 
 def _greedy_cover(points, candidates):
-    """Most new points first; ties go to the lexicographically least
-    equations, through a key built once per candidate."""
-    keyed = [(tuple(-c for eq in sub.equations for c in eq), sub, cov)
-             for sub, cov in candidates]
+    """Most new points first, ties to the least equations, then to the
+    earlier candidate.  Lazy (Minoux, 1978): gains only fall, so a popped
+    gain of an earlier round that is still current is the maximum."""
+    heap = [(-len(cov), sub.equations, i) for i, (sub, cov) in enumerate(candidates) if cov]
+    heapq.heapify(heap)
     uncovered = set(range(len(points)))
     chosen = []
     while uncovered:
-        _, sub, cov = max(keyed, key=lambda t: (len(t[2] & uncovered), t[0]))
-        gain = cov & uncovered
-        if not gain:  # pragma: no cover
+        if not heap:
             raise Infeasible("no candidate covers the remaining points")
-        chosen.append(sub)
-        uncovered -= gain
+        stale, eqs, i = heapq.heappop(heap)
+        sub, cov = candidates[i]
+        gain = len(cov & uncovered)
+        if gain == -stale:
+            chosen.append(sub)
+            uncovered -= cov
+        elif gain:
+            heapq.heappush(heap, (-gain, eqs, i))
     return chosen
 
 
@@ -580,7 +604,7 @@ def subspace_cover(solutions, mode="exact", max_subspaces=None):
         chosen = _greedy_cover(points, candidates)
     if max_subspaces is not None and len(chosen) > max_subspaces:
         raise Infeasible(
-            "minimum cover needs %d subspaces, cap is %d" % (len(chosen), max_subspaces))
+            "%s cover needs %d subspaces, cap is %d" % (used_mode, len(chosen), max_subspaces))
     assignment = {}
     for p in points:
         for i, sub in enumerate(chosen):

@@ -542,6 +542,101 @@ def test_collinear_set_is_one_subspace():
         assert set(cover.assignment.values()) == {0}
 
 
+def _span_candidates(points, n):
+    """Reference candidates: span_subspace on every n-subset, keyed by its
+    equation, as linscat 0.1.0 found them."""
+    whole = span_subspace(points, n)
+    if whole is not None:
+        return [(whole, frozenset(range(len(points))))]
+    found = {}
+    for idx in itertools.combinations(range(len(points)), n):
+        sub = span_subspace([points[i] for i in idx], n)
+        if len(sub.equations) == 1:
+            found.setdefault(sub.equations, (sub, []))[1].extend(idx)
+    candidates = [(sub, frozenset(cov)) for sub, cov in found.values()]
+    candidates.sort(key=lambda t: (-len(t[1]), t[0].equations))
+    return candidates
+
+
+def _reference_greedy_cover(points, candidates):
+    """The greedy cover of linscat 0.1.0, verbatim: a full rescan of every
+    candidate's gain on every pick."""
+    keyed = [(tuple(-c for eq in sub.equations for c in eq), sub, cov)
+             for sub, cov in candidates]
+    uncovered = set(range(len(points)))
+    chosen = []
+    while uncovered:
+        _, sub, cov = max(keyed, key=lambda t: (len(t[2] & uncovered), t[0]))
+        gain = cov & uncovered
+        if not gain:  # pragma: no cover
+            raise errors.Infeasible("no candidate covers the remaining points")
+        chosen.append(sub)
+        uncovered -= gain
+    return chosen
+
+
+@st.composite
+def _cover_point_sets(draw):
+    """(points, n) in P^1, P^2 or P^3: integer combinations of a drawn basis,
+    which may be rank-deficient, so that many points share a line or a
+    plane, plus a few scattered points."""
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    basis = draw(st.lists(vec, min_size=1, max_size=n + 1))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                    max_size=len(basis)), max_size=14))
+    vecs = [[sum(t * b[j] for t, b in zip(ts, basis)) for j in range(n + 1)]
+            for ts in combos] + draw(st.lists(vec, max_size=4))
+    pts = sorted({ProjectivePoint(v) for v in vecs if any(v)})
+    assume(pts)
+    return pts, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_cover_point_sets())
+# seven points on the line x2 = x0 + x1 and two off it
+@example(case=([ProjectivePoint(c) for c in ((0, 1, 1), (1, 0, 1), (1, 1, 2), (1, 2, 3),
+                                             (1, -1, 0), (2, 1, 3), (1, 3, 4), (1, 0, 0),
+                                             (0, 0, 1))], 2))
+# coplanar points of P^3: one candidate, their plane
+@example(case=([ProjectivePoint(c) for c in ((1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 2),
+                                             (1, -1, 0, 0))], 3))
+def test_minor_candidates_and_lazy_greedy_match_references(case):
+    """The candidates from signed minors are span_subspace's, in the same
+    order with the same covered sets, and the lazy greedy picks what a full
+    rescan picks, on the candidates in order and reversed."""
+    pts, n = case
+    cands = _candidate_subspaces(pts, n)
+    assert _as_lists(cands) == _as_lists(_span_candidates(pts, n))
+    for order in (cands, cands[::-1]):
+        assert ([sub.equations for sub in _greedy_cover(pts, order)]
+                == [sub.equations for sub in _reference_greedy_cover(pts, order)])
+
+
+def test_greedy_cover_refuses_an_uncovered_point():
+    """A point that no candidate covers raises Infeasible, whatever is left
+    of the candidates."""
+    pts = [ProjectivePoint(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    cands = [(sub, cov) for sub, cov in _candidate_subspaces(pts, 2) if 3 not in cov]
+    for order in (cands, cands[:1], []):
+        with pytest.raises(errors.Infeasible):
+            _greedy_cover(pts, order)
+
+
+def test_cover_cap_names_the_mode_used():
+    """max_subspaces refuses a cover with the mode that built it: a greedy
+    cover, chosen or forced above EXACT_COVER_CAP points, is no minimum."""
+    pts = [ProjectivePoint(c) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))]
+    for mode in ("exact", "greedy"):
+        with pytest.raises(errors.Infeasible, match="^%s cover needs 2 subspaces, cap is 1$"
+                           % mode):
+            subspace_cover(pts, mode=mode, max_subspaces=1)
+    many = enumerate_points(2, 2)
+    assert len(many) > exceptional.EXACT_COVER_CAP
+    with pytest.raises(errors.Infeasible, match="^greedy cover needs"):
+        subspace_cover(many, mode="exact", max_subspaces=1)
+
+
 def _coordinate_forms(n):
     return [LinearForm(RATIONALS, [1 if j == i else 0 for j in range(n + 1)])
             for i in range(n + 1)]
@@ -848,6 +943,68 @@ def test_sunit_system_matches_integer_oracle(s1, s2):
     got = tuple([p.coords for p in b] for b in (ss.points, ss.indeterminate, ss.support))
     assert got == _sunit_oracle(s1, s2, 12)
     assert tuple(map(len, got)) == (124, 19, 684)
+
+
+# The greedy covers of linscat 0.1.0 for the four sign choices: the 20
+# lines in order, and the line assigned to each solution in sorted order.
+_SUNIT_COVERS = {
+    (1, 1): (
+        [(0, 1, 1), (1, 0, 1), (4, 4, 3), (4, 4, 5), (6, 6, 5), (3, 3, 2), (0, 3, 2),
+         (2, 3, 2), (8, 8, 7), (3, 2, 2), (3, 0, 2), (8, 8, 9), (9, 9, 11), (4, 5, 4),
+         (8, 7, 8), (1, 8, 0), (2, 1, 2), (3, 4, 4), (4, 3, 4), (0, 2, 3)],
+        [12, 0, 0, 14, 0, 13, 3, 0, 0, 0, 0, 5, 2, 0, 5, 0, 4, 0, 6, 8, 0, 2, 0, 4, 0,
+         3, 0, 9, 9, 8, 0, 9, 5, 19, 1, 2, 1, 6, 4, 3, 6, 14, 9, 0, 11, 2, 3, 4, 2, 16,
+         1, 5, 1, 4, 3, 2, 7, 8, 6, 11, 6, 12, 17, 3, 4, 14, 5, 5, 1, 4, 1, 9, 8, 10,
+         13, 6, 17, 2, 5, 5, 2, 7, 1, 3, 10, 8, 1, 7, 11, 10, 5, 13, 4, 3, 15, 1, 15,
+         2, 1, 16, 10, 12, 2, 2, 4, 3, 2, 1, 8, 7, 1, 4, 1, 3, 7, 1, 18, 2, 18, 11, 7,
+         1, 12, 1]),
+    (1, -1): (
+        [(0, 1, -1), (1, 0, -1), (4, 4, -3), (4, 4, -5), (6, 6, -5), (3, 3, -2),
+         (0, 3, -2), (2, 3, -2), (8, 8, -7), (3, 2, -2), (3, 0, -2), (8, 8, -9),
+         (9, 9, -11), (4, 5, -4), (8, 7, -8), (1, 8, 0), (2, 1, -2), (3, 4, -4),
+         (4, 3, -4), (0, 2, -3)],
+        [0, 12, 0, 13, 0, 14, 0, 3, 0, 0, 0, 5, 0, 2, 0, 5, 0, 4, 0, 8, 6, 0, 2, 3, 0,
+         4, 0, 9, 0, 8, 9, 9, 5, 19, 1, 1, 2, 6, 3, 4, 6, 14, 0, 9, 11, 2, 4, 3, 2, 16,
+         1, 1, 5, 3, 4, 2, 6, 8, 7, 11, 12, 6, 17, 4, 3, 14, 5, 5, 1, 1, 4, 10, 8, 9,
+         13, 6, 17, 2, 5, 5, 2, 7, 3, 1, 1, 8, 10, 7, 11, 10, 5, 13, 3, 4, 15, 1, 15,
+         1, 2, 16, 12, 10, 2, 2, 3, 4, 2, 7, 8, 1, 1, 3, 1, 4, 1, 7, 18, 2, 18, 11, 7,
+         12, 1, 1]),
+    (-1, 1): (
+        [(0, 1, -1), (1, 0, 1), (4, -4, 3), (4, -4, 5), (6, -6, 5), (3, -3, 2),
+         (0, 3, -2), (2, -3, 2), (8, -8, 7), (3, -2, 2), (3, -4, 4), (4, -3, 4),
+         (8, -8, 9), (4, -5, 4), (8, -7, 8), (0, 9, 1), (2, -2, 1), (3, -24, 8),
+         (15, -36, 14), (0, 3, -4)],
+        [0, 4, 0, 3, 2, 0, 6, 8, 0, 4, 0, 5, 0, 2, 0, 5, 0, 0, 0, 3, 0, 14, 0, 13, 0,
+         19, 0, 9, 0, 14, 6, 4, 3, 6, 2, 1, 1, 16, 5, 9, 9, 8, 0, 9, 6, 11, 12, 7, 8,
+         6, 2, 4, 3, 5, 1, 1, 16, 2, 3, 4, 2, 12, 10, 6, 13, 9, 8, 10, 4, 1, 1, 5, 5,
+         14, 3, 4, 10, 11, 12, 7, 18, 8, 1, 1, 3, 7, 2, 5, 5, 2, 17, 10, 17, 2, 1, 15,
+         1, 18, 4, 3, 13, 5, 11, 7, 1, 4, 1, 3, 1, 1, 8, 7, 2, 4, 3, 2, 2, 1, 1, 15, 7,
+         12, 11, 2]),
+    (-1, -1): (
+        [(0, 1, 1), (1, 0, -1), (4, -4, -3), (4, -4, -5), (6, -6, -5), (3, -3, -2),
+         (0, 3, 2), (2, -3, -2), (8, -8, -7), (3, -2, -2), (3, -4, -4), (4, -3, -4),
+         (8, -8, -9), (4, -5, -4), (8, -7, -8), (0, 9, -1), (2, -2, -1), (3, -24, -8),
+         (15, -36, -14), (0, 3, 4)],
+        [0, 3, 0, 4, 0, 2, 0, 8, 6, 0, 4, 0, 5, 0, 2, 5, 0, 0, 0, 0, 3, 13, 0, 14, 0,
+         0, 19, 0, 9, 14, 6, 3, 4, 6, 1, 2, 1, 16, 5, 9, 0, 8, 9, 9, 11, 6, 12, 6, 8,
+         7, 2, 3, 4, 1, 5, 1, 16, 2, 4, 3, 2, 12, 10, 6, 13, 10, 8, 9, 1, 4, 1, 5, 5,
+         14, 4, 3, 10, 11, 12, 7, 1, 8, 18, 3, 1, 7, 2, 5, 5, 2, 10, 17, 17, 1, 2, 18,
+         1, 15, 3, 4, 13, 5, 11, 1, 7, 3, 1, 4, 1, 7, 8, 1, 2, 3, 4, 2, 2, 1, 15, 1, 7,
+         12, 11, 2]),
+}
+
+
+@pytest.mark.parametrize("s1, s2", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_sunit_cover_is_pinned(s1, s2):
+    """The S = {inf, 2, 3} system at eps = 1/2, B = 12: its 124 solutions,
+    above EXACT_COVER_CAP, get the greedy cover of linscat 0.1.0."""
+    ss = filter_solutions("schmidt", _sunit_spec(s1, s2), height_bound=12,
+                          epsilon=Fraction(1, 2))
+    cover = subspace_cover(ss, mode="exact")
+    lines, assigned = _SUNIT_COVERS[s1, s2]
+    assert cover.mode == "greedy"
+    assert [sub.equations for sub in cover.subspaces] == [(eq,) for eq in lines]
+    assert [cover.assignment[p] for p in ss.points] == assigned
 
 
 def test_exact_sign_cost_does_not_grow_with_the_denominator_of_eps():
