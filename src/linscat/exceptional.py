@@ -31,7 +31,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
 from .heights import ProjectivePoint, _log_abs_terms
-from .places import INF, arch_value
+from .places import INF, _det, arch_value
 from .twisted import FormSystemSpec, TwistedHeightSpec
 
 DEFAULT_BUDGET = 20_000_000
@@ -484,12 +484,6 @@ class SubspaceCover:
             "assignment": {repr(p): i for p, i in self.assignment.items()},
             "mode": self.mode,
         }
-
-
-def _det(rows):
-    """Determinant of a square integer matrix by Laplace expansion."""
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
-               for j, a in enumerate(rows[0])) if rows else 1
 
 
 def _candidate_subspaces(points, n):

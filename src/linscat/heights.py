@@ -181,7 +181,7 @@ def _log_abs_terms(forms, x, place):
             t = nonarch_exponent(place, FieldElement(form.field, [Fraction(c, den) for c in A]))
             out.append((1, 1, ((-t, p),)))
         elif place.local_degree == form.field.degree:
-            res = abs(int(_local_norm(form.field.min_poly, A)))
+            res = abs(_local_norm(form.field.min_poly, A))
             out.append((1, den, ((Fraction(1, form.field.degree), res),)))
         else:
             out.append((1, den, ((1, place, tuple(A)),)))

@@ -5,11 +5,15 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from linscat import errors, nf_create, places, places_above, product_formula_defect
 from linscat.fieldarith import charpoly_norm, norm
 from linscat.places import (
     INF,
+    _det,
+    _integer_rep,
+    _local_norm,
     arch_value,
     isolate_real_roots,
     log_abs,
@@ -426,6 +430,81 @@ def test_exponent_matches_reference(name):
     assert len(values) >= 300 and min(values) < 0 < max(values)
 
 
+NORM_FIELDS = [[0, 1], [-2, 0, 1], [1, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1],
+               [-3, 0, 0, 0, 0, 1], [-3, 0, 0, 0, 0, 0, 0, 0, 1]]
+OCTIC = nf_create(NORM_FIELDS[-1])
+
+
+@st.composite
+def _field_elements(draw):
+    """(field, a): a random element with small rational coefficients, or a
+    power theta^k, whose multiplication matrix starts with a zero pivot."""
+    K = nf_create(draw(st.sampled_from(NORM_FIELDS)))
+    if draw(st.booleans()):
+        return K, K.gen() ** draw(st.integers(0, 2 * K.degree))
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    return K, K.element(draw(st.lists(coeff, min_size=K.degree, max_size=K.degree)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_field_elements())
+@example(case=(OCTIC, OCTIC.gen()))
+def test_whole_completion_norm_is_the_field_norm(case):
+    """With the minimal polynomial, the local norm of A, a = A(theta)/den, is
+    N(a) den^d exactly, sign included, in degrees 1 to 8; 0 for a = 0."""
+    K, a = case
+    A, den = _integer_rep(a)
+    assert _local_norm(K.min_poly, A) == charpoly_norm(a)[1] * den ** K.degree
+
+
+def _sympy_resultant(g, A):
+    x = sympy.Symbol("x")
+    return int(sympy.Poly(list(reversed(g)), x).resultant(sympy.Poly(list(reversed(A)), x)))
+
+
+LOCAL_FACTOR_CASES = [([-2, 0, 1], 7), ([-17, 0, 1], 2), ([-2, 0, 0, 1], 5),
+                      ([1, -3, 0, 1], 17), ([1, 0, 0, 0, 1], 3), ([1, 0, 0, 0, 1], 17),
+                      ([1, 0, 0, 1, 0, 0, 1], 17)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(LOCAL_FACTOR_CASES), data=st.data())
+def test_local_factor_norm_matches_resultant(case, data):
+    """At a Hensel-lifted local factor g of degree 1 or 2 (40 digits), the
+    local norm of an A longer than g is sympy's Res(g, A) up to sign."""
+    K = nf_create(case[0])
+    ws = [w for w in places_above(K, case[1], 40) if w.local_degree <= 2]
+    g = data.draw(st.sampled_from(ws)).local_factor
+    A = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=len(g) + 1, max_size=K.degree + 2))
+    assert abs(_local_norm(g, A)) == abs(_sympy_resultant(g, A))
+
+
+def _laplace(rows):
+    return sum((-1) ** j * a * _laplace([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0])) if rows else 1
+
+
+@st.composite
+def _square_matrices(draw):
+    """0 x 0 to 5 x 5 integer matrices; small entries, zero rows and a row
+    that is the sum of two others make many of them singular."""
+    n = draw(st.integers(0, 5))
+    entry = st.integers(-3, 3) | st.integers(-10 ** 20, 10 ** 20)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        rows[i] = [a + b for a, b in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_square_matrices())
+@example(rows=[])
+@example(rows=[[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+def test_bareiss_det_matches_laplace(rows):
+    assert _det(rows) == _laplace(rows)
+
+
 def test_refinement_keeps_the_place():
     """a = theta - r, r the 7-adic sqrt2 = 3 mod 7 to 60 digits, has
     valuation 60 at the place of r and 0 at the other.  40 digits do not
@@ -453,6 +532,25 @@ def test_deep_valuation_is_decided_in_one_step():
     ws = places_above(K, 7, 40)
     assert ([nonarch_exponent(w, a) for w in ws]
             == [700 if -w.local_factor[0] % 7 == 3 else 0 for w in ws])
+
+
+def test_refinement_at_a_degree_two_local_factor():
+    """x^3 - 2 at 5 has a place of degree 1 and one of degree 2.  a = g(theta),
+    g the degree-2 local factor to 60 digits, has a 40-digit local norm of 0
+    mod 5^40 at the degree-2 place, so its value there comes from the
+    refined place; every value equals the oracle's, and d_w t_w sums to
+    ord_5 N(a)."""
+    K = nf_create([-2, 0, 0, 1])
+    g = next(w.local_factor for w in places_above(K, 5, 60) if w.local_degree == 2)
+    a = K.element([Fraction(c) for c in g])
+    ws = places_above(K, 5, 40)
+    assert sorted(w.local_degree for w in ws) == [1, 2]
+    (w2,) = [w for w in ws if w.local_degree == 2]
+    assert _local_norm(w2.local_factor, list(g)) % 5 ** 40 == 0
+    ts = [nonarch_exponent(w, a) for w in ws]
+    assert ts == [_reference_exponent(K, w, a) for w in ws]
+    assert ts[ws.index(w2)] >= 60
+    assert sum(w.local_degree * t for w, t in zip(ws, ts)) == ord_p_fraction(norm(a), 5)
 
 
 @pytest.mark.parametrize("min_poly, p", [
@@ -537,6 +635,42 @@ def test_product_formula_quadratic_and_cubic():
     K3 = nf_create([-2, 0, 0, 1])
     t3 = K3.gen()
     assert product_formula_defect(K3, 3 + t3) < 1e-12
+
+
+@pytest.mark.parametrize("min_poly, bad, primes, local_degrees", [
+    ([1, 0, 0, 0, 1], 2, (3, 5, 17), [1, 2]),                  # x^4 + 1
+    ([1, 0, 0, 1, 0, 0, 1], 3, (2, 7, 17, 19), [1, 2, 3, 6]),  # x^6 + x^3 + 1
+])
+def test_product_formula_quartic_and_sextic(min_poly, bad, primes, local_degrees):
+    """The product formula in degrees 4 and 6, through the 4 x 4 and 6 x 6
+    norms of the support and local factors of degree 1, 2 and 3.  At each
+    place w above p, a = b c: b is the local factor mod p at theta, plus a
+    multiple of p (p itself at a whole completion), so w is in the support,
+    and c is random.  Their norms and denominators avoid bad, the one prime
+    dividing disc(min_poly), which places_above refuses."""
+    K = nf_create(min_poly)
+    rng = random.Random(K.degree)
+
+    def avoids_bad(a):
+        return a and not ord_p_fraction(norm(a), bad) and a.denominator_lcm() % bad
+
+    seen = []
+    for p in primes:
+        for w in places_above(K, p):
+            g = w.local_factor
+            b = K.from_rational(p) if len(g) == len(min_poly) else K.element(
+                [(c + p // 2) % p - p // 2 for c in g[:-1]] + [1] + [0] * (len(min_poly) - len(g) - 1))
+            while not avoids_bad(b):
+                b += p
+            for _ in range(3):
+                a = 0
+                while not avoids_bad(a):
+                    a = b * K.element([Fraction(rng.randint(-6, 6), rng.choice((1, 1, 11, 13)))
+                                       for _ in range(K.degree)])
+                assert nonarch_exponent(w, a) > 0
+                assert product_formula_defect(K, a) < 1e-12
+                seen.append(w.local_degree)
+    assert sorted(set(seen)) == local_degrees
 
 
 def test_place_serialization():
