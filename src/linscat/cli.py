@@ -496,7 +496,8 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--precision", type=int, default=None,
                         help="digits of printed values (default: the config's, "
-                             "else 40); no solve or sweep verdict depends on it")
+                             "else 40); no solve, sweep or twisted verdict "
+                             "depends on it")
     parser.add_argument("--out", default=None, help="report output directory")
     args = parser.parse_args(argv)
     try:

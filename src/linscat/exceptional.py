@@ -12,10 +12,11 @@ Every verdict is made by one loop, _settle, from the certified sign of each
 margin; q_sweep is the parametric filter at each Q.  A margin is a sum of
 terms r log N (the height, Q and the exact values of heights._log_abs_terms),
 r log|sigma_w(A(theta))| at archimedean places, and the rational slack.  Its
-sign comes from a float pre-check with a proven error bound (_CHECK), or
-from interval enclosures (_exact_log_sign): an exact tie of integer terms at
-slack 0, or a sum with an archimedean term still undecided at _ARCH_BITS, is
-indeterminate.  No verdict depends on a decimal precision.
+sign is heights._log_sign's, or twisted._parametric_sign's for the
+parametric system (the twisted report's verdict): a float pre-check with a
+proven error bound, else interval enclosures.  An exact tie of integer terms
+at slack 0, or a sum with an archimedean term still undecided at the bit
+cap, is indeterminate.  No verdict depends on a decimal precision.
 """
 
 import functools
@@ -26,13 +27,12 @@ import math
 import operator
 from fractions import Fraction
 
-from mpmath.ctx_iv import MPIntervalContext
-
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
-from .heights import ProjectivePoint, _log_abs_terms
-from .places import INF, _det, arch_value
-from .twisted import FormSystemSpec, TwistedHeightSpec
+from .fieldarith import _det
+from .heights import ProjectivePoint, _log_abs_terms, _log_sign, _neg
+from .places import INF, arch_value
+from .twisted import FormSystemSpec, TwistedHeightSpec, _parametric_sign
 
 DEFAULT_BUDGET = 20_000_000
 EXACT_COVER_CAP = 25
@@ -87,148 +87,6 @@ def _digest(*parts):
     return h.hexdigest()[:16]
 
 
-# Float pre-check, u = 2^-53.  math.log(N) of an integer N >= 1 is within
-# 3u (1 + log N) of log N (N is rounded, or split as m 2^e, before libm's
-# log), so within 8u log N, and a term r log N within 10u |term|; a slack s,
-# float(s), within u |s|.  For a term r log|A(theta)|, A of degree n, and t
-# the double nearest the center of Place.root_disc(17), |t - theta| <= eta,
-# Horner's rule gives A(t) within (4n+2)u size even in complex arithmetic
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.6, 5.1),
-# and |A(theta) - A(t)| <= n eta/|t| size, size = sum|a_k|(|t| + eta)^k.  So
-# v = |fl(A(t))| is within bound = (8(n+1)u + n eta/|t|) size of |A(theta)|,
-# and if bound < v/2, log v is within 2 bound/v of log|A(theta)|; err sums
-# 3|r| bound/v, the spare factors covering roundings.  A float sum of
-# k < 8990 terms adds k u mag, mag the sum of the |term|, so it is within
-# _CHECK (1 + mag) + err of the true sum, and so is a max of such sums.  An
-# underflow costs under 2^-1074 log N, inside the 1; a value past the
-# double range, or a bound not below v/2, fails the check.
-_CHECK = 1e-12
-_U = 2.0 ** -53
-
-# A sum with an archimedean term is indeterminate past this many bits: it is
-# 0 only through a multiplicative relation, which no enclosure sees.
-_ARCH_BITS = 4096
-
-_IV = MPIntervalContext()  # of its own: setting its precision leaves mpmath.iv alone
-
-
-def _horner_log(place, A):
-    """(log v, bound/v) for v = |A(t)| in floats, as in _CHECK; (0.0, inf)
-    when the bound is not below v/2."""
-    c, r = place.root_disc(17)
-    t = float(c) if place.is_real else complex(c)
-    eta = (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)  # |c - t| <= u|c| per part
-    at, acc, size = abs(t) + eta, 0.0, 0.0
-    for a in reversed(A):
-        acc = acc * t + a
-        size = size * at + abs(a)
-    v, n = abs(acc), len(A) - 1
-    bound = (8 * (n + 1) * _U + n * eta / abs(t)) * size
-    return (math.log(v), bound / v) if bound < v / 2 else (0.0, math.inf)
-
-
-def _float_sum(terms, slack=0):
-    """(sum, mag, err) of slack plus the terms in floats, as in _CHECK; a
-    term (r, N) is r log N and (r, place, A) is r log|sigma_w(A(theta))|."""
-    try:
-        total = float(slack) if slack else 0.0
-        mag, err = abs(total), 0.0
-        for term in terms:
-            r = float(term[0])
-            if len(term) == 2:
-                t = r * math.log(term[1])
-            else:
-                lg, b = _horner_log(term[1], term[2])
-                t, err = r * lg, err + 3 * abs(r) * b
-            total += t
-            mag += abs(t)
-    except OverflowError:
-        return 0.0, math.inf, 0.0
-    return total, mag, err
-
-
-def _coprime_basis(ns):
-    """Pairwise coprime integers > 1 whose products give every n >= 1 in ns.
-    Each split of m and b by g = gcd(m, b) > 1 into g, m/g and b/g divides
-    the product of all pending numbers by g, so the loop ends."""
-    basis, todo = [], [n for n in ns if n > 1]
-    while todo:
-        m = todo.pop()
-        for i, b in enumerate(basis):
-            g = math.gcd(m, b)
-            if g > 1:
-                del basis[i]
-                todo += [k for k in (g, m // g, b // g) if k > 1]
-                break
-        else:
-            basis.append(m)
-    return basis
-
-
-def _iv(q):
-    """An int, a Fraction or an mpf as an interval of _IV."""
-    return _IV.mpf(q.numerator) / q.denominator if hasattr(q, "denominator") else _IV.mpf(q)
-
-
-def _iv_log_abs(place, A, prec):
-    """An enclosure of log|sigma_w(A(theta))|, by Horner's rule over the
-    place's root disc at prec/3.4 digits; all of R while |A| may be 0."""
-    c, r = place.root_disc(prec * 3 // 10)
-    rad = _iv(r) * _IV.mpf([-1, 1])
-    theta = _iv(c) + rad if place.is_real else _IV.mpc(_iv(c.real) + rad, _iv(c.imag) + rad)
-    acc = 0
-    for a in reversed(A):
-        acc = acc * theta + a
-    mag = abs(acc)
-    return _IV.log(mag) if mag > 0 else _IV.mpf(["-inf", "inf"])
-
-
-def _exact_log_sign(terms, slack=0):
-    """Sign of slack plus _float_sum's terms.  Over a coprime basis b_j of
-    the N, the (r, N) terms are sum c_j log b_j, the log b_j independent over
-    Q: with no other term the sum is 0 exactly when every c_j is.  A slack
-    s != 0 is never cancelled, as e^s is transcendental (Lindemann).  Else an
-    interval enclosure refined until it excludes 0 gives the sign, or 0 at
-    _ARCH_BITS with an archimedean term; no power N^r is formed."""
-    rational = [t for t in terms if len(t) == 2]
-    arch = [t for t in terms if len(t) == 3]
-    coeffs = []
-    for b in _coprime_basis([N for _, N in rational]):
-        c = Fraction(0)
-        for r, N in rational:
-            while N % b == 0:
-                N //= b
-                c += r
-        if c:
-            coeffs.append((c, b))
-    if not (coeffs or arch or slack):
-        return 0
-    prec = 64
-    while not arch or prec <= _ARCH_BITS:
-        _IV.prec = prec
-        s = _iv(slack) + sum(_iv(c) * _IV.log(b) for c, b in coeffs) + sum(
-            _iv(r) * _iv_log_abs(place, A, prec) for r, place, A in arch)
-        if s > 0:
-            return 1
-        if s < 0:
-            return -1
-        prec *= 2
-    return 0
-
-
-def _log_sign(terms, slack=0):
-    """Sign of slack plus the terms: the float pre-check, and inside its
-    bound the interval stage."""
-    total, mag, err = _float_sum(terms, slack)
-    if abs(total) > _CHECK * (1 + mag) + err:
-        return 1 if total > 0 else -1
-    return _exact_log_sign(terms, slack)
-
-
-def _neg(terms):
-    return tuple((-t[0],) + t[1:] for t in terms)
-
-
 def _schmidt_sign(spec, epsilon, slack, x):
     """The sign of the schmidt margin e log H - log P + slack, with
     e = (n+1)([inf in S] - 1) - eps and P = prod_{v,i} |L_vi(x)|_v = num/den
@@ -261,39 +119,6 @@ def _fw_sign(spec, d_weights, slack, x):
             if worst < 0:
                 return worst
     return worst
-
-
-def _parametric_sign(spec, slack, x):
-    """The sign of slack - (log H_Q + eps log Q), the sum over v of
-    max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is not in S,
-    plus eps log Q.  Inside the pre-check's bound each max is found by signs
-    of differences; one left 0 with an archimedean term makes the point
-    indeterminate.  A vanishing form is skipped, as in log_twisted_height."""
-    qn, qd = spec.Q.numerator, spec.Q.denominator
-    rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
-    if INF not in spec.S:
-        rest.append((1, max(map(abs, x.coords))))
-    places = spec.places()
-    maxima = [[((1, a), (-1, b), (-c, qn), (c, qd)) + more for (a, b, more), c in
-               zip(_log_abs_terms(spec.forms[v], x, places[v]), spec.weights[v]) if a]
-              for v in spec.S]
-    total, mag, err = _float_sum(rest, -slack)
-    for cands in maxima:
-        sums = list(zip(*(_float_sum(terms) for terms in cands)))
-        total, mag, err = total + max(sums[0]), mag + sum(sums[1]), err + sum(sums[2])
-    if abs(total) > _CHECK * (1 + mag) + err:
-        return -1 if total > 0 else 1
-    for cands in maxima:
-        best = cands[0]
-        for terms in cands[1:]:
-            diff = terms + _neg(best)
-            sign = _log_sign(diff)
-            if not sign and any(len(t) == 3 for t in diff):
-                return 0
-            if sign > 0:
-                best = terms
-        rest += best
-    return -_exact_log_sign(rest, -slack)
 
 
 def _settle(points, sign):

@@ -2,18 +2,21 @@
 
 Elements live in the power basis of the generator theta.  All coefficients
 are fractions.Fraction; everything here is exact and deterministic.
-Products, inverses, determinants and characteristic polynomials come from
-sympy (dense QQ polynomials and DomainMatrix); _to_dup and _from_dup are
-the one conversion between coefficient tuples and sympy's polynomials.
+Products and inverses come from sympy's dense QQ polynomials; _to_dup and
+_from_dup are the one conversion between coefficient tuples and them.
+Norms, traces, local norms and the independence of form rows are read off
+one integer matrix, the multiplication rows of _mult_rows, and one integer
+determinant, _det; sympy's DomainMatrix over ZZ only gives the
+characteristic polynomial.
 """
 
 import math
 from fractions import Fraction
 
 import sympy
-from sympy.polys.densearith import dup_lshift, dup_mul, dup_rem
+from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.euclidtools import dup_invert
 from sympy.polys.matrices import DomainMatrix
 
@@ -22,7 +25,6 @@ from .errors import BadParameter, FieldMismatch, NonMonic, Reducible
 MAX_DEGREE = 8
 
 _x = sympy.Symbol("x")
-_QQX = QQ[_x]
 
 
 def _to_dup(coeffs):
@@ -215,40 +217,103 @@ class FieldElement:
         return "FieldElement(%s)" % (list(self.coeffs),)
 
 
-def _field_det(field, rows):
-    """Exact determinant of a square matrix of field elements: the
-    determinant over QQ[x] of the entries' power-basis polynomials, reduced
-    mod min_poly."""
-    mat = DomainMatrix([[_QQX.ring.from_list(_to_dup(a.coeffs)) for a in row]
-                        for row in rows], (len(rows), len(rows)), _QQX)
-    return field._reduce(mat.det().to_dense())
+def _det(rows):
+    """Determinant of a square integer matrix, 1 for the empty one, by
+    Bareiss' fraction-free elimination (Math. Comp. 22, 1968): each division
+    by the previous pivot is exact.  A zero pivot swaps in a lower row."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i], sign = m[i], m[k], -sign
+        pivot, top = m[k][k], m[k]
+        for r in m[k + 1:]:
+            rk = r[k]
+            for j in range(k + 1, len(r)):
+                r[j] = (r[j] * pivot - rk * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
+
+
+def _mult_rows(g, coeffs):
+    """The rows x^j A mod g, j < deg g, of a monic g and an integer poly A,
+    both ascending, reduced by exact integer division as g is monic: the
+    transposed matrix of multiplication by A on Z[x]/(g) in the power basis."""
+    d, row = len(g) - 1, list(coeffs)
+    for i in range(len(row) - 1, d - 1, -1):  # A mod g
+        c = row.pop()
+        for j in range(d):
+            row[i - d + j] -= c * g[j]
+    row += [0] * (d - len(row))
+    rows = [row]
+    for _ in range(d - 1):  # x * row mod g
+        c = row[-1]
+        row = [0] + row[:-1]
+        for j in range(d):
+            row[j] -= c * g[j]
+        rows.append(row)
+    return rows
+
+
+def _local_norm(g, coeffs):
+    """Res(g, A) for a monic g and an integer poly A, both ascending: the
+    product of A over the roots of g, which is the determinant of
+    multiplication by A on Z[x]/(g) (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, 4.3).  For g the minimal polynomial this
+    is N(A(theta)); for g a local factor, the local norm
+    N_{K_w/Q_p}(A(theta)).  A root r gives the 1 x 1 matrix A(r)."""
+    return _det(_mult_rows(g, coeffs))
+
+
+def _integer_rep(a):
+    """(integer ascending coeff list, denominator) with a = A0(theta)/den."""
+    den = a.denominator_lcm()
+    return [c.numerator * (den // c.denominator) for c in a.coeffs], den
+
+
+def _restriction_det(field, rows):
+    """N(det M) prod_i den_i^d for a square matrix M of field elements, d the
+    degree and den_i the common denominator of row i: the integer
+    determinant of M's restriction of scalars to Q, whose block (i, m) is
+    _mult_rows of the numerator of M_im.  The blocks commute, so the
+    determinant is the norm of the block determinant; it is 0 exactly when
+    the rows are dependent over the field."""
+    g, big = field.min_poly, []
+    for row in rows:
+        den = math.lcm(*(a.denominator_lcm() for a in row))
+        blocks = [_mult_rows(g, [c.numerator * (den // c.denominator) for c in a.coeffs])
+                  for a in row]
+        big += [[c for block in blocks for c in block[j]] for j in range(field.degree)]
+    return _det(big)
 
 
 def charpoly_norm(a):
     """Characteristic polynomial (ascending, monic), norm and trace of a.
 
     The polynomial is that of multiplication-by-a on the field viewed as a
-    Q-vector space; norm = (-1)^deg * constant term, trace = -(coefficient
-    of x^(deg-1)).
+    Q-vector space: with a = A(theta)/den, that of the integer matrix
+    _mult_rows(min_poly, A) (the transpose has the same one) scaled by
+    1/den.  norm = (-1)^deg * constant term, trace = -(coefficient of
+    x^(deg-1)).
     """
-    field = a.field
-    n = field.degree
-    # row j is a * theta^j in the power basis: the transpose of the
-    # multiplication matrix, which has the same characteristic polynomial
-    poly = _to_dup(a.coeffs)
-    rows = []
-    for j in range(n):
-        row = dup_rem(dup_lshift(poly, j, QQ), field._dup, QQ)[::-1]
-        rows.append(row + [QQ(0)] * (n - len(row)))
-    coeffs = tuple(_from_dup(DomainMatrix(rows, (n, n), QQ).charpoly(), n + 1))
-    norm = (-1) ** n * coeffs[0]
-    trace = -coeffs[n - 1]
-    return coeffs, norm, trace
+    n = a.field.degree
+    coeffs, den = _integer_rep(a)
+    rows = _mult_rows(a.field.min_poly, coeffs)
+    desc = DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).charpoly()
+    poly = tuple(Fraction(int(c), den ** k) for k, c in enumerate(desc))[::-1]
+    return poly, (-1) ** n * poly[0], -poly[n - 1]
 
 
 def norm(a):
-    return charpoly_norm(a)[1]
+    """N(a) = N(A(theta)) / den^d, the local norm of the minimal polynomial."""
+    coeffs, den = _integer_rep(a)
+    return Fraction(_local_norm(a.field.min_poly, coeffs), den ** a.field.degree)
 
 
 def trace(a):
-    return charpoly_norm(a)[2]
+    """Tr(a), the diagonal sum of _mult_rows(min_poly, A) over den."""
+    coeffs, den = _integer_rep(a)
+    rows = _mult_rows(a.field.min_poly, coeffs)
+    return Fraction(sum(row[j] for j, row in enumerate(rows)), den)

@@ -4,21 +4,30 @@ Points carry primitive integer coordinates with a canonical sign, so the
 multiplicative height is exactly max|x_i| and all finite-place terms of the
 height are zero.  Linear forms may have coefficients in a number field; the
 local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
-extension absolute value at a chosen place w above v.  _weil_row is its one
-definition, for all forms of one place at one point, built on
-places.log_abs and log_height; weil_hyperplane is its one-form case.
+extension absolute value at a chosen place w above v.  _log_abs_row is
+log|L(x)|_{v,K} for all forms of one place at one point, each form
+evaluated once and valued by places.log_abs; _lambdas turns such a row into
+Weil values, and _weil_row is the two together, with weil_hyperplane its
+one-form case.
+
 _log_abs_terms is log|L(x)|_{v,K} as exact terms, read off the same
-integer rows, for the certified verdicts of the filters.
+integer rows, and _log_sign the certified sign of a sum of such terms: a
+float pre-check with a proven error bound (_CHECK), else interval
+enclosures (_exact_log_sign).  An exact tie of integer terms, or a sum with
+an archimedean term still undecided at _ARCH_BITS, has sign 0.  The
+filters and the twisted report take every verdict from these signs.
 """
 
 import math
 import operator
 from fractions import Fraction
 
+from mpmath.ctx_iv import MPIntervalContext
+
 from .errors import BadParameter, OnSupport
-from .fieldarith import FieldElement, RATIONALS
-from .places import (INF, _local_norm, log_abs, nonarch_exponent, normalize_place,
-                     ord_p_int, places_above, reals)
+from .fieldarith import FieldElement, RATIONALS, _local_norm
+from .places import (INF, _row_exponent, log_abs, normalize_place, ord_p_int,
+                     places_above, reals)
 
 
 class ProjectivePoint:
@@ -139,22 +148,26 @@ def resolve_place(field, v, w_index):
     raise BadParameter("no place with index %d above %r" % (w_index, v))
 
 
-def _weil_row(forms, x, place, log_max, precision=17):
-    """[lambda_{L,w}(x) for L in forms] at the place w, where
-    lambda_{L,w}(x) = log max_j|x_j|_v - log|L(x)|_{v,K}.
-
-    Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
-    integer coordinates the finite-place max is 1.  At infinity
-    log max_j|x_j| is log_max, the caller's log_height(x, precision).
-    Numbers of reals(precision) at the caller's working precision, which
-    is precision + 5 digits or more on the mpf path.
-    """
+def _log_abs_row(forms, x, place, precision=17):
+    """[log|L(x)|_{v,K} for L in forms] at the place w: each form evaluated
+    once, by places.log_abs, in reals(precision) at the caller's working
+    precision.  Raises OnSupport where some L(x) = 0."""
     las = []
     for form in forms:
         val = form.evaluate(x)
         if not val:
             raise OnSupport("point %r lies on the hyperplane %r" % (x, form))
         las.append(log_abs(place, val, precision))
+    return las
+
+
+def _lambdas(las, place, log_max):
+    """[lambda_{L,w}(x)] from a row of log|L(x)|_{v,K} values: log max_j|x_j|_v
+    - log|L(x)|_{v,K}, with log max_j|x_j|_v = log_max at infinity.
+
+    Coordinates are rational, so |x_j|_{v,K} = |x_j|_v; for primitive
+    integer coordinates the finite-place max is 1.
+    """
     if not place.is_arch:
         # off infinity log max_j|x_j|_v is 0, so a unit's lambda is
         # log_abs's zero and any other is 0 - log_abs
@@ -162,11 +175,21 @@ def _weil_row(forms, x, place, log_max, precision=17):
     return [log_max - la for la in las]
 
 
+def _weil_row(forms, x, place, log_max, precision=17):
+    """[lambda_{L,w}(x) for L in forms] at the place w: _lambdas of
+    _log_abs_row, where log_max is the caller's log_height(x, precision).
+    Numbers of reals(precision) at the caller's working precision, which
+    is precision + 5 digits or more on the mpf path.
+    """
+    return _lambdas(_log_abs_row(forms, x, place, precision), place, log_max)
+
+
 def _log_abs_terms(forms, x, place):
     """[(a, b, extra) for L in forms], log|L(x)|_{v,K} = log(a/b) + sum(extra),
     with a = 0 where L(x) = A(theta)/_den is 0.  A rational value has
     integers a, b and no extra; else extra is (-t, p) (-t log p) at a finite
-    place, (1/d, |Res(f, A)|) at a place that is the whole completion C, and
+    place, with t from the integer row A itself (places._row_exponent),
+    (1/d, |Res(f, A)|) at a place that is the whole completion C, and
     (1, place, A) (log|sigma_w(A(theta))|) at any other."""
     out, p = [], place.prime
     for form in forms:
@@ -178,14 +201,163 @@ def _log_abs_terms(forms, x, place):
                 k = ord_p_int(A[0], p) - ord_p_int(den, p)
                 out.append((1, p ** k, ()) if k >= 0 else (p ** -k, 1, ()))
         elif not place.is_arch:
-            t = nonarch_exponent(place, FieldElement(form.field, [Fraction(c, den) for c in A]))
-            out.append((1, 1, ((-t, p),)))
+            out.append((1, 1, ((-_row_exponent(place, A, den), p),)))
         elif place.local_degree == form.field.degree:
             res = abs(_local_norm(form.field.min_poly, A))
             out.append((1, den, ((Fraction(1, form.field.degree), res),)))
         else:
             out.append((1, den, ((1, place, tuple(A)),)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# certified signs of sums of log terms
+
+# Float pre-check, u = 2^-53.  math.log(N) of an integer N >= 1 is within
+# 3u (1 + log N) of log N (N is rounded, or split as m 2^e, before libm's
+# log), so within 8u log N, and a term r log N within 10u |term|; a slack s,
+# float(s), within u |s|.  For a term r log|A(theta)|, A of degree n, and t
+# the double nearest the center of Place.root_disc(17), |t - theta| <= eta,
+# Horner's rule gives A(t) within (4n+2)u size even in complex arithmetic
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.6, 5.1),
+# and |A(theta) - A(t)| <= n eta/|t| size, size = sum|a_k|(|t| + eta)^k.  So
+# v = |fl(A(t))| is within bound = (8(n+1)u + n eta/|t|) size of |A(theta)|,
+# and if bound < v/2, log v is within 2 bound/v of log|A(theta)|; err sums
+# 3|r| bound/v, the spare factors covering roundings.  A float sum of
+# k < 8990 terms adds k u mag, mag the sum of the |term|, so it is within
+# _CHECK (1 + mag) + err of the true sum, and so is a max of such sums.  An
+# underflow costs under 2^-1074 log N, inside the 1; a value past the
+# double range, or a bound not below v/2, fails the check.
+_CHECK = 1e-12
+_U = 2.0 ** -53
+
+# A sum with an archimedean term is indeterminate past this many bits: it is
+# 0 only through a multiplicative relation, which no enclosure sees.
+_ARCH_BITS = 4096
+
+_IV = MPIntervalContext()  # of its own: setting its precision leaves mpmath.iv alone
+
+
+def _horner_log(place, A):
+    """(log v, bound/v) for v = |A(t)| in floats, as in _CHECK; (0.0, inf)
+    when the bound is not below v/2."""
+    c, r = place.root_disc(17)
+    t = float(c) if place.is_real else complex(c)
+    eta = (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)  # |c - t| <= u|c| per part
+    at, acc, size = abs(t) + eta, 0.0, 0.0
+    for a in reversed(A):
+        acc = acc * t + a
+        size = size * at + abs(a)
+    v, n = abs(acc), len(A) - 1
+    bound = (8 * (n + 1) * _U + n * eta / abs(t)) * size
+    return (math.log(v), bound / v) if bound < v / 2 else (0.0, math.inf)
+
+
+def _float_sum(terms, slack=0):
+    """(sum, mag, err) of slack plus the terms in floats, as in _CHECK; a
+    term (r, N) is r log N and (r, place, A) is r log|sigma_w(A(theta))|."""
+    try:
+        total = float(slack) if slack else 0.0
+        mag, err = abs(total), 0.0
+        for term in terms:
+            r = float(term[0])
+            if len(term) == 2:
+                t = r * math.log(term[1])
+            else:
+                lg, b = _horner_log(term[1], term[2])
+                t, err = r * lg, err + 3 * abs(r) * b
+            total += t
+            mag += abs(t)
+    except OverflowError:
+        return 0.0, math.inf, 0.0
+    return total, mag, err
+
+
+def _checked_sign(total, mag, err):
+    """The sign of a float sum from _float_sum, 1 or -1 where _CHECK's bound
+    proves it, else 0."""
+    if abs(total) > _CHECK * (1 + mag) + err:
+        return 1 if total > 0 else -1
+    return 0
+
+
+def _coprime_basis(ns):
+    """Pairwise coprime integers > 1 whose products give every n >= 1 in ns.
+    Each split of m and b by g = gcd(m, b) > 1 into g, m/g and b/g divides
+    the product of all pending numbers by g, so the loop ends."""
+    basis, todo = [], [n for n in ns if n > 1]
+    while todo:
+        m = todo.pop()
+        for i, b in enumerate(basis):
+            g = math.gcd(m, b)
+            if g > 1:
+                del basis[i]
+                todo += [k for k in (g, m // g, b // g) if k > 1]
+                break
+        else:
+            basis.append(m)
+    return basis
+
+
+def _iv(q):
+    """An int, a Fraction or an mpf as an interval of _IV."""
+    return _IV.mpf(q.numerator) / q.denominator if hasattr(q, "denominator") else _IV.mpf(q)
+
+
+def _iv_log_abs(place, A, prec):
+    """An enclosure of log|sigma_w(A(theta))|, by Horner's rule over the
+    place's root disc at prec/3.4 digits; all of R while |A| may be 0."""
+    c, r = place.root_disc(prec * 3 // 10)
+    rad = _iv(r) * _IV.mpf([-1, 1])
+    theta = _iv(c) + rad if place.is_real else _IV.mpc(_iv(c.real) + rad, _iv(c.imag) + rad)
+    acc = 0
+    for a in reversed(A):
+        acc = acc * theta + a
+    mag = abs(acc)
+    return _IV.log(mag) if mag > 0 else _IV.mpf(["-inf", "inf"])
+
+
+def _exact_log_sign(terms, slack=0):
+    """Sign of slack plus _float_sum's terms.  Over a coprime basis b_j of
+    the N, the (r, N) terms are sum c_j log b_j, the log b_j independent over
+    Q: with no other term the sum is 0 exactly when every c_j is.  A slack
+    s != 0 is never cancelled, as e^s is transcendental (Lindemann).  Else an
+    interval enclosure refined until it excludes 0 gives the sign, or 0 at
+    _ARCH_BITS with an archimedean term; no power N^r is formed."""
+    rational = [t for t in terms if len(t) == 2]
+    arch = [t for t in terms if len(t) == 3]
+    coeffs = []
+    for b in _coprime_basis([N for _, N in rational]):
+        c = Fraction(0)
+        for r, N in rational:
+            while N % b == 0:
+                N //= b
+                c += r
+        if c:
+            coeffs.append((c, b))
+    if not (coeffs or arch or slack):
+        return 0
+    prec = 64
+    while not arch or prec <= _ARCH_BITS:
+        _IV.prec = prec
+        s = _iv(slack) + sum(_iv(c) * _IV.log(b) for c, b in coeffs) + sum(
+            _iv(r) * _iv_log_abs(place, A, prec) for r, place, A in arch)
+        if s > 0:
+            return 1
+        if s < 0:
+            return -1
+        prec *= 2
+    return 0
+
+
+def _log_sign(terms, slack=0):
+    """Sign of slack plus the terms: the float pre-check, and inside its
+    bound the interval stage."""
+    return _checked_sign(*_float_sum(terms, slack)) or _exact_log_sign(terms, slack)
+
+
+def _neg(terms):
+    return tuple((-t[0],) + t[1:] for t in terms)
 
 
 def weil_hyperplane(form, x, v, w_index=0, precision=17):

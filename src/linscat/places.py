@@ -8,8 +8,10 @@ FieldMismatch.  Q is the field of min_poly x, on the same path as every
 other field.
 
 Non-archimedean values are exact rational powers of p, read off the local
-norm: the integer determinant of multiplication by A on Z[x]/(g_w), for
-a = A(theta)/den and g_w the place's local factor.  The places above p
+norm (fieldarith._local_norm): the integer determinant of multiplication
+by A on Z[x]/(g_w), for a = A(theta)/den and g_w the place's local factor.
+_row_exponent takes the integer row A itself, nonarch_exponent a field
+element.  The places above p
 come, in every degree, from one factorization mod p and one Hensel lift
 (of a p-maximal generator in a quadratic field), exact to the p-adic
 digits asked for.  Archimedean values come from real embeddings isolated
@@ -34,6 +36,7 @@ from sympy.polys.galoistools import gf_factor
 from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
 
 from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
+from .fieldarith import _integer_rep, _local_norm
 
 INF = "inf"
 
@@ -343,78 +346,35 @@ def _element(field, a):
     return a
 
 
-def _integer_rep(a):
-    """(integer ascending coeff list, denominator) with a = A0(theta)/den."""
-    den = a.denominator_lcm()
-    return [c.numerator * (den // c.denominator) for c in a.coeffs], den
-
-
-def _det(rows):
-    """Determinant of a square integer matrix, 1 for the empty one, by
-    Bareiss' fraction-free elimination (Math. Comp. 22, 1968): each division
-    by the previous pivot is exact.  A zero pivot swaps in a lower row."""
-    m, sign, prev = [list(r) for r in rows], 1, 1
-    for k in range(len(m) - 1):
-        if not m[k][k]:
-            i = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if i is None:
-                return 0
-            m[k], m[i], sign = m[i], m[k], -sign
-        pivot, top = m[k][k], m[k]
-        for r in m[k + 1:]:
-            rk = r[k]
-            for j in range(k + 1, len(r)):
-                r[j] = (r[j] * pivot - rk * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if m else 1
-
-
-def _local_norm(g, coeffs):
-    """Res(g, A) for a monic g and an integer poly A, both ascending: the
-    product of A over the roots of g, which is the determinant of
-    multiplication by A on Z[x]/(g) (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, 4.3).  Its rows are x^j A mod g, j < deg g,
-    reduced by exact integer division, as g is monic.  For g the minimal
-    polynomial this is N(A(theta)); for g a local factor, the local norm
-    N_{K_w/Q_p}(A(theta)).  A root r gives the 1 x 1 matrix A(r)."""
-    d, row = len(g) - 1, list(coeffs)
-    for i in range(len(row) - 1, d - 1, -1):  # A mod g
-        c = row.pop()
-        for j in range(d):
-            row[i - d + j] -= c * g[j]
-    row += [0] * (d - len(row))
-    rows = [row]
-    for _ in range(d - 1):  # x * row mod g
-        c = row[-1]
-        row = [0] + row[:-1]
-        for j in range(d):
-            row[j] -= c * g[j]
-        rows.append(row)
-    return _det(rows)
-
-
 def nonarch_exponent(place, a):
-    """Exact exponent t with |a|_{v,K} = p^(-t) at the finite place w.
-
-    With a = A(theta)/den, t = ord_p Res(g_w, A) / d_w - ord_p(den), where
-    the local norm Res(g_w, A) is the integer determinant of multiplication
-    by A mod g_w (_local_norm).  When the place is the whole completion g_w
-    is the minimal polynomial and the norm is exact.  Otherwise g_w agrees
-    with the p-adic factor mod p^precision, so an order below precision is
-    final.  The order is at most t = ord_p N(A(theta)), so a norm that is 0
-    mod p^precision is decided in one step, at the same place refined to
-    more than t digits: the power of two above t, so that the places cached
-    on the field stay one per doubling.
-    w_index names the same place at every precision (_first_difference_order).
-    """
-    field = place.field
-    a = _element(field, a)
+    """Exact exponent t with |a|_{v,K} = p^(-t) at the finite place w: a
+    rational a by its p-adic order, any other by _row_exponent on its
+    integer numerator."""
+    a = _element(place.field, a)
     if not a:
         raise ValueError("absolute value exponent of zero")
-    p = place.prime
     if a.is_rational_value:
-        return Fraction(ord_p_fraction(a.rational_value(), p))
-    coeffs, den = _integer_rep(a)
+        return Fraction(ord_p_fraction(a.rational_value(), place.prime))
+    return _row_exponent(place, *_integer_rep(a))
+
+
+def _row_exponent(place, coeffs, den):
+    """The exponent t of nonarch_exponent for a = A(theta)/den, A a nonzero
+    integer row (not necessarily prime to den): a LinearForm's _dots and
+    _den go here directly.
+
+    t = ord_p Res(g_w, A) / d_w - ord_p(den), where the local norm
+    Res(g_w, A) is the integer determinant of multiplication by A mod g_w
+    (_local_norm).  When the place is the whole completion g_w is the
+    minimal polynomial and the norm is exact.  Otherwise g_w agrees with the
+    p-adic factor mod p^precision, so an order below precision is final.
+    The order is at most t = ord_p N(A(theta)), so a norm that is 0 mod
+    p^precision is decided in one step, at the same place refined to more
+    than t digits: the power of two above t, so that the places cached on
+    the field stay one per doubling.  w_index names the same place at every
+    precision (_first_difference_order).
+    """
+    field, p = place.field, place.prime
     shift = ord_p_int(den, p) if den % p == 0 else 0
     d = place.local_degree
     if d == field.degree:
@@ -465,15 +425,13 @@ class Reals:
     PrecisionExhausted outside the float range.  guard(digits), the context an
     evaluation runs in, is none for floats and working_dps(precision +
     digits), which never lowers a caller's higher precision, for mpmath.
-    band, 10^-(max(precision, 17) - 10), is the twisted report's verdict
-    band; the filters' verdicts are certified signs and do not read it."""
+    It sets the digits of values only: every verdict is a certified sign."""
 
-    __slots__ = ("precision", "is_float", "band", "zero", "log", "exp", "real")
+    __slots__ = ("precision", "is_float", "zero", "log", "exp", "real")
 
     def __init__(self, precision, is_float):
         self.precision = precision
         self.is_float = is_float
-        self.band = 10.0 ** (-(max(precision, 17) - 10))
         if is_float:
             self.zero, self.log, self.exp, self.real = 0.0, math.log, _exp, _float
         else:

@@ -16,7 +16,7 @@ from .errors import (
     SumCheckFailed,
     ThresholdNotMet,
 )
-from .fieldarith import _field_det
+from .fieldarith import _restriction_det
 
 
 class WeightSystem:
@@ -355,7 +355,7 @@ def gen_pos_reduce(forms_per_place, lambda_rows, n):
             raise BadParameter("need at least n+1 forms per place")
         field = forms[0].field
         for subset in itertools.combinations(range(len(forms)), n + 1):
-            det = _field_det(field, [forms[j].coeffs for j in subset])
+            det = _restriction_det(field, [forms[j].coeffs for j in subset])
             if not det:
                 raise GeneralPositionViolated(
                     "forms %r at a place are linearly dependent" % (subset,)

@@ -8,16 +8,22 @@ place is not in S.  Everything is evaluated in log space.
 FormSystemSpec holds a field, the places S and n+1 independent forms per
 place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.
 _lambda_matrix is the one matrix of Weil values lambda_vi(x) of a form
-system.  Q-sweeps live in exceptional.py: q_sweep is the parametric filter
-at each Q.
+system.  log_twisted_report evaluates every form once and combines the one
+row of log|L_vi(x)|_v per place twice, into its lhs and into log H_Q; its
+verdict is _parametric_sign's, the certified sign the parametric filter
+reads, so the report and the filter agree at every precision.  Q-sweeps
+live in exceptional.py: q_sweep is the parametric filter at each Q.
 """
 
 import copy
+import math
 from fractions import Fraction
 
 from .errors import BadParameter
-from .fieldarith import _field_det
-from .heights import LinearForm, _per_place, _weil_row, log_height, resolve_place
+from .fieldarith import _restriction_det
+from .heights import (LinearForm, _checked_sign, _exact_log_sign, _float_sum, _lambdas,
+                      _log_abs_row, _log_abs_terms, _log_sign, _neg, _per_place,
+                      _weil_row, log_height, resolve_place)
 from .places import INF, log_abs, normalize_place, reals
 
 
@@ -26,9 +32,9 @@ class FormSystemSpec:
     filters and the base of TwistedHeightSpec.
 
     forms is a dict keyed by place of Q (or a list in S-order); each place
-    carries n+1 forms, checked linearly independent by an exact determinant,
-    so some form of each place is nonzero at every point.  The places are
-    resolved once, at construction.
+    carries n+1 forms, checked linearly independent by an exact determinant
+    (fieldarith._restriction_det), so some form of each place is nonzero at
+    every point.  The places are resolved once, at construction.
     """
 
     def __init__(self, field, S, forms, w_choices=None):
@@ -52,7 +58,7 @@ class FormSystemSpec:
                 raise BadParameter(
                     "place %r needs exactly %d forms in %d variables" % (v, n_vars, n_vars)
                 )
-            if not _field_det(field, [f.coeffs for f in fs]):
+            if not _restriction_det(field, [f.coeffs for f in fs]):
                 raise BadParameter("forms at place %r are linearly dependent" % (v,))
             self.forms[v] = tuple(fs)
         self.n = n_vars - 1
@@ -124,54 +130,120 @@ def _lambda_matrix(spec, x, precision=17):
         return [_weil_row(spec.forms[v], x, places[v], h, precision) for v in spec.S], h
 
 
+def _log_hq(spec, R, las, logQ, h):
+    """log H_Q in R from the rows of log|L_vi(x)|_v (None where L_vi(x) = 0),
+    log Q and h = log max|x_j|: the sum over v of max_i (log|L_vi(x)|_v
+    - c_vi log Q), plus h when inf is not in S."""
+    total = R.zero
+    for v, row in zip(spec.S, las):
+        total = total + max(la - R.real(c) * logQ
+                            for la, c in zip(row, spec.weights[v]) if la is not None)
+    if INF not in spec.S:
+        total = total + h
+    return total
+
+
 def log_twisted_height(spec, x, precision=17):
     """log H_Q(x), evaluated in log space in reals(precision), at
-    precision + 10 digits."""
+    precision + 10 digits.  A form vanishing at x is skipped; the forms of a
+    place are independent, so another one is not."""
     places = spec.places()
     R = reals(precision)
     with R.guard(10):
-        logQ = R.log(R.real(spec.Q))
-        total = R.zero
-        for v in spec.S:
-            w, vals = places[v], (form.evaluate(x) for form in spec.forms[v])
-            total = total + max(log_abs(w, val, precision) - R.real(c) * logQ
-                                for val, c in zip(vals, spec.weights[v]) if val)
-        if INF not in spec.S:
-            total = total + log_height(x, precision)
-        return total
+        las = [[log_abs(places[v], val, precision) if val else None
+                for val in (form.evaluate(x) for form in spec.forms[v])] for v in spec.S]
+        return _log_hq(spec, R, las, R.log(R.real(spec.Q)), log_height(x, precision))
+
+
+def _parametric_sign(spec, slack, x):
+    """The sign of slack - (log H_Q + eps log Q), the sum over v of
+    max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is not in S,
+    plus eps log Q.  The float pre-check takes log Q once and adds each
+    c_vi log Q as one float, counting |c_vi| (log qn + log qd) in its
+    magnitude: float(c) (log qn - log qd) is within 11u of that of c log Q,
+    inside _CHECK's bound for the two terms c log qd - c log qn it stands
+    for.  Inside its bound each max is found by signs of differences
+    of exact terms; one left 0 with an archimedean term makes the point
+    indeterminate.  A vanishing form is skipped, as in log_twisted_height."""
+    qn, qd = spec.Q.numerator, spec.Q.denominator
+    rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
+    if INF not in spec.S:
+        rest.append((1, max(map(abs, x.coords))))
+    places = spec.places()
+    rows = [[(a, b, more, c) for (a, b, more), c in
+             zip(_log_abs_terms(spec.forms[v], x, places[v]), spec.weights[v]) if a]
+            for v in spec.S]
+    total, mag, err = _float_sum(rest, -slack)
+    try:
+        ln, ld = math.log(qn), math.log(qd)
+        logQ, logs = ln - ld, ln + ld
+        for row in rows:
+            best = -math.inf
+            for a, b, more, c in row:
+                s, m, e = _float_sum(more) if more else (0.0, 0.0, 0.0)
+                la, lb, cf = math.log(a), math.log(b), float(c)
+                best = max(best, la - lb + s - cf * logQ)
+                mag += abs(la) + abs(lb) + m + abs(cf) * logs
+                err += e
+            total += best
+    except OverflowError:
+        mag = math.inf
+    sign = _checked_sign(total, mag, err)
+    if sign:
+        return -sign
+    for row in rows:
+        cands = [((1, a), (-1, b), (-c, qn), (c, qd)) + more for a, b, more, c in row]
+        best = cands[0]
+        for terms in cands[1:]:
+            diff = terms + _neg(best)
+            sign = _log_sign(diff)
+            if not sign and any(len(t) == 3 for t in diff):
+                return 0
+            if sign > 0:
+                best = terms
+        rest += best
+    return -_exact_log_sign(rest, -slack)
 
 
 def log_twisted_report(spec, x, precision=17):
     """Per-place minima, the twisted inequality verdict, identity residual.
 
-    lhs = sum over v in S of min_i(lambda_vi + c_vi log Q); the inequality
-    compares lhs against h(x) + epsilon log Q: the verdict is lhs > rhs, or
-    None (indeterminate) inside the report's band, reals(precision).band.
-    The identity -log H_Q = lhs - h is returned as a residual for
-    cross-checking; it compares two independent evaluations of every form.
-    H_Q = exp(-neg_log_HQ).
+    Every form is evaluated once: one row of log|L_vi(x)|_v per place feeds
+    both lhs = sum over v of min_i(lambda_vi + c_vi log Q) and log H_Q.  The
+    inequality compares lhs against rhs = h(x) + epsilon log Q, and the
+    verdict is the certified sign of the parametric filter's margin,
+    _parametric_sign(spec, 0, x): True (lhs > rhs) where the filter lists x
+    as a solution, False where it rejects x, and None (indeterminate) where
+    it lists x as indeterminate, as at an exact tie.  No verdict depends on
+    precision, which sets the digits of the values only.  The identity
+    -log H_Q = lhs - h is returned as a residual, which compares the two
+    combinations of the one evaluation.  H_Q = exp(-neg_log_HQ).  Raises
+    OnSupport on the support of the form system.
     """
+    places = spec.places()
     R = reals(precision)
     with R.guard(10):
         logQ = R.log(R.real(spec.Q))
-        rows, h = _lambda_matrix(spec, x, precision)
+        h = log_height(x, precision)
+        las = [_log_abs_row(spec.forms[v], x, places[v], precision) for v in spec.S]
         per_place = {}
         lhs = R.zero
-        for v, row in zip(spec.S, rows):
-            m = min(lam + R.real(c) * logQ for lam, c in zip(row, spec.weights[v]))
+        for v, row in zip(spec.S, las):
+            m = min(lam + R.real(c) * logQ
+                    for lam, c in zip(_lambdas(row, places[v], h), spec.weights[v]))
             per_place[v] = m
             lhs = lhs + m
         rhs = h + R.real(spec.epsilon) * logQ
-        margin = lhs - rhs
-        neg_log_hq = -log_twisted_height(spec, x, precision)
+        neg_log_hq = -_log_hq(spec, R, las, logQ, h)
         residual = abs(neg_log_hq - (lhs - h))
         hq = R.exp(-neg_log_hq)
+    sign = _parametric_sign(spec, 0, x)
     return {
         "per_place": per_place,
         "lhs": lhs,
         "rhs": rhs,
         "h": h,
-        "verdict": None if abs(margin) <= R.band else bool(margin > 0),
+        "verdict": None if not sign else sign > 0,
         "identity_residual": float(residual),
         "neg_log_HQ": neg_log_hq,
         "H_Q": hq,

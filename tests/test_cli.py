@@ -172,11 +172,11 @@ def test_solve_lists_a_repeated_point_once(tmp_path, capsys):
     assert doc["density"]["point_count"] == 2 and doc["density"]["economy"] == 1.0
 
 
-def test_twisted_verdict_inside_the_band_is_indeterminate(tmp_path, capsys):
-    """twisted decides with its report band: [1:1] at Q = 1 has
-    lhs = rhs, so its verdict is null and the command exits 2, as
-    parametric solve on the same spec lists it as indeterminate; [3:4] is
-    decided."""
+def test_twisted_verdict_at_an_exact_tie_is_indeterminate(tmp_path, capsys):
+    """twisted decides with the parametric filter's certified sign: [1:1] at
+    Q = 1 is an exact tie, lhs = rhs, so its verdict is null and the command
+    exits 2, as parametric solve on the same spec lists it as indeterminate;
+    [3:4] is decided."""
     spec = {"field": [0, 1], "S": ["inf"], "forms": {"inf": [["1", "0"], ["0", "1"]]},
             "weights": {"inf": ["1", "-1"]}, "epsilon": "1/10", "Q": 1,
             "points": [[3, 4], [1, 1]]}

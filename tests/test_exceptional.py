@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from linscat import errors, exceptional, nf_create
+from linscat import errors, exceptional, heights, nf_create
 from linscat.exceptional import (
     FormSystemSpec,
     _candidate_subspaces,
@@ -22,7 +22,7 @@ from linscat.exceptional import (
 )
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint
-from linscat.places import INF, places_above, reals
+from linscat.places import INF, places_above
 from linscat.twisted import TwistedHeightSpec, _lambda_matrix, log_twisted_height
 
 
@@ -797,7 +797,7 @@ def test_exact_signs_agree_with_float_margins(system):
             weights, epsilon=eps, Q=Q)
     except errors.BadParameter:
         assume(False)
-    band = reals(40).band
+    band = 1e-30  # a 40-digit margin's tolerance
     for x in map(ProjectivePoint, points):
         schmidt, fw, parametric = _reference_margins(spec, eps, d_weights, 0, x, 40)
         _agrees(lambda: exceptional._schmidt_sign(spec, eps, 0, x), schmidt, band)
@@ -851,9 +851,9 @@ def test_signs_over_number_fields_agree_with_200_digit_margins(system):
     200-digit reference margins wherever those are above 10^-150; and so
     do they with the float pre-check switched off, from the interval stage."""
     spec, d_weights, eps, slack, points = system
-    for check in (exceptional._CHECK, math.inf):
+    for check in (heights._CHECK, math.inf):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exceptional, "_CHECK", check)
+            mp.setattr(heights, "_CHECK", check)
             for x in points:
                 schmidt, fw, parametric = _reference_margins(
                     spec, eps, d_weights, slack, x, 200)
@@ -1016,10 +1016,10 @@ def test_exact_sign_cost_does_not_grow_with_the_denominator_of_eps():
     spec = _sunit_spec(1, 1)
     eps = Fraction(1, 10 ** 12)
     x = ProjectivePoint([3, 1, -2])
-    assert abs(-float(eps) * math.log(3)) <= exceptional._CHECK * (1 + 2 * math.log(6))
+    assert abs(-float(eps) * math.log(3)) <= heights._CHECK * (1 + 2 * math.log(6))
     ss = filter_solutions("schmidt", spec, height_bound=12, epsilon=eps)
     assert x not in ss.points and x not in ss.indeterminate
-    band = reals(40).band
+    band = 1e-30  # a 40-digit margin's tolerance
     floats = [], [], []
     for p in enumerate_points(2, 12):
         try:
@@ -1041,13 +1041,13 @@ def test_exact_log_sign_needs_no_large_powers():
     """Exponents with denominators of 12 and 100 digits: an exact tie, a
     margin of -eps log 3, and a near tie of size 1.5e-11."""
     big = 10 ** 100 + 1
-    assert exceptional._exact_log_sign(((Fraction(big, 2), 4), (-big, 2))) == 0
-    assert exceptional._exact_log_sign(
+    assert heights._exact_log_sign(((Fraction(big, 2), 4), (-big, 2))) == 0
+    assert heights._exact_log_sign(
         ((Fraction(-1, 10 ** 100), 3), (1, 6), (-1, 6))) == -1
     h = 10 ** 11 + 1
-    assert exceptional._exact_log_sign(
+    assert heights._exact_log_sign(
         ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h))) == -1
-    assert exceptional._exact_log_sign(
+    assert heights._exact_log_sign(
         ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h), (-1, 1))) == -1
 
 

@@ -11,9 +11,10 @@ and parametric `solve` on each at precisions 17 and 40:
   qi_<command>_<precision>.json.
 
 Every field of a report must equal the recorded one, except
-identity_residual: it measures the rounding of two independent evaluations
-of log H_Q, so above 17 digits it must lie below the report's working
-precision instead, at most 10^-(precision + 8).
+identity_residual: it measures the rounding of two combinations of one
+evaluation of every form, lhs - h and -log H_Q, so above 17 digits it must
+lie below the report's working precision instead, at most
+10^-(precision + 8).
 
 It also holds the stdout of the two bundled configs in configs/, at their
 own precision: bundled_roth_sqrt2_solve.json, which must be equal byte for

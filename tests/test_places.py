@@ -8,12 +8,9 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from linscat import errors, nf_create, places, places_above, product_formula_defect
-from linscat.fieldarith import charpoly_norm, norm
+from linscat.fieldarith import _det, _integer_rep, _local_norm, charpoly_norm, norm
 from linscat.places import (
     INF,
-    _det,
-    _integer_rep,
-    _local_norm,
     arch_value,
     isolate_real_roots,
     log_abs,

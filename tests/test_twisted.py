@@ -1,12 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import linscat
 from linscat import errors, nf_create
-from linscat.exceptional import q_sweep
+from linscat.exceptional import filter_solutions, q_sweep
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint, log_height, weil_hyperplane
 from linscat.places import INF, log_abs, places_above
@@ -343,3 +349,105 @@ def test_w_choices_list_and_dict_resolve_the_same_places():
     short = FormSystemSpec(K, [INF, 7], forms, w_choices=[1])
     assert short.places()[INF] is by_list.places()[INF]
     assert short.places()[7].w_index == 0
+
+
+def test_report_verdict_is_the_parametric_filters_at_a_near_tie():
+    """S = {inf}, the coordinate forms, weights (1, -1), eps = 1/10 and
+    Q = 1 + 10^-8: at [1:1] the margin lhs - rhs is -1.1 log Q, about
+    -1.1e-8.  The report takes the parametric filter's certified sign, so it
+    says False at 17 and at 40 digits, as the filter rejects the point."""
+    spec = TwistedHeightSpec(RATIONALS, [INF], {INF: coord_forms(RATIONALS, 1)},
+                             {INF: [1, -1]}, epsilon=Fraction(1, 10),
+                             Q=1 + Fraction(1, 10 ** 8))
+    x = ProjectivePoint([1, 1])
+    ss = filter_solutions("parametric", spec, points=[x])
+    assert not ss.points and not ss.indeterminate and not ss.support
+    for precision in (17, 40):
+        rep = log_twisted_report(spec, x, precision)
+        assert abs(float(rep["lhs"] - rep["rhs"]) + 1.1e-8) < 1e-15
+        assert rep["verdict"] is False, precision
+
+
+_FIELDS = [nf_create([0, 1]), nf_create([-2, 0, 1]), nf_create([1, 0, 1])]
+_RATIONAL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _report_cases(draw):
+    """(spec, point): a twisted system with small integer coefficients over
+    Q, Q(sqrt2) or Q(i), S inside {inf, 2, 3, 5} at a random place above
+    each v, and Q = 1 (where exact ties lie) or above."""
+    K = draw(st.sampled_from(_FIELDS))
+    n = draw(st.sampled_from([1, 2]))
+    S = draw(st.lists(st.sampled_from([INF, 2, 3, 5]), min_size=1, max_size=3,
+                      unique=True))
+    w_choices = {v: draw(st.integers(0, len(places_above(K, v)) - 1)) for v in S}
+    coeff = st.lists(st.integers(-3, 3), min_size=K.degree, max_size=K.degree)
+    rows, weights = {}, {}
+    for v in S:
+        # a drawn form, or the coordinate form x_i
+        rows[v] = [[draw(coeff) for _ in range(n + 1)] if draw(st.booleans())
+                   else [[int(j == i)] + [0] * (K.degree - 1) for j in range(n + 1)]
+                   for i in range(n + 1)]
+        w = draw(st.lists(_RATIONAL, min_size=n, max_size=n))
+        weights[v] = w + [-sum(w)]
+    Q = 1 + draw(st.builds(Fraction, st.integers(0, 20), st.integers(1, 4)))
+    eps = draw(_RATIONAL)
+    coords = draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1).filter(any))
+    try:
+        forms = {v: [LinearForm(K, [K.element(c) for c in row]) for row in rows[v]]
+                 for v in S}
+        spec = TwistedHeightSpec(K, S, forms, weights, epsilon=eps, Q=Q,
+                                 w_choices=w_choices)
+    except errors.BadParameter:
+        assume(False)
+    return spec, ProjectivePoint(coords)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_report_cases())
+@example(case=(TwistedHeightSpec(RATIONALS, [INF], {INF: coord_forms(RATIONALS, 1)},
+                                 {INF: [1, -1]}, Fraction(1, 10), Q=1 + Fraction(1, 10 ** 8)),
+               ProjectivePoint([1, 1])))
+# lhs = rhs exactly: the report's None is the filter's indeterminate
+@example(case=(TwistedHeightSpec(RATIONALS, [INF], {INF: coord_forms(RATIONALS, 1)},
+                                 {INF: [1, -1]}, Fraction(1, 10), Q=1),
+               ProjectivePoint([1, 1])))
+def test_report_verdict_equals_the_parametric_bucket(case):
+    """At 17 and 40 digits the report's verdict is the point's bucket in the
+    parametric filter: True for a solution, None for an indeterminate point,
+    False otherwise.  A point where some form vanishes has no report."""
+    spec, x = case
+    ss = filter_solutions("parametric", spec, points=[x])
+    want = True if ss.points else None if ss.indeterminate else False
+    for precision in (17, 40):
+        try:
+            rep = log_twisted_report(spec, x, precision)
+        except errors.OnSupport:
+            return
+        assert rep["verdict"] is want, (precision, rep)
+
+
+def test_twisted_loads_no_filter_module():
+    """The report's verdict comes from twisted's own _parametric_sign and
+    heights' signs: a fresh interpreter that imports linscat.twisted and
+    runs a report loads no linscat.exceptional.  The package __init__, which
+    imports every module, is bypassed by a bare package module."""
+    code = textwrap.dedent("""
+        import importlib, sys, types
+        pkg = types.ModuleType("linscat")
+        pkg.__path__ = [%r]
+        sys.modules["linscat"] = pkg
+        twisted = importlib.import_module("linscat.twisted")
+        heights = importlib.import_module("linscat.heights")
+        K = importlib.import_module("linscat.fieldarith").nf_create([-2, 0, 1])
+        forms = [heights.LinearForm(K, [1, 0]), heights.LinearForm(K, [K.gen(), 1])]
+        spec = twisted.TwistedHeightSpec(K, ["inf", 7], {"inf": forms, 7: forms},
+                                         {"inf": [1, -1], 7: [0, 0]}, 0, Q=3)
+        rep = twisted.log_twisted_report(spec, heights.ProjectivePoint([5, 3]))
+        print(rep["verdict"], "linscat.exceptional" in sys.modules)
+    """) % os.path.dirname(linscat.__file__)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out[1] == "False", out
+    assert out[0] in ("True", "False", "None")
