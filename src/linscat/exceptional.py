@@ -30,8 +30,8 @@ from fractions import Fraction
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
 from .fieldarith import _det
-from .heights import ProjectivePoint, _log_abs_terms, _log_sign, _neg
-from .places import INF, arch_value
+from .heights import ProjectivePoint, _arch_floats, _log_abs_terms, _log_sign, _neg
+from .places import INF
 from .twisted import FormSystemSpec, TwistedHeightSpec, _parametric_sign
 
 DEFAULT_BUDGET = 20_000_000
@@ -139,18 +139,34 @@ def _settle(points, sign):
     return sorted(sols), sorted(indet), sorted(supp)
 
 
+def _prefilter_inputs(spec, epsilon, slack):
+    """(coeffs, exponent, log_slack) for kernels.prefilter on a schmidt
+    system with S = {inf} at a real place: per form a (float, error bound)
+    pair per coefficient (heights._arch_floats), -epsilon and the slack as
+    floats; None when a number lies past the double range."""
+    w = spec.places()[INF]
+    try:
+        return ([_arch_floats(w, form) for form in spec.forms[INF]],
+                -float(epsilon), float(slack))
+    except OverflowError:
+        return None
+
+
 def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
                      d_weights=None, slack=0, budget=DEFAULT_BUDGET):
     """Evaluate the named inequality system over a point set.
 
     Either an explicit point list, whose repeated points count once, or a
     height bound must be given.  For the schmidt system with S = {inf} at
-    a real place and no explicit points, the float prefilter in
-    linscat.kernels scans only the windows around the forms' roots; its
-    candidates are then re-evaluated exactly.  Otherwise every point up to
-    the bound is settled.  Every candidate is settled by _settle, with the
-    certified sign of its margin, in every field and at every rational
-    slack.
+    a real place and no explicit points, the certified float prefilter in
+    linscat.kernels takes each coefficient as a float with an error bound
+    (_prefilter_inputs) and scans only the windows around the forms'
+    roots; it drops a point only on a proof that it is no solution, tie or
+    point of the support, and its candidates are then re-evaluated
+    exactly.  Otherwise, and when the coefficients, epsilon or slack lie
+    past the range of a double, every point up to the bound is settled.
+    Every candidate is settled by _settle, with the certified sign of its
+    margin, in every field and at every rational slack.
     """
     if height_bound is not None and height_bound < 1:
         raise BadParameter("need height_bound >= 1")
@@ -188,12 +204,11 @@ def filter_solutions(kind, spec, points=None, height_bound=None, epsilon=None,
     if points is None:
         if height_bound is None:
             raise BadParameter("need points or a height bound")
+        floats = None
         if kind == "schmidt" and spec.S == [INF] and spec.places()[INF].is_real:
-            w = spec.places()[INF]
-            coeffs = [tuple(arch_value(w, c) for c in form.coeffs)
-                      for form in spec.forms[INF]]
-            points = _points(kernels.prefilter(height_bound, coeffs, -float(epsilon),
-                                               float(slack), budget=budget))
+            floats = _prefilter_inputs(spec, epsilon, slack)
+        if floats:
+            points = _points(kernels.prefilter(height_bound, *floats, budget=budget))
         else:
             points = enumerate_points(spec.n, height_bound, budget)
     else:

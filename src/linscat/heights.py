@@ -238,9 +238,10 @@ _ARCH_BITS = 4096
 _IV = MPIntervalContext()  # of its own: setting its precision leaves mpmath.iv alone
 
 
-def _horner_log(place, A):
-    """(log v, bound/v) for v = |A(t)| in floats, as in _CHECK; (0.0, inf)
-    when the bound is not below v/2."""
+def _horner(place, A):
+    """(fl(A(t)), bound) with |A(theta) - fl(A(t))| <= bound at the place,
+    as in _CHECK; complex at a complex place.  Integers of A past the
+    double range raise OverflowError."""
     c, r = place.root_disc(17)
     t = float(c) if place.is_real else complex(c)
     eta = (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)  # |c - t| <= u|c| per part
@@ -248,8 +249,31 @@ def _horner_log(place, A):
     for a in reversed(A):
         acc = acc * t + a
         size = size * at + abs(a)
-    v, n = abs(acc), len(A) - 1
-    bound = (8 * (n + 1) * _U + n * eta / abs(t)) * size
+    n = len(A) - 1
+    return acc, (8 * (n + 1) * _U + n * eta / abs(t)) * size
+
+
+def _arch_floats(place, form):
+    """[(q, err)] per coefficient A(theta)/_den of the form: a float q within
+    err of its image at a real place.  A rational coefficient (no theta
+    terms) gives q = A[0]/_den, correctly rounded, within u|q|; any other
+    gives _horner's value over _den, within its bound over _den plus u|q|,
+    the bound's spare factors covering the rest of the division's rounding.
+    The least subnormal, 2^-1074, covers a quotient that underflows.
+    Numbers past the double range raise OverflowError."""
+    out, den = [], form._den
+    for A in zip(*form._rows):
+        v, b = _horner(place, A) if any(A[1:]) else (A[0], 0)
+        q = v / den
+        out.append((q, b / den + _U * abs(q) + 2.0 ** -1074))
+    return out
+
+
+def _horner_log(place, A):
+    """(log v, bound/v) for v = |A(t)| in floats, as in _CHECK; (0.0, inf)
+    when the bound is not below v/2."""
+    acc, bound = _horner(place, A)
+    v = abs(acc)
     return (math.log(v), bound / v) if bound < v / 2 else (0.0, math.inf)
 
 

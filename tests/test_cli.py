@@ -235,6 +235,28 @@ def test_solve_slack_stays_exact(tmp_path, capsys):
     assert len(ss) > len(filter_solutions("schmidt", spec, slack=0, **kwargs))
 
 
+@pytest.mark.parametrize("key", ["epsilon", "slack"])
+def test_solve_past_the_double_range_writes_a_report(tmp_path, capsys, key):
+    """An epsilon or slack of 10^400 with a height bound is settled point by
+    point and reported, as the API call gives it, not a traceback."""
+    forms = [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "0"]]]
+    cfg = {"mode": "schmidt", "field": [-2, 0, 1], "S": ["inf"],
+           "w_choices": {"inf": 1}, "forms": {"inf": forms},
+           "epsilon": "3/10", "slack": "0", "height_bound": 30,
+           "precision": 17, "cover": False}
+    cfg[key] = "1" + "0" * 400
+    code, doc = run(capsys, "solve", "--config", write_cfg(tmp_path, "big.json", cfg))
+    assert code == 0
+    K = nf_create([-2, 0, 1])
+    spec = FormSystemSpec(
+        K, [INF], {INF: [LinearForm(K, [K.element(c) for c in f]) for f in forms]},
+        w_choices={INF: 1})
+    kwargs = {"epsilon": Fraction(3, 10), "slack": 0, key: 10 ** 400}
+    ss = filter_solutions("schmidt", spec, height_bound=30, **kwargs)
+    assert doc["solutions"] == [list(p.coords) for p in ss.points]
+    assert doc["support"] == [[0, 1]]
+
+
 def _pell_points(count):
     """[x0:x1] with x1^2 - 2 x0^2 = +-1, from [1:1] on."""
     pts, x0, x1 = [], 1, 1

@@ -115,6 +115,18 @@ def test_streaming_agrees_with_explicit_points():
     assert streamed.spec_digest == explicit.spec_digest
 
 
+def test_height_bound_keeps_the_sqrt2_convergent_at_275807():
+    """[195025:275807], a convergent of sqrt2, is a solution at
+    eps = 6484/78125 with a margin of +2.0e-6; the prefilter keeps it, so
+    the height-bound route finds it as the explicit point does."""
+    _, spec = sqrt2_spec()
+    eps = Fraction(6484, 78125)
+    x = ProjectivePoint([195025, 275807])
+    assert filter_solutions("schmidt", spec, points=[x], epsilon=eps).points == [x]
+    ss = filter_solutions("schmidt", spec, height_bound=275807, epsilon=eps)
+    assert ss.points[-1] == x and len(ss.points) == 20
+
+
 def _inf_spec(min_poly, rows, w_index):
     K = nf_create(min_poly)
     th = K.gen()
@@ -1049,6 +1061,23 @@ def test_exact_log_sign_needs_no_large_powers():
         ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h))) == -1
     assert heights._exact_log_sign(
         ((2 - Fraction(1, 10 ** 12), h), (-1, h - 1), (-1, h), (-1, 1))) == -1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epsilon": 10 ** 400}, {"epsilon": -10 ** 400},
+    {"epsilon": Fraction(3, 10), "slack": 10 ** 400},
+    {"epsilon": Fraction(3, 10), "slack": -10 ** 400}])
+def test_height_bound_past_the_double_range(kwargs):
+    """An eps or a slack past the range of a double cannot be handed to the
+    float prefilter: the height-bound route settles every point up to the
+    bound and gives the buckets of the explicit enumeration."""
+    spec = FormSystemSpec(RATIONALS, [INF], {INF: _coordinate_forms(1)})
+    bounded = filter_solutions("schmidt", spec, height_bound=30, **kwargs)
+    explicit = filter_solutions("schmidt", spec, points=enumerate_points(1, 30), **kwargs)
+    assert bounded.points == explicit.points
+    assert bounded.indeterminate == explicit.indeterminate
+    assert bounded.support == explicit.support
+    assert bounded.spec_digest == explicit.spec_digest
 
 
 @pytest.mark.parametrize("eps", [10 ** 400, -10 ** 400])
