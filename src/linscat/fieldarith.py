@@ -200,7 +200,7 @@ class FieldElement:
 
     @property
     def is_rational_value(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def rational_value(self):
         if not self.is_rational_value:

@@ -7,13 +7,14 @@ local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
 extension absolute value at a chosen place w above v.  _log_abs_row is
 log|L(x)|_{v,K} for all forms of one place at one point, each form
 evaluated once and valued by places.log_abs; _lambdas turns such a row into
-Weil values, and _weil_row is the two together, with weil_hyperplane its
-one-form case.
+Weil values, and weil_hyperplane is the two together for one form.
 
 _log_abs_terms is log|L(x)|_{v,K} as exact terms, read off the same
 integer rows, and _log_sign the certified sign of a sum of such terms: a
 float pre-check with a proven error bound (_CHECK), else interval
-enclosures (_exact_log_sign).  An exact tie of integer terms, or a sum with
+enclosures (_exact_log_sign).  An archimedean term is valued by
+places._horner, the float Horner loop places.arch_value runs too, from the
+same double for theta.  An exact tie of integer terms, or a sum with
 an archimedean term still undecided at _ARCH_BITS, has sign 0.  The
 filters and the twisted report take every verdict from these signs.
 """
@@ -26,8 +27,8 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS, _local_norm
-from .places import (INF, _row_exponent, log_abs, normalize_place, ord_p_int,
-                     places_above, reals)
+from .places import (INF, _U, _horner, _row_exponent, log_abs, normalize_place,
+                     ord_p_int, places_above, reals)
 
 
 class ProjectivePoint:
@@ -175,15 +176,6 @@ def _lambdas(las, place, log_max):
     return [log_max - la for la in las]
 
 
-def _weil_row(forms, x, place, log_max, precision=17):
-    """[lambda_{L,w}(x) for L in forms] at the place w: _lambdas of
-    _log_abs_row, where log_max is the caller's log_height(x, precision).
-    Numbers of reals(precision) at the caller's working precision, which
-    is precision + 5 digits or more on the mpf path.
-    """
-    return _lambdas(_log_abs_row(forms, x, place, precision), place, log_max)
-
-
 def _log_abs_terms(forms, x, place):
     """[(a, b, extra) for L in forms], log|L(x)|_{v,K} = log(a/b) + sum(extra),
     with a = 0 where L(x) = A(theta)/_den is 0.  A rational value has
@@ -216,41 +208,21 @@ def _log_abs_terms(forms, x, place):
 # Float pre-check, u = 2^-53.  math.log(N) of an integer N >= 1 is within
 # 3u (1 + log N) of log N (N is rounded, or split as m 2^e, before libm's
 # log), so within 8u log N, and a term r log N within 10u |term|; a slack s,
-# float(s), within u |s|.  For a term r log|A(theta)|, A of degree n, and t
-# the double nearest the center of Place.root_disc(17), |t - theta| <= eta,
-# Horner's rule gives A(t) within (4n+2)u size even in complex arithmetic
-# (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.6, 5.1),
-# and |A(theta) - A(t)| <= n eta/|t| size, size = sum|a_k|(|t| + eta)^k.  So
-# v = |fl(A(t))| is within bound = (8(n+1)u + n eta/|t|) size of |A(theta)|,
-# and if bound < v/2, log v is within 2 bound/v of log|A(theta)|; err sums
-# 3|r| bound/v, the spare factors covering roundings.  A float sum of
-# k < 8990 terms adds k u mag, mag the sum of the |term|, so it is within
-# _CHECK (1 + mag) + err of the true sum, and so is a max of such sums.  An
-# underflow costs under 2^-1074 log N, inside the 1; a value past the
-# double range, or a bound not below v/2, fails the check.
+# float(s), within u |s|.  For a term r log|A(theta)|, v = |fl(A(t))| is
+# within places._horner's bound of |A(theta)|, and if bound < v/2, log v is
+# within 2 bound/v of log|A(theta)|; err sums 3|r| bound/v, the spare
+# factors covering roundings.  A float sum of k < 8990 terms adds k u mag,
+# mag the sum of the |term|, so it is within _CHECK (1 + mag) + err of the
+# true sum, and so is a max of such sums.  An underflow costs under
+# 2^-1074 log N, inside the 1; a value past the double range, or a bound
+# not below v/2, fails the check.
 _CHECK = 1e-12
-_U = 2.0 ** -53
 
 # A sum with an archimedean term is indeterminate past this many bits: it is
 # 0 only through a multiplicative relation, which no enclosure sees.
 _ARCH_BITS = 4096
 
 _IV = MPIntervalContext()  # of its own: setting its precision leaves mpmath.iv alone
-
-
-def _horner(place, A):
-    """(fl(A(t)), bound) with |A(theta) - fl(A(t))| <= bound at the place,
-    as in _CHECK; complex at a complex place.  Integers of A past the
-    double range raise OverflowError."""
-    c, r = place.root_disc(17)
-    t = float(c) if place.is_real else complex(c)
-    eta = (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)  # |c - t| <= u|c| per part
-    at, acc, size = abs(t) + eta, 0.0, 0.0
-    for a in reversed(A):
-        acc = acc * t + a
-        size = size * at + abs(a)
-    n = len(A) - 1
-    return acc, (8 * (n + 1) * _U + n * eta / abs(t)) * size
 
 
 def _arch_floats(place, form):
@@ -386,11 +358,12 @@ def _neg(terms):
 
 def weil_hyperplane(form, x, v, w_index=0, precision=17):
     """lambda_{L,w}(x) = max_j log|x_j / L(x)|_{v,K} at the place w of index
-    w_index above v: the one-form row of _weil_row, at precision + 5 digits
-    on the mpf path."""
+    w_index above v: _lambdas of the one-form _log_abs_row, at precision + 5
+    digits on the mpf path."""
     place = resolve_place(form.field, v, w_index)
     with reals(precision).guard(5):
-        return _weil_row((form,), x, place, log_height(x, precision), precision)[0]
+        return _lambdas(_log_abs_row((form,), x, place, precision), place,
+                        log_height(x, precision))[0]
 
 
 def _per_place(table, S):

@@ -21,7 +21,8 @@ import itertools
 import math
 
 from .errors import BudgetExceeded
-from .heights import _CHECK, _U
+from .heights import _CHECK
+from .places import _U
 
 # perfbench/run.py reports this flag; there is no compiled kernel.
 USING_COMPILED = False
@@ -179,14 +180,14 @@ def _row_windows(bound, consts, pads, n_roots, log_r):
     product would exceed T', so some |d_i| <= |c_i| W + Ebar_i = |c_i| h_i,
     h_i = W + pads[i]: each window is widened by eps_i bound / |c_i|.
 
-    Padding: a root with |fl(t*)| >= 3 bound is skipped, because every
+    Window ends: a root with |fl(t*)| >= 3 bound is skipped, because every
     |t| <= bound is further than h + 2.01 u (|t*| + bound) >= h + |d - e|/|c|
     from it (h < bound), so no point of the row is near it.  Otherwise
     |t*|, h < 3 bound < 2^42, so |d - e| < |c|/4 and fl(t* -+ h) is within
-    1/4 of t* -+ h: a point with |d| <= |c| h has |t - t*| < h + 1/4 and lies
-    in [floor(fl(t* - h)) - 1, ceil(fl(t* + h)) + 1].  The one integer of
-    padding per side absorbs the float rounding of k + c*t and of the
-    window ends.
+    1/4 of t* -+ h: a point with |d| <= |c| h has |t - t*| < h + 1/4, so
+    t > fl(t* - h) - 1/2 and t < fl(t* + h) + 1/2, and the integer t lies in
+    [floor(fl(t* - h)), ceil(fl(t* + h))].  floor and ceil alone absorb the
+    float rounding of k + c*t and of the window ends.
 
     W is computed in log space from at most nf + 1 logs, each of magnitude
     at most 710 under _valid; s = _CHECK (1 + 710 (nf + 1)) covers their
@@ -214,8 +215,8 @@ def _row_windows(bound, consts, pads, n_roots, log_r):
             return full
         if abs(r) >= 3.0 * bound:
             continue
-        lo = max(-bound, math.floor(r - h) - 1)
-        hi = min(bound, math.ceil(r + h) + 1)
+        lo = max(-bound, math.floor(r - h))
+        hi = min(bound, math.ceil(r + h))
         if lo <= hi:
             ranges.append((lo, hi))
     ranges.sort()

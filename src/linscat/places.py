@@ -14,9 +14,17 @@ _row_exponent takes the integer row A itself, nonarch_exponent a field
 element.  The places above p
 come, in every degree, from one factorization mod p and one Hensel lift
 (of a p-maximal generator in a quadratic field), exact to the p-adic
-digits asked for.  Archimedean values come from real embeddings isolated
-by sympy's continued-fraction method (certified rational enclosures) or
-from complex root pairs certified by disjoint Henrici discs.
+digits asked for.
+
+Archimedean values are Horner's rule on the same integer row A over den.
+A place keeps one approximation of theta, root_disc(digits): a real
+embedding isolated by sympy's continued-fraction method (a certified
+rational enclosure), or a complex root pair certified by disjoint Henrici
+discs.  Its float view _float_disc, the double t nearest the centre of
+root_disc(17) and a bound on |t - theta|, is computed once per place.
+_horner evaluates A(t) with a proven error bound; both arch_value and the
+certified signs of heights read it, so a value and its sign start from
+the same double.
 
 reals(precision) is the one float/mpf rule of every evaluation, real or
 complex, with its guard digits; places carry no decimal precision.
@@ -39,6 +47,8 @@ from .errors import BadParameter, FieldMismatch, PrecisionExhausted, Unsupported
 from .fieldarith import _integer_rep, _local_norm
 
 INF = "inf"
+
+_U = 2.0 ** -53  # the unit roundoff of doubles
 
 _IV = MPIntervalContext()  # the root discs' interval arithmetic
 
@@ -122,58 +132,25 @@ class Place:
         self.local_factor = local_factor
         self.is_real = is_real
         self._root = root
-        self._approx = {}
-
-    def real_enclosure(self, digits):
-        """Certified rational enclosure of the real embedding of theta."""
-        if not (self.is_arch and self.is_real):
-            raise BadParameter("real enclosure only for real archimedean places")
-        key = ("encl", digits)
-        if key not in self._approx:
-            self._approx[key] = refine_interval(
-                list(self.field.min_poly), self._root, digits
-            )
-        return self._approx[key]
-
-    def embedding_value(self, dps=17):
-        """Image of theta under this archimedean embedding in reals(dps),
-        cached per dps and so computed at fixed digits: a real place's
-        10^-(dps + 5) enclosure midpoint, a complex root at dps + 15.  The
-        float path computes at 17 digits whatever dps, so each place has
-        one float value, the nearest double."""
-        if not self.is_arch:
-            raise BadParameter("embedding of a non-archimedean place")
-        is_float = reals(dps).is_float
-        if is_float:
-            dps = 17
-        key = ("emb", dps)
-        if key in self._approx:
-            return self._approx[key]
-        if not self.is_real:
-            val = _complex_discs(self.field, dps)[self._root][0]
-            if is_float:
-                val = complex(val)
-        else:
-            lo, hi = self.real_enclosure(dps + 5)
-            if is_float:
-                val = float((lo + hi) / 2)
-            else:
-                with mpmath.workdps(dps + 5):
-                    val = (_mpf(lo) + _mpf(hi)) / 2
-        self._approx[key] = val
-        return val
+        self._discs = {}
+        self._double = None
 
     def root_disc(self, digits):
-        """(c, r), theta's embedding within r of c: the 10^-digits enclosure's
-        midpoint and half-width, or the Henrici disc of _complex_discs."""
-        key = ("disc", digits)
-        if key not in self._approx:
+        """(c, r), theta's embedding within r of c: the midpoint and
+        half-width of a certified rational enclosure of width below
+        10^-digits at a real place, the Henrici disc of _complex_discs at a
+        complex one.  It is the one approximation of theta a place keeps,
+        cached per digits: _float_disc is its float view, and mpmath values
+        are read at its centre."""
+        if digits not in self._discs:
+            if not self.is_arch:
+                raise BadParameter("no embedding of theta at a non-archimedean place")
             if self.is_real:
-                lo, hi = self.real_enclosure(digits)
-                self._approx[key] = (lo + hi) / 2, (hi - lo) / 2
+                lo, hi = refine_interval(list(self.field.min_poly), self._root, digits)
+                self._discs[digits] = (lo + hi) / 2, (hi - lo) / 2
             else:
-                self._approx[key] = _complex_discs(self.field, digits)[self._root]
-        return self._approx[key]
+                self._discs[digits] = _complex_discs(self.field, digits)[self._root]
+        return self._discs[digits]
 
     def serial(self):
         v = "inf" if self.is_arch else self.prime
@@ -452,21 +429,62 @@ def reals(precision):
     return Reals(precision, precision <= 17)
 
 
+def _float_disc(place):
+    """(t, eta): root_disc(17) in doubles, computed once per place and read
+    by every float value and sign at it.  t is the double nearest the
+    disc's centre c (per part at a complex place), so |c - t| <= u|c| per
+    part, and eta >= |t - theta|."""
+    if place._double is None:
+        c, r = place.root_disc(17)
+        t = float(c) if place.is_real else complex(c)
+        place._double = t, (float(r) + abs(t) * 2 * _U) * (1 + 8 * _U)
+    return place._double
+
+
+def _horner(place, A):
+    """(fl(A(t)), bound) for an integer row A of degree n, the one float
+    Horner loop over A(theta): |A(theta) - fl(A(t))| <= bound at the place,
+    complex at a complex place.  With (t, eta) = _float_disc(place),
+    Horner's rule gives A(t) within (4n+2)u size even in complex arithmetic
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.6,
+    5.1), and |A(theta) - A(t)| <= n eta/|t| size, for
+    size = sum|a_k|(|t| + eta)^k.  So bound = (8(n+1)u + n eta/|t|) size,
+    the spare factors covering the rounding of each a_k and of the bound.
+    Integers of A past the double range raise OverflowError."""
+    t, eta = _float_disc(place)
+    at, acc, size = abs(t) + eta, 0.0, 0.0
+    for a in reversed(A):
+        acc = acc * t + a
+        size = size * at + abs(a)
+    n = len(A) - 1
+    return acc, (8 * (n + 1) * _U + n * eta / abs(t)) * size
+
+
 def arch_value(place, a, precision=17):
-    """sigma(a) for the chosen archimedean embedding, by one Horner pass at
-    the embedding of theta: a number of reals(precision), complex at a
-    complex place unless a is rational.  mpmath values come at mpmath's
-    working precision, which the caller sets (log_abs runs it at
-    precision + 5 digits or more)."""
+    """sigma(a) for the chosen archimedean embedding, a number of
+    reals(precision), complex at a complex place unless a is rational.  For
+    a = A(theta)/den, A the integer row of _integer_rep, it is Horner's rule
+    on A over den: in floats by _horner, in mpmath at the centre of
+    root_disc(precision + 5) and mpmath's working precision, which the
+    caller sets (log_abs runs it at precision + 5 digits or more).  A float
+    row past the double range raises PrecisionExhausted."""
     a = _element(place.field, a)
     R = reals(precision)
     if a.is_rational_value:
         return R.real(a.coeffs[0])
-    theta = place.embedding_value(precision)
+    A, den = _integer_rep(a)
+    if R.is_float:
+        try:
+            return _horner(place, A)[0] / den
+        except OverflowError:
+            raise PrecisionExhausted("a %d-digit integer row is outside the float range"
+                                     % len(str(max(map(abs, A))))) from None
+    c, _ = place.root_disc(precision + 5)
+    theta = _mpf(c) if place.is_real else c
     acc = R.zero
-    for c in reversed(a.coeffs):
-        acc = acc * theta + R.real(c)
-    return acc
+    for k in reversed(A):
+        acc = acc * theta + k
+    return acc / den
 
 
 def arch_abs(place, a, precision=17):

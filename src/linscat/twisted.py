@@ -7,9 +7,10 @@ place is not in S.  Everything is evaluated in log space.
 
 FormSystemSpec holds a field, the places S and n+1 independent forms per
 place; TwistedHeightSpec adds the weights c_vi, epsilon and Q.
-_lambda_matrix is the one matrix of Weil values lambda_vi(x) of a form
-system.  log_twisted_report evaluates every form once and combines the one
-row of log|L_vi(x)|_v per place twice, into its lhs and into log H_Q; its
+log_twisted_report evaluates every form once and combines the one row of
+log|L_vi(x)|_v per place (heights._log_abs_row, whose archimedean values are
+places.arch_value's Horner rule on integer rows) twice: into the Weil
+values lambda_vi(x) of its lhs, and into log H_Q.  Its
 verdict is _parametric_sign's, the certified sign the parametric filter
 reads, so the report and the filter agree at every precision.  Q-sweeps
 live in exceptional.py: q_sweep is the parametric filter at each Q.
@@ -23,7 +24,7 @@ from .errors import BadParameter
 from .fieldarith import _restriction_det
 from .heights import (LinearForm, _checked_sign, _exact_log_sign, _float_sum, _lambdas,
                       _log_abs_row, _log_abs_terms, _log_sign, _neg, _per_place,
-                      _weil_row, log_height, resolve_place)
+                      log_height, resolve_place)
 from .places import INF, log_abs, normalize_place, reals
 
 
@@ -118,16 +119,6 @@ class TwistedHeightSpec(FormSystemSpec):
         clone = copy.copy(self)
         clone.Q = _at_least_one(Q)
         return clone
-
-
-def _lambda_matrix(spec, x, precision=17):
-    """(rows, h): lambda_vi(x) at all (v, i), one row per place of S, and the
-    h(x) = log max|x_j| they share, in reals(precision) at precision + 5
-    digits on the mpf path.  Raises OnSupport on the support of the system."""
-    places = spec.places()
-    with reals(precision).guard(5):
-        h = log_height(x, precision)
-        return [_weil_row(spec.forms[v], x, places[v], h, precision) for v in spec.S], h
 
 
 def _log_hq(spec, R, las, logQ, h):

@@ -64,6 +64,22 @@ def test_weil_at_a_float_zero_is_an_error(tmp_path, capsys):
     assert code == 0 and doc["weil"][0]["lambda"]["inf"] > 37
 
 
+def test_weil_past_the_double_range_is_an_error(tmp_path, capsys):
+    """The form 10^400 sqrt2 x0 + x1 at [1:2]: its integer row has no float,
+    so at precision 17 the value is an error line and exit 1, and at
+    precision 40 it exists."""
+    cfg = write_cfg(tmp_path, "w.json", {
+        "field": [-2, 0, 1], "S": ["inf"], "w_choices": {"inf": 1},
+        "form": [["0", "1e400"], "1"], "points": [[1, 2]]})
+    assert main(["weil", "--config", cfg, "--precision", "17"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and not captured.out
+    code, doc = run(capsys, "weil", "--config", cfg, "--precision", "40")
+    with mpmath.workdps(50):
+        want = mpmath.log(2) - mpmath.log(10 ** 400 * mpmath.sqrt(2) + 2)
+    assert code == 0 and abs(doc["weil"][0]["lambda"]["inf"] - float(want)) < 1e-12
+
+
 @pytest.mark.parametrize("Q, weights", [("1e400", ["1", "-1"]), ("1e300", ["-2", "2"])])
 def test_twisted_outside_the_float_range_is_an_error(tmp_path, capsys, Q, weights):
     """At precision 17, Q = 1e400 has no float, and with Q = 1e300 and

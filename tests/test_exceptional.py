@@ -21,9 +21,9 @@ from linscat.exceptional import (
     subspace_cover,
 )
 from linscat.fieldarith import RATIONALS
-from linscat.heights import LinearForm, ProjectivePoint
+from linscat.heights import LinearForm, ProjectivePoint, log_height, weil_hyperplane
 from linscat.places import INF, places_above
-from linscat.twisted import TwistedHeightSpec, _lambda_matrix, log_twisted_height
+from linscat.twisted import TwistedHeightSpec, log_twisted_height
 
 
 def brute_points(n, bound):
@@ -743,12 +743,21 @@ def _mp(q):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+def _lambda_matrix(spec, x, dps):
+    """(rows, h): lambda_vi(x) at all (v, i), by weil_hyperplane one form at
+    a time, and h(x) = log max|x_j|.  Raises OnSupport on the support."""
+    rows = [[weil_hyperplane(form, x, v, spec.w_choices.get(v, 0), dps)
+             for form in spec.forms[v]] for v in spec.S]
+    return rows, log_height(x, dps)
+
+
 def _reference_margins(spec, eps, d_weights, slack, x, dps):
     """The schmidt, fw and parametric margins of x at dps digits, each a
     thunk: sum lambda_vi - (n+1+eps) h + slack, min_vi (lambda_vi - d_vi h)
-    + slack and slack - (log H_Q + eps_Q log Q), from the lambda matrix and
-    log H_Q of linscat.twisted, which share no code with the filters'
-    signs.  The schmidt and fw thunks raise OnSupport on the support."""
+    + slack and slack - (log H_Q + eps_Q log Q), from the Weil values of
+    linscat.heights and the log H_Q of linscat.twisted, which share no code
+    with the filters' signs.  The schmidt and fw thunks raise OnSupport on
+    the support."""
     def schmidt():
         with mpmath.workdps(dps):
             rows, h = _lambda_matrix(spec, x, dps)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from linscat import errors, nf_create, twisted
+from linscat import errors, nf_create
 from linscat.fieldarith import RATIONALS
 from linscat.heights import (
     LinearForm,
@@ -17,8 +17,7 @@ from linscat.heights import (
     weil_hyperplane,
 )
 from linscat.places import INF, log_abs, places_above, working_dps
-from linscat.twisted import (FormSystemSpec, TwistedHeightSpec, _lambda_matrix,
-                             log_twisted_report)
+from linscat.twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report
 
 
 def test_point_canonicalization():
@@ -145,14 +144,18 @@ def _reference_weil_value(form, x, place, precision):
         return (mpmath.log(max(abs(c) for c in x.coords)) if arch else 0) - la
 
 
-def _reference_row(forms, x, place, log_max, precision=17):
-    """heights._weil_row as a list of reference weil values."""
-    return [_reference_weil_value(form, x, place, precision) for form in forms]
+def _lambda_matrix(spec, x, precision):
+    """(rows, h): lambda_vi(x) at all (v, i), by weil_hyperplane one form at
+    a time, and h(x) = log max|x_j|.  Raises OnSupport on the support."""
+    rows = [[weil_hyperplane(form, x, v, spec.w_choices.get(v, 0), precision)
+             for form in spec.forms[v]] for v in spec.S]
+    return rows, log_height(x, precision)
 
 
 def _reference_lambda_matrix(spec, x, dps):
-    """twisted._lambda_matrix as it was before the one-log row, with
-    log max|x_j| by the float/mpf rule: math.log at 17 digits or fewer."""
+    """The lambda matrix of a form system as it was before the one-log row,
+    with log max|x_j| by the float/mpf rule: math.log at 17 digits or
+    fewer."""
     places = spec.places()
     top = max(abs(c) for c in x.coords)
     with mpmath.workdps(dps + 5):
@@ -241,8 +244,9 @@ def _oracle_spec(K, S, rng):
 
 @pytest.mark.parametrize("precision", [17, 50])
 def test_weil_values_match_reference_run(precision, monkeypatch):
-    """weil_hyperplane, _lambda_matrix and log_twisted_report equal (==) a run on
-    the reference evaluation with one log max|x_j| per form."""
+    """weil_hyperplane, the lambda matrix built from it and
+    log_twisted_report equal (==) a run on the reference evaluation with one
+    log max|x_j| per form."""
     cases = [(nf_create([-2, 0, 1]), [INF, 7, 3]), (nf_create([1, 0, 1]), [INF, 5, 2]),
              (nf_create([0, 1]), [INF, 2, 3])]
     rng = random.Random(precision)
@@ -275,7 +279,6 @@ def test_weil_values_match_reference_run(precision, monkeypatch):
     reports = [[log_twisted_report(spec, x, precision) for x in points]
                for spec, points in runs]
     monkeypatch.setattr(LinearForm, "evaluate", _reference_evaluate)
-    monkeypatch.setattr(twisted, "_weil_row", _reference_row)
     assert reports == [[log_twisted_report(spec, x, precision) for x in points]
                        for spec, points in runs]
     assert seen > 500

@@ -13,6 +13,7 @@ from linscat.exceptional import (FormSystemSpec, _prefilter_inputs, _schmidt_sig
                                  enumerate_points)
 from linscat.heights import LinearForm, ProjectivePoint
 from linscat.places import INF
+from linscat.twisted import TwistedHeightSpec, _parametric_sign
 
 U = 2.0 ** -53
 SQRT2 = 1.4142135623730951
@@ -134,6 +135,28 @@ def test_prefilter_keeps_the_sqrt2_convergent_at_275807():
                           w_choices={INF: 1})
     coeffs, exponent, log_slack = _prefilter_inputs(spec, Fraction(6484, 78125), 0)
     assert (195025, 275807) in kernels.prefilter(275807, coeffs, exponent, log_slack)
+
+
+def test_roth_sqrt2_windows_add_no_padding():
+    """Criterion 04's kernel at B = 2000, eps = 3/10: the windows of all its
+    rows hold at most 2,834 integers (5,662 with one integer of padding per
+    window end, which the rounding analysis of _row_windows does not need),
+    and the candidates are still the 6 of the pinned list."""
+    K = nf_create([-2, 0, 1])
+    th = K.gen()
+    spec = FormSystemSpec(K, [INF], {INF: [LinearForm(K, [-th, 1]), LinearForm(K, [1, 0])]},
+                          w_choices={INF: 1})
+    bound = 2000
+    coeffs, exponent, log_slack = _prefilter_inputs(spec, Fraction(3, 10), 0)
+    forms = kernels._forms(1, coeffs)
+    _, log_top = kernels._thresholds(bound, exponent, log_slack)
+    pads, n_roots, shift = kernels._window_terms(1, bound, forms)
+    scanned = sum(hi - lo + 1 for _, _, m, consts in kernels._rows(1, bound, forms)
+                  for lo, hi in kernels._row_windows(bound, consts, pads, n_roots,
+                                                     log_top[m] + shift))
+    assert scanned <= 2834
+    assert kernels.prefilter(bound, coeffs, exponent, log_slack) == [
+        (0, 1), (1, 1), (1, 2), (2, 3), (5, 7), (12, 17)]
 
 
 _float = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
@@ -303,12 +326,41 @@ def _exact(v):
     return Fraction(int(mpmath.sign(v)) * int(v.man)) * Fraction(2) ** int(v.exp)
 
 
+def _parametric_case(name, p, q, target, big):
+    """(spec, slack, margin): the parametric system of _roth_spec's forms
+    with weights (c, -c), eps_Q = 1/3 and Q, and the slack solved at 60
+    digits for a margin slack - (log H_Q + eps_Q log Q) of about target at
+    [p:q], with that margin at 60 digits from the slack's exact value.  With
+    big, c = 10^9 and Q = 1 + 7/10^9: float(c) (log qn - log qd) then
+    carries an error near 10^9 u (log qn + log qd), which only that term of
+    the magnitude covers; else c = 1/2 and Q = 7/2."""
+    base = _roth_spec(name)
+    K, forms = base.field, base.forms[INF]
+    c, Q = (Fraction(10 ** 9), Fraction(10 ** 9 + 7, 10 ** 9)) if big else (
+        Fraction(1, 2), Fraction(7, 2))
+    spec = TwistedHeightSpec(K, [INF], {INF: forms}, {INF: [c, -c]}, Fraction(1, 3), Q,
+                             w_choices={INF: 1})
+    with mpmath.workdps(60):
+        log_q = mpmath.log(_mp(Q))
+        log_hq = max(mpmath.log(abs(p - _ALPHAS[name][2]() * q)) - _mp(c) * log_q,
+                     mpmath.log(q) + _mp(c) * log_q)
+        rest = log_hq + log_q / 3
+        slack = _exact(target + rest)
+        return spec, slack, _mp(slack) - rest
+
+
+def _mp(v):
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=st.sampled_from(_NEAR), j=st.integers(3, 12), k=st.integers(1, 9),
        sign=st.sampled_from([1, -1]), big=st.booleans())
 @example(case=("sqrt2", 275807, 195025), j=6, k=2, sign=1, big=False)
 @example(case=("985sqrt2-1392", 5575, 5573), j=9, k=1, sign=1, big=False)
 @example(case=("sqrt2", 1970, 1393), j=12, k=1, sign=1, big=True)
+@example(case=("golden", 6765, 4181), j=10, k=1, sign=1, big=True)
+@example(case=("sqrt2", 3363, 2378), j=9, k=1, sign=1, big=True)
 def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
     """At a convergent or intermediate fraction p/q of alpha (sqrt2, sqrt3,
     sqrt5, the golden ratio or 985 sqrt2 - 1392), 10^3 <= q <= 10^6, eps is
@@ -317,7 +369,13 @@ def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
     is 10^9 and the slack is solved instead: the threshold's own rounding,
     about 10^-6 of it, then exceeds the form values' error bounds at small
     q, and only its _CHECK slack keeps the solutions.  Every point the
-    certified sign calls a solution is a candidate of its own row."""
+    certified sign calls a solution is a candidate of its own row.
+
+    The certified signs of that schmidt margin and of a parametric margin
+    of the same size (_parametric_case) are 0 or the sign of the margin at
+    60 digits.  With big, the float sums carry errors near 10^-6 and 10^-9,
+    far above _CHECK, and only the magnitude terms of _CHECK's bound keep
+    the pre-check from taking the sign of that rounding."""
     name, p, q = case
     spec = _roth_spec(name)
     with mpmath.workdps(60):
@@ -328,8 +386,13 @@ def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
             slack = _exact(target + eps * mpmath.log(p) + log_prod)
         else:
             eps, slack = _exact((-log_prod - target) / mpmath.log(p)), Fraction(0)
+        margin = -_mp(eps) * mpmath.log(p) - log_prod + _mp(slack)
     x = ProjectivePoint([p, q])
-    if _schmidt_sign(spec, eps, slack, x) < 0:
+    schmidt = _schmidt_sign(spec, eps, slack, x)
+    assert schmidt in (0, int(mpmath.sign(margin)))
+    tspec, pslack, pmargin = _parametric_case(name, p, q, target, big)
+    assert _parametric_sign(tspec, pslack, x) in (0, int(mpmath.sign(pmargin)))
+    if schmidt < 0:
         return
     coeffs, exponent, log_slack = _prefilter_inputs(spec, eps, slack)
     assert (p, q) in _row_step(p, coeffs, exponent, log_slack, p)

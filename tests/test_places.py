@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linscat import errors, nf_create, places, places_above, product_formula_defect
 from linscat.fieldarith import _det, _integer_rep, _local_norm, charpoly_norm, norm
@@ -143,14 +143,26 @@ def test_real_root_isolation_against_sympy():
             assert float(lo) <= r <= float(hi)
 
 
+def _nearest_double(root):
+    """The double nearest a sympy real root, from 60 digits."""
+    with mpmath.workdps(60):
+        return float(mpmath.mpf(str(root.evalf(60))))
+
+
 @pytest.mark.parametrize("min_poly", [
     [-2, 0, 1],          # Q(sqrt 2)
     [-17, 0, 1],         # Q(sqrt 17)
     [1, -3, 0, 1],       # x^3 - 3x + 1, totally real
     [8, -2, 1, 1],       # Dedekind's x^3 + x^2 - 2x + 8
     [1, 0, -10, 0, 1],   # x^4 - 10x^2 + 1, totally real
+    [-3, 0, 1],          # Q(sqrt 3)
+    [-1, -1, 1],         # the golden ratio
+    [-2, 0, 0, 1],       # x^3 - 2, one real place
+    [-1, -1, 0, 0, 1],   # x^4 - x - 1, two real places
 ])
 def test_real_embeddings_against_sympy(min_poly):
+    """Each real place's root disc is a certified enclosure at every digits
+    asked for, and its float centre is the double nearest the root."""
     K = nf_create(min_poly)
     x = sympy.Symbol("x")
     f = sympy.Poly(list(reversed(min_poly)), x)
@@ -159,19 +171,21 @@ def test_real_embeddings_against_sympy(min_poly):
         real = [w for w in places_above(K, INF, digits) if w.is_real]
         assert [w.w_index for w in real] == list(range(len(roots)))
         for w, root in zip(real, roots):
-            lo, hi = w.real_enclosure(digits)
+            c, r = w.root_disc(digits)
+            lo, hi = c - r, c + r
             assert 0 < hi - lo <= Fraction(1, 10 ** digits)
             assert f.eval(sympy.Rational(lo)) * f.eval(sympy.Rational(hi)) < 0
             approx = root.evalf(digits + 20)
             assert sympy.Rational(lo) < approx < sympy.Rational(hi)
-            assert w.embedding_value(17) == float(root)
+            assert places._float_disc(w)[0] == _nearest_double(root)
 
 
 def test_real_enclosure_refinement():
     K = nf_create([-2, 0, 1])
     ws = places_above(K, INF, 30)
     assert len(ws) == 2
-    lo, hi = ws[1].real_enclosure(25)
+    c, r = ws[1].root_disc(25)
+    lo, hi = c - r, c + r
     assert hi - lo <= Fraction(1, 10 ** 25)
     assert float(lo) <= math.sqrt(2) <= float(hi) + 1e-15
 
@@ -184,7 +198,7 @@ def test_arch_places_shapes():
     K4 = nf_create([1, 0, 0, 0, 1])
     ws4 = places_above(K4, INF, 20)
     assert all(not w.is_real and w.local_degree == 2 for w in ws4)
-    z = ws4[0].embedding_value(30)
+    z, _ = ws4[0].root_disc(30)
     import mpmath
     assert abs(z ** 4 + 1) < 1e-25
 
@@ -192,9 +206,9 @@ def test_arch_places_shapes():
 @pytest.mark.parametrize("min_poly", [[1, 0, 0, 0, 1], [-2, 0, 0, 1]])
 def test_complex_embeddings_are_certified(min_poly):
     """Each root of positive imaginary part lies in its Henrici disc, the
-    discs lie above the real axis and apart, and each complex place's
-    embedding value is its disc's center, the value of the former rule
-    (polyroots at dps + 15 digits, roots above 1e-20 sorted)."""
+    discs lie above the real axis and apart, and each complex place's disc
+    centre is the value of the former rule (polyroots at dps + 15 digits,
+    roots above 1e-20 sorted), and its float centre that value's double."""
     K = nf_create(min_poly)
     x = sympy.Symbol("x")
     ws = [w for w in places_above(K, INF) if not w.is_real]
@@ -214,8 +228,9 @@ def test_complex_embeddings_are_certified(min_poly):
             former = sorted((z for z in mpmath.polyroots(
                 [mpmath.mpf(c) for c in reversed(min_poly)], maxsteps=200, extraprec=80)
                 if z.imag > 1e-20), key=lambda z: (z.real, z.imag))
-        assert [w.embedding_value(dps) for w in ws] == (
-            [complex(z) for z in former] if dps == 17 else former)
+        assert [w.root_disc(dps)[0] for w in ws] == former
+        if dps == 17:
+            assert [places._float_disc(w)[0] for w in ws] == [complex(z) for z in former]
 
 
 def test_complex_embedding_raises_without_disjoint_discs(monkeypatch):
@@ -247,7 +262,7 @@ def test_complex_place_float_path():
     for mp in ([1, 0, 1], [-2, 0, 0, 1], [1, 0, 0, 0, 1]):
         K = nf_create(mp)
         for w in (w for w in places_above(K, INF) if not w.is_real):
-            assert isinstance(w.embedding_value(17), complex)
+            assert isinstance(places._float_disc(w)[0], complex)
             for _ in range(20):
                 a = K.element([Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                                for _ in range(K.degree)])
@@ -267,10 +282,87 @@ def test_complex_place_float_path():
 def test_float_embedding_is_the_nearest_double():
     K = nf_create([-2, 0, 1])
     lower, upper = places_above(K, INF)
+    assert places._float_disc(upper)[0] == math.sqrt(2)
+    assert places._float_disc(lower)[0] == -math.sqrt(2)
     for d in (3, 5, 10, 17):
-        assert upper.embedding_value(d) == math.sqrt(2)
-        assert lower.embedding_value(d) == -math.sqrt(2)
         assert log_abs(upper, 1 + K.gen(), d) == log_abs(upper, 1 + K.gen(), 17)
+
+
+# (minimal polynomial, w_index): both places of Q(sqrt2), Q(i), the real and
+# the complex place of x^3 - 2, and the three real places of x^3 - 3x + 1
+_ARCH_CASES = [([-2, 0, 1], 0), ([-2, 0, 1], 1), ([1, 0, 1], 0), ([-2, 0, 0, 1], 0),
+               ([-2, 0, 0, 1], 1), ([1, -3, 0, 1], 0), ([1, -3, 0, 1], 1),
+               ([1, -3, 0, 1], 2)]
+
+
+def _reference_value(w, a):
+    """sigma_w(a) at 80 digits from mpmath's roots of the minimal polynomial:
+    the root nearest the place's float centre (the real part at a real
+    place), and a's Fraction coefficients."""
+    f = w.field.min_poly
+    with mpmath.workdps(80):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)],
+                                 maxsteps=400, extraprec=200)
+        theta = min(roots, key=lambda z: abs(z - places._float_disc(w)[0]))
+        if w.is_real:
+            theta = mpmath.re(theta)
+        return sum((mpmath.mpf(c.numerator) / c.denominator) * theta ** k
+                   for k, c in enumerate(a.coeffs))
+
+
+_numerator = st.integers(-10 ** 6, 10 ** 6)
+_denominator = st.integers(1, 10 ** 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(_ARCH_CASES),
+       coeffs=st.lists(st.builds(Fraction, _numerator, _denominator), min_size=3, max_size=3))
+@example(case=([-2, 0, 1], 1), coeffs=[Fraction(-1392), Fraction(985), Fraction(0)])
+@example(case=([-2, 0, 1], 1), coeffs=[Fraction(131836323), Fraction(-93222358), Fraction(0)])
+@example(case=([1, 0, 1], 0), coeffs=[Fraction(1, 7), Fraction(-3, 1000), Fraction(0)])
+def test_arch_value_is_horner_on_the_integer_row(case, coeffs):
+    """arch_value is Horner's rule on the integer row A over den.  At 17
+    digits it lies within _horner's bound over den plus u|value| of a
+    60-digit reference; at 40 digits (mpmath at 45) within 10^-43 of it,
+    relative to |sigma(a)| plus the size sum_k |a_k| |theta|^k of its terms,
+    as Horner's rule can be no better under cancellation."""
+    min_poly, w_index = case
+    K = nf_create(min_poly)
+    w = places_above(K, INF)[w_index]
+    a = K.element(coeffs[:K.degree])
+    assume(not a.is_rational_value)
+    ref = _reference_value(w, a)
+    A, den = _integer_rep(a)
+    v17 = arch_value(w, a, 17)
+    assert type(v17) is (float if w.is_real else complex)
+    with mpmath.workdps(45):
+        v40 = arch_value(w, a, 40)
+    assert isinstance(v40, mpmath.mpf if w.is_real else mpmath.mpc)
+    with mpmath.workdps(80):
+        theta = abs(mpmath.mpmathify(places._float_disc(w)[0]))
+        size = sum(abs(mpmath.mpf(c.numerator) / c.denominator) * theta ** k
+                   for k, c in enumerate(a.coeffs))
+        bound = mpmath.mpf(places._horner(w, A)[1]) / den + places._U * abs(v17)
+        assert abs(mpmath.mpmathify(v17) - ref) <= bound
+        assert abs(v40 - ref) <= mpmath.mpf(10) ** -43 * (abs(ref) + size)
+
+
+def test_a_row_past_the_double_range():
+    """10^400 theta + 1 at a real place: its integer row has no float, so at
+    17 digits arch_value and log_abs raise PrecisionExhausted, not
+    OverflowError; at 40 digits the value exists."""
+    K = nf_create([-2, 0, 1])
+    w = places_above(K, INF)[1]
+    a = 10 ** 400 * K.gen() + 1
+    for fn in (arch_value, log_abs):
+        with pytest.raises(errors.PrecisionExhausted):
+            fn(w, a, 17)
+    value = log_abs(w, a, 40)
+    with mpmath.workdps(60):
+        assert abs(value - mpmath.log(10 ** 400 * mpmath.sqrt(2) + 1)) < mpmath.mpf(10) ** -40
+    with mpmath.workdps(45):
+        assert abs(arch_value(w, a, 40) / mpmath.mpf(10) ** 400
+                   - mpmath.sqrt(2)) < mpmath.mpf(10) ** -43
 
 
 def test_embedding_that_evaluates_to_zero_raises():

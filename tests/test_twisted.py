@@ -19,7 +19,6 @@ from linscat.places import INF, log_abs, places_above
 from linscat.twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
-    _lambda_matrix,
     log_twisted_height,
     log_twisted_report,
 )
@@ -285,9 +284,9 @@ def _ref_log_abs(v, sign_or_root, a, b):
 
 
 def test_high_precision_weil_values_match_reference():
-    """At precision 50, weil_hyperplane, _lambda_matrix and log_twisted_report
-    agree to 1e-45 with an independent 60-digit reference over Q(sqrt2), at
-    both real embeddings, the split prime 7 and the inert prime 3."""
+    """At precision 50, weil_hyperplane and log_twisted_report agree to
+    1e-45 with an independent 60-digit reference over Q(sqrt2), at both real
+    embeddings, the split prime 7 and the inert prime 3."""
     K = nf_create([-2, 0, 1])
     th = K.gen()
     coeffs = [(Fraction(1), Fraction(0), Fraction(0), Fraction(1)),     # x0 + sqrt2 x1
@@ -303,27 +302,24 @@ def test_high_precision_weil_values_match_reference():
         residue7 = next(-w.local_factor[0] % 7 for w in places_above(K, 7)
                         if w.w_index == w_7)
         ref_place = {INF: (-1, 1)[w_inf], 3: None, 7: residue7}
-        fspec = FormSystemSpec(K, S, {v: forms for v in S}, w_choices={INF: w_inf, 7: w_7})
         tspec = TwistedHeightSpec(K, S, {v: forms for v in S}, weights, eps, Q,
                                   w_choices={INF: w_inf, 7: w_7})
         for x in points:
-            # all three run at mpmath's default 15 digits outside the reference
-            got = {v: [weil_hyperplane(f, x, v, w_index=fspec.w_choices.get(v, 0),
+            # both run at mpmath's default 15 digits outside the reference
+            got = {v: [weil_hyperplane(f, x, v, w_index=tspec.w_choices.get(v, 0),
                                        precision=50) for f in forms] for v in S}
-            rows, _ = _lambda_matrix(fspec, x, 50)
             rep = log_twisted_report(tspec, x, precision=50)
             with mpmath.workdps(60):
                 h = mpmath.log(max(abs(c) for c in x.coords))
                 logQ = mpmath.log(mpmath.mpf(5) / 2)
                 lhs = neg_log_hq = mpmath.mpf(0)
-                for k, v in enumerate(S):
+                for v in S:
                     lam = []
                     for i, (a0, b0, a1, b1) in enumerate(coeffs):
                         la = _ref_log_abs(v, ref_place[v], a0 * x[0] + a1 * x[1],
                                           b0 * x[0] + b1 * x[1])
                         lam.append((h if v == INF else 0) - la)
                         assert abs(got[v][i] - lam[i]) < tol, (v, i, x)
-                        assert abs(rows[k][i] - lam[i]) < tol, (v, i, x)
                     cs = [mpmath.mpf(c.numerator) / c.denominator for c in weights[v]]
                     per = min(l + c * logQ for l, c in zip(lam, cs))
                     assert abs(rep["per_place"][v] - per) < tol, (v, x)
