@@ -17,14 +17,14 @@ come, in every degree, from one factorization mod p and one Hensel lift
 digits asked for.
 
 Archimedean values are Horner's rule on the same integer row A over den.
-A place keeps one approximation of theta, root_disc(digits): a real
-embedding isolated by sympy's continued-fraction method (a certified
-rational enclosure), or a complex root pair certified by disjoint Henrici
-discs.  Its float view _float_disc, the double t nearest the centre of
-root_disc(17) and a bound on |t - theta|, is computed once per place.
-_horner evaluates A(t) with a proven error bound; both arch_value and the
-certified signs of heights read it, so a value and its sign start from
-the same double.
+A place keeps one approximation of theta, root_disc(digits): its disc
+among those of _root_discs, one polyroots call certified by disjoint
+Henrici discs, rational at a real place; the places at infinity and their
+order come from the same discs.  Its float view _float_disc, the double
+t nearest the centre of root_disc(17) and a bound on |t - theta|, is
+computed once per place.  _horner evaluates A(t) with a proven error
+bound; both arch_value and the certified signs of heights read it, so a
+value and its sign start from the same double.
 
 reals(precision) is the one float/mpf rule of every evaluation, real or
 complex, with its guard digits; places carry no decimal precision.
@@ -38,10 +38,10 @@ from fractions import Fraction
 import mpmath
 import sympy
 from mpmath.ctx_iv import MPIntervalContext
-from sympy.polys.domains import QQ, ZZ
+from mpmath.libmp import to_rational
+from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
-from sympy.polys.rootisolation import dup_isolate_real_roots_sqf, dup_refine_real_root
 
 from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
 from .fieldarith import _integer_rep, _local_norm
@@ -79,29 +79,6 @@ def ord_p_fraction(q, p):
 
 
 # ---------------------------------------------------------------------------
-# real roots (sympy's certified isolation, exact rational endpoints)
-
-def _to_fraction(q):
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
-def isolate_real_roots(coeffs):
-    """Disjoint rational isolating intervals, one per real root, ascending,
-    of a squarefree ascending integer polynomial."""
-    f = [ZZ(c) for c in reversed(coeffs)]
-    return [(_to_fraction(a), _to_fraction(b))
-            for a, b in dup_isolate_real_roots_sqf(f, ZZ)]
-
-
-def refine_interval(coeffs, interval, digits):
-    """Refine an isolating interval until its width is below 10^-digits."""
-    f = [ZZ(c) for c in reversed(coeffs)]
-    a, b = (QQ(q.numerator, q.denominator) for q in interval)
-    a, b = dup_refine_real_root(f, a, b, ZZ, eps=QQ(1, 10 ** digits))
-    return (_to_fraction(a), _to_fraction(b))
-
-
-# ---------------------------------------------------------------------------
 # places
 
 class Place:
@@ -111,16 +88,15 @@ class Place:
     polynomial over Q_p, ascending, whose coefficients agree with the true
     factor mod p^precision (Hensel lifting is exact to the digits it is
     asked for), or the minimal polynomial itself when the place is the whole
-    completion.  Archimedean places carry their root:
-    a real root's isolating interval, or a complex pair's rank among the
-    roots of positive imaginary part (_complex_discs), and no precision.
-    Embedding indices w_index enumerate the real roots first, ascending,
-    then the complex pairs.  A place is archimedean when it has no prime.
+    completion.  Archimedean places carry no precision: w_index is the rank
+    of their root among the discs of _root_discs, the real roots first,
+    ascending, then the complex pairs by their root above the real axis.  A
+    place is archimedean when it has no prime.
     """
 
     def __init__(self, field, *, prime=None, w_index=0,
                  e=1, f=1, local_degree=1, precision=0, local_factor=None,
-                 root=None, is_real=True):
+                 is_real=True):
         self.field = field
         self.prime = prime
         self.is_arch = prime is None
@@ -131,26 +107,18 @@ class Place:
         self.precision = precision
         self.local_factor = local_factor
         self.is_real = is_real
-        self._root = root
-        self._discs = {}
         self._double = None
 
     def root_disc(self, digits):
-        """(c, r), theta's embedding within r of c: the midpoint and
-        half-width of a certified rational enclosure of width below
-        10^-digits at a real place, the Henrici disc of _complex_discs at a
-        complex one.  It is the one approximation of theta a place keeps,
-        cached per digits: _float_disc is its float view, and mpmath values
-        are read at its centre."""
-        if digits not in self._discs:
-            if not self.is_arch:
-                raise BadParameter("no embedding of theta at a non-archimedean place")
-            if self.is_real:
-                lo, hi = refine_interval(list(self.field.min_poly), self._root, digits)
-                self._discs[digits] = (lo + hi) / 2, (hi - lo) / 2
-            else:
-                self._discs[digits] = _complex_discs(self.field, digits)[self._root]
-        return self._discs[digits]
+        """(c, r), theta's embedding within r of c, r below 10^-digits / 2:
+        the place's disc of _root_discs, rational at a real place.  It is
+        the one approximation of theta a place keeps, cached on the field
+        per digits: _float_disc is its float view, and mpmath values are
+        read at its centre."""
+        if not self.is_arch:
+            raise BadParameter("no embedding of theta at a non-archimedean place")
+        real, upper = _root_discs(self.field, digits)
+        return (real + upper)[self.w_index]
 
     def serial(self):
         v = "inf" if self.is_arch else self.prime
@@ -161,48 +129,61 @@ class Place:
         return "Place(v=%s, w=%d, e=%d, f=%d)" % (v, self.w_index, self.e, self.f)
 
 
-def _complex_discs(field, dps):
-    """[(z, r)] for the roots above the real axis, by (real, imaginary part),
-    each within r of z, from polyroots at dps + 15 digits.  A disc of radius
-    d|f(z)/f'(z)| holds a root of f of degree d (Henrici, Applied and
-    Computational Complex Analysis I, 1974, 6.4): if the d discs are disjoint
-    and one per complex pair lies above the axis, those hold the upper
-    roots.  Else the digits double, up to four tries."""
+def _root_discs(field, dps):
+    """(real, upper): every root of the minimal polynomial f, of degree d,
+    within r of a centre, r below 10^-dps / 2, from one polyroots call at
+    dps + 15 digits.  A disc of radius d|f(z)/f'(z)| about any z holds a
+    root of f (Henrici, Applied and Computational Complex Analysis I, 1974,
+    6.4), so d pairwise disjoint discs hold one root each.  A disc with
+    |Im z| > r holds a root above or below the real axis.  Any other holds
+    a real root when the disc about Re z of radius r + |Im z| meets no other
+    disc: that disc is symmetric about the axis, so it holds the root and
+    its conjugate, which must then be equal.  When the real discs and twice
+    the upper ones number d, every root is in a disc of its kind.  real
+    lists (c, r), c = Re z and r as Fractions, ascending; upper lists (z, r)
+    by (real, imaginary part).  Else, or when polyroots does not converge,
+    the digits double, up to four tries, and then PrecisionExhausted is
+    raised.  Cached on the field."""
     key, f, work = ("discs", dps), field.min_poly, dps + 15
-    pairs = (len(f) - 1 - len(isolate_real_roots(list(f)))) // 2
     while key not in field._places_cache:
         if work > 8 * (dps + 15):
             raise PrecisionExhausted("no disjoint root discs for %r" % (field,))
-        with mpmath.workdps(work):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)],
-                                     maxsteps=200, extraprec=80)
-        _IV.prec, discs = 4 * work, []
+        try:
+            with mpmath.workdps(work):
+                roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)],
+                                         maxsteps=200, extraprec=80)
+        except mpmath.mp.NoConvergence:
+            roots = []
+        _IV.prec, discs, work = 4 * work, [], 2 * work
+        # converted once: an int in _IV arithmetic is converted at every use
+        cs, scale = [_IV.mpf(c) for c in reversed(f)], _IV.mpf(2 * 10 ** dps)
         for z in roots:
-            p, val, der = _IV.mpc(z.real, z.imag), 0, 0
-            for c in reversed(f):
+            p, val, der = _IV.mpc(z.real, z.imag), cs[0], _IV.mpf(0)
+            for c in cs[1:]:
                 der, val = der * p + val, val * p + c
             r = ((len(f) - 1) * abs(val) / abs(der)).b if abs(der) > 0 else _IV.inf
             discs.append((z, p, r))
-        upper = sorted(((z, r) for z, _, r in discs if z.imag > r),
-                       key=lambda d: (d[0].real, d[0].imag))
-        if len(upper) == pairs and all(abs(p - q) > r + s for i, (_, p, r) in
-                                       enumerate(discs) for _, q, s in discs[:i]):
-            field._places_cache[key] = upper
-        work *= 2
+        upper = [(z, r) for z, _, r in discs if z.imag > r]
+        real = [(z, r) for i, (z, p, r) in enumerate(discs) if abs(z.imag) <= r and all(
+            abs(p.real - q) > r + abs(p.imag) + s for j, (_, q, s) in enumerate(discs) if j != i)]
+        if (len(real) + 2 * len(upper) == len(f) - 1
+                and all(r * scale < 1 for _, _, r in discs)
+                and all(abs(p - q) > r + s for i, (_, p, r) in enumerate(discs)
+                        for _, q, s in discs[:i])):
+            field._places_cache[key] = (
+                sorted((Fraction(*to_rational(z.real._mpf_)), Fraction(*to_rational(r._mpi_[1])))
+                       for z, r in real),
+                sorted(upper, key=lambda d: (d[0].real, d[0].imag)))
     return field._places_cache[key]
 
 
 def _arch_places(field):
-    """The real places, one per isolated root (Q's root 0 isolates to
-    (0, 0)), then the complex pairs."""
-    intervals = isolate_real_roots(list(field.min_poly))
-    n_real = len(intervals)
-    places = [Place(field, w_index=i, local_degree=1, root=iv, is_real=True)
-              for i, iv in enumerate(intervals)]
-    places += [Place(field, w_index=n_real + k, local_degree=2,
-                     root=k, is_real=False)
-               for k in range((field.degree - n_real) // 2)]
-    return places
+    """One place per real disc of _root_discs(field, 17), ascending, then
+    one per complex pair (Q's root 0 is real, in a disc of radius 0)."""
+    real, upper = _root_discs(field, 17)
+    return ([Place(field, w_index=i) for i in range(len(real))]
+            + [Place(field, w_index=len(real) + k, local_degree=2, is_real=False)
+               for k in range(len(upper))])
 
 
 def _p_maximal(coeffs, p):
@@ -467,24 +448,34 @@ def arch_value(place, a, precision=17):
     on A over den: in floats by _horner, in mpmath at the centre of
     root_disc(precision + 5) and mpmath's working precision, which the
     caller sets (log_abs runs it at precision + 5 digits or more).  A float
-    row past the double range raises PrecisionExhausted."""
+    row past the double range takes the mpmath rule at precision + 5 digits,
+    rounded; a value past it raises PrecisionExhausted."""
     a = _element(place.field, a)
     R = reals(precision)
     if a.is_rational_value:
         return R.real(a.coeffs[0])
     A, den = _integer_rep(a)
-    if R.is_float:
-        try:
-            return _horner(place, A)[0] / den
-        except OverflowError:
-            raise PrecisionExhausted("a %d-digit integer row is outside the float range"
-                                     % len(str(max(map(abs, A))))) from None
+    if not R.is_float:
+        return _mp_horner(place, A, precision) / den
+    try:
+        return _horner(place, A)[0] / den
+    except OverflowError:
+        with working_dps(precision + 5):
+            value = (float if place.is_real else complex)(_mp_horner(place, A, precision) / den)
+    if math.isinf(abs(value)):
+        raise PrecisionExhausted("the value of a %d-digit integer row is outside the "
+                                 "float range" % len(str(max(map(abs, A)))))
+    return value
+
+
+def _mp_horner(place, A, precision):
+    """A(theta) in mpmath at the centre of root_disc(precision + 5)."""
     c, _ = place.root_disc(precision + 5)
     theta = _mpf(c) if place.is_real else c
-    acc = R.zero
+    acc = mpmath.mp.zero
     for k in reversed(A):
         acc = acc * theta + k
-    return acc / den
+    return acc
 
 
 def arch_abs(place, a, precision=17):

@@ -17,6 +17,7 @@ live in exceptional.py: q_sweep is the parametric filter at each Q.
 """
 
 import copy
+import itertools
 import math
 from fractions import Fraction
 
@@ -153,9 +154,10 @@ def _parametric_sign(spec, slack, x):
     c_vi log Q as one float, counting |c_vi| (log qn + log qd) in its
     magnitude: float(c) (log qn - log qd) is within 11u of that of c log Q,
     inside _CHECK's bound for the two terms c log qd - c log qn it stands
-    for.  Inside its bound each max is found by signs of differences
-    of exact terms; one left 0 with an archimedean term makes the point
-    indeterminate.  A vanishing form is skipped, as in log_twisted_height."""
+    for.  Inside its bound each max is one of the terms that no other is
+    certified above (by signs of differences of exact terms), and the sign
+    is the one every such choice gives, else 0: two terms left undecided
+    may be equal.  A vanishing form is skipped, as in log_twisted_height."""
     qn, qd = spec.Q.numerator, spec.Q.denominator
     rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
     if INF not in spec.S:
@@ -182,18 +184,18 @@ def _parametric_sign(spec, slack, x):
     sign = _checked_sign(total, mag, err)
     if sign:
         return -sign
+    tops = []
     for row in rows:
         cands = [((1, a), (-1, b), (-c, qn), (c, qd)) + more for a, b, more, c in row]
-        best = cands[0]
-        for terms in cands[1:]:
-            diff = terms + _neg(best)
-            sign = _log_sign(diff)
-            if not sign and any(len(t) == 3 for t in diff):
-                return 0
-            if sign > 0:
-                best = terms
-        rest += best
-    return -_exact_log_sign(rest, -slack)
+        below = set()
+        for i, j in itertools.combinations(range(len(cands)), 2):
+            sign = _log_sign(cands[i] + _neg(cands[j]))
+            if sign:
+                below.add(j if sign > 0 else i)
+        tops.append([t for i, t in enumerate(cands) if i not in below])
+    signs = {_exact_log_sign(sum(best, tuple(rest)), -slack)
+             for best in itertools.product(*tops)}
+    return -signs.pop() if len(signs) == 1 else 0
 
 
 def log_twisted_report(spec, x, precision=17):

@@ -12,7 +12,6 @@ from linscat.fieldarith import _det, _integer_rep, _local_norm, charpoly_norm, n
 from linscat.places import (
     INF,
     arch_value,
-    isolate_real_roots,
     log_abs,
     nonarch_exponent,
     ord_p_fraction,
@@ -132,17 +131,6 @@ def test_split_places_at_a_high_index_prime(min_poly, p, k):
                     == ord_p_fraction(norm(a), p)), a
 
 
-def test_real_root_isolation_against_sympy():
-    for mp in ([-2, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1], [-1, -1, 0, 0, 1]):
-        ivs = isolate_real_roots(mp)
-        x = sympy.Symbol("x")
-        expr = sum(c * x ** i for i, c in enumerate(mp))
-        true_roots = sorted(float(r) for r in sympy.real_roots(expr))
-        assert len(ivs) == len(true_roots)
-        for (lo, hi), r in zip(ivs, true_roots):
-            assert float(lo) <= r <= float(hi)
-
-
 def _nearest_double(root):
     """The double nearest a sympy real root, from 60 digits."""
     with mpmath.workdps(60):
@@ -159,6 +147,8 @@ def _nearest_double(root):
     [-1, -1, 1],         # the golden ratio
     [-2, 0, 0, 1],       # x^3 - 2, one real place
     [-1, -1, 0, 0, 1],   # x^4 - x - 1, two real places
+    [-2, 40000, -200000000, 0, 1],         # Mignotte: two roots 1.4e-12 apart
+    [1, -4, -10, 10, 15, -6, -7, 1, 1],    # 2cos(2pi/17), eight real places
 ])
 def test_real_embeddings_against_sympy(min_poly):
     """Each real place's root disc is a certified enclosure at every digits
@@ -216,7 +206,7 @@ def test_complex_embeddings_are_certified(min_poly):
         roots = [mpmath.mpc(*(str(c) for c in r.evalf(80).as_real_imag()))
                  for r in sympy.Poly(list(reversed(min_poly)), x).all_roots()]
     for dps in (17, 40):
-        discs = places._complex_discs(K, dps)
+        discs = places._root_discs(K, dps)[1]
         assert len(discs) == len(ws) == len([z for z in roots if z.imag > 0])
         with mpmath.workdps(80):
             for (z, r), w in zip(discs, ws):
@@ -233,15 +223,45 @@ def test_complex_embeddings_are_certified(min_poly):
             assert [places._float_disc(w)[0] for w in ws] == [complex(z) for z in former]
 
 
-def test_complex_embedding_raises_without_disjoint_discs(monkeypatch):
-    """Roots whose discs overlap at every try are refused, not ordered by
-    a threshold: a root of x^4 + 1 and its conjugate, each returned twice,
-    or points too far from any root to leave the real axis."""
-    z = mpmath.expjpi(mpmath.mpf(1) / 4)
-    for fake in ([z, z, z.conjugate(), z.conjugate()], [1j, 1j, -1j, -1j]):
-        monkeypatch.setattr(mpmath, "polyroots", lambda coeffs, **kw: fake)
+# x^4 + 2(10^6 x - 1)^2, totally complex: one root pair within 7.1e-19 of
+# the real axis, near 10^-6, and one near +-1.4e6 i
+_NEAR_AXIS = [2, -4000000, 2000000000000, 0, 1]
+
+
+def test_root_discs_raise_without_certified_discs(monkeypatch):
+    """Roots whose discs are not certified at any try are refused, not
+    ordered by a threshold: a root of x^4 + 1 and its conjugate, each
+    returned twice (at 60 digits, so only the discs' overlap refuses them),
+    or points too far from any root to leave the real axis; sqrt 2 twice
+    for x^2 - 2, whose real disc meets another; polyroots failing to
+    converge; and for _NEAR_AXIS, a +- (0.26 + i) eta about its root pair
+    a +- i eta near the axis: their discs are disjoint, tiny and both reach
+    the axis, but each holds a non-real root, which only the symmetric disc
+    about Re z, meeting the other disc, reveals."""
+    def no_convergence(coeffs, **kw):
+        raise mpmath.mp.NoConvergence("no convergence")
+
+    with mpmath.workdps(60):
+        z, r2 = mpmath.expjpi(mpmath.mpf(1) / 4), mpmath.sqrt(2)
+        zbar = z.conjugate()
+        true = mpmath.polyroots([mpmath.mpf(c) for c in reversed(_NEAR_AXIS)],
+                                maxsteps=400, extraprec=200)
+        rho = max((y for y in true if abs(y) < 1), key=lambda y: y.imag)
+        w = (mpmath.mpf("0.26") + 1j) * rho.imag
+        near_axis = [rho.real + w, rho.real - w] + [y for y in true if abs(y) > 1]
+    assert abs(rho.imag) < 1e-18
+    for min_poly, roots in (([1, 0, 0, 0, 1], [z, z, zbar, zbar]),
+                            ([1, 0, 0, 0, 1], [1j, 1j, -1j, -1j]),
+                            ([-2, 0, 1], [r2, r2]),
+                            ([-2, 0, 1], None),
+                            (_NEAR_AXIS, near_axis)):
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence if roots is None
+                            else lambda coeffs, roots=roots, **kw: roots)
         with pytest.raises(errors.PrecisionExhausted):
-            places._complex_discs(nf_create([1, 0, 0, 0, 1]), 17)
+            places._root_discs(nf_create(min_poly), 17)
+    monkeypatch.undo()
+    ws = places_above(nf_create(_NEAR_AXIS), INF)
+    assert [(w.is_real, w.local_degree) for w in ws] == [(False, 2), (False, 2)]
 
 
 def test_archimedean_places_built_once_per_field():
@@ -348,11 +368,23 @@ def test_arch_value_is_horner_on_the_integer_row(case, coeffs):
 
 
 def test_a_row_past_the_double_range():
-    """10^400 theta + 1 at a real place: its integer row has no float, so at
-    17 digits arch_value and log_abs raise PrecisionExhausted, not
-    OverflowError; at 40 digits the value exists."""
+    """Integer rows with no float: theta + 1/10^400, whose value is in the
+    float range, takes the mpmath rule at 17 digits and gives theta's
+    values (at both places of Q(sqrt2) and at Q(i)'s); 10^400 theta + 1 at a
+    real place is past it, so at 17 digits arch_value and log_abs raise
+    PrecisionExhausted, not OverflowError; at 40 digits the value exists."""
+    for min_poly in ([-2, 0, 1], [1, 0, 1]):
+        K = nf_create(min_poly)
+        for w in places_above(K, INF):
+            for fn in (arch_value, log_abs):
+                assert fn(w, K.gen() + Fraction(1, 10 ** 400), 17) == fn(w, K.gen(), 17)
     K = nf_create([-2, 0, 1])
     w = places_above(K, INF)[1]
+    # 985 sqrt2 - 1392 cancels three digits: the value is correctly rounded
+    # only if the mpmath rule runs at its own 22 digits, not the caller's 15
+    with mpmath.workdps(60):
+        want = float(985 * mpmath.sqrt(2) - 1392 + mpmath.mpf(10) ** -400)
+    assert arch_value(w, 985 * K.gen() - 1392 + Fraction(1, 10 ** 400), 17) == want
     a = 10 ** 400 * K.gen() + 1
     for fn in (arch_value, log_abs):
         with pytest.raises(errors.PrecisionExhausted):

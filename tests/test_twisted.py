@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import linscat
-from linscat import errors, nf_create
+from linscat import errors, heights, nf_create
 from linscat.exceptional import filter_solutions, q_sweep
 from linscat.fieldarith import RATIONALS
 from linscat.heights import LinearForm, ProjectivePoint, log_height, weil_hyperplane
@@ -19,6 +19,7 @@ from linscat.places import INF, log_abs, places_above
 from linscat.twisted import (
     FormSystemSpec,
     TwistedHeightSpec,
+    _parametric_sign,
     log_twisted_height,
     log_twisted_report,
 )
@@ -422,6 +423,23 @@ def test_report_verdict_equals_the_parametric_bucket(case):
         except errors.OnSupport:
             return
         assert rep["verdict"] is want, (precision, rep)
+
+
+def test_parametric_sign_past_an_undecided_max(monkeypatch):
+    """Two forms of one place with equal values at x, 2theta + theta^2 at
+    the real place of x^3 - 2: their difference is 0, which no enclosure
+    decides.  Either is the max, so the sign of 1/7 - log H_Q, about -1.27,
+    is -1 with the float pre-check switched off, not indeterminate."""
+    K = nf_create([-2, 0, 0, 1])
+    th = K.gen()
+    forms = {INF: [LinearForm(K, [0, 2 * th + th ** 2]),
+                   LinearForm(K, [th ** 2, 2 * th + th ** 2])]}
+    spec = TwistedHeightSpec(K, [INF], forms, {INF: [0, 0]}, epsilon=0)
+    x = ProjectivePoint([0, 1])
+    monkeypatch.setattr(heights, "_CHECK", math.inf)
+    assert _parametric_sign(spec, Fraction(1, 7), x) == -1
+    with mpmath.workdps(30):
+        assert mpmath.mpf(1) / 7 - log_twisted_height(spec, x, 30) < -1
 
 
 def test_twisted_loads_no_filter_module():
