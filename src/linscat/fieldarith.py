@@ -1,23 +1,21 @@
 """Exact arithmetic in Q and in a number field Q[x]/(f), f monic irreducible.
 
-Elements live in the power basis of the generator theta.  All coefficients
-are fractions.Fraction; everything here is exact and deterministic.
-Products and inverses come from sympy's dense QQ polynomials; _to_dup and
-_from_dup are the one conversion between coefficient tuples and them.
-Norms, traces, local norms and the independence of form rows are read off
-one integer matrix, the multiplication rows of _mult_rows, and one integer
-determinant, _det; sympy's DomainMatrix over ZZ only gives the
-characteristic polynomial.
+An element is one integer row over a denominator: a = A(theta)/den, A the
+integer coefficients of the power basis of theta, ascending, den > 0 and
+gcd(A, den) = 1.  Everything here is exact and deterministic.  Sums and
+rational multiples act on the row; products, inverses, norms, traces, local
+norms and the independence of form rows are read off one integer matrix,
+the multiplication rows of _mult_rows, and one integer determinant, _det;
+sympy's DomainMatrix over ZZ only gives the characteristic polynomial.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import sympy
-from sympy.polys.densearith import dup_mul, dup_rem
 from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.euclidtools import dup_invert
+from sympy.polys.domains import ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import BadParameter, FieldMismatch, NonMonic, Reducible
@@ -25,18 +23,6 @@ from .errors import BadParameter, FieldMismatch, NonMonic, Reducible
 MAX_DEGREE = 8
 
 _x = sympy.Symbol("x")
-
-
-def _to_dup(coeffs):
-    """Ascending rational coefficients as a dense QQ polynomial (descending,
-    leading zeros stripped)."""
-    return dup_strip([QQ(c.numerator, c.denominator) for c in reversed(coeffs)])
-
-
-def _from_dup(poly, n):
-    """A dense QQ polynomial of degree < n as n ascending Fractions."""
-    out = [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(poly)]
-    return out + [Fraction(0)] * (n - len(out))
 
 
 class NumberField:
@@ -62,12 +48,7 @@ class NumberField:
         self.min_poly = tuple(min_poly_t)
         self.degree = degree
         self.poly_disc = int(sympy.discriminant(poly.as_expr(), _x)) if degree > 1 else 1
-        self._dup = _to_dup(self.min_poly)
         self._places_cache = {}
-
-    def _reduce(self, poly):
-        """A dense QQ polynomial reduced mod min_poly, as a FieldElement."""
-        return FieldElement(self, _from_dup(dup_rem(poly, self._dup, QQ), self.degree))
 
     def element(self, coeffs):
         coeffs = [Fraction(c) for c in coeffs]
@@ -75,11 +56,12 @@ class NumberField:
             raise BadParameter(
                 "expected %d coefficients, got %d" % (self.degree, len(coeffs))
             )
-        return FieldElement(self, coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return FieldElement(self, [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def from_rational(self, q):
-        coeffs = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElement(self, coeffs)
+        q = Fraction(q)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def zero(self):
         return self.from_rational(0)
@@ -91,9 +73,7 @@ class NumberField:
         if self.degree == 1:
             # theta = 0 for min_poly x; Q has no interesting generator
             return self.zero()
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[1] = Fraction(1)
-        return FieldElement(self, coeffs)
+        return FieldElement(self, (0, 1) + (0,) * (self.degree - 2))
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -114,13 +94,24 @@ RATIONALS = NumberField([0, 1])
 
 
 class FieldElement:
-    """Element of a NumberField in the power basis of theta."""
+    """Element row(theta)/den of a NumberField: row the integer coefficients
+    of the power basis of theta, ascending, over den > 0, reduced so that
+    gcd(row, den) = 1 (zero is row 0 over 1).  coeffs is the read-only view
+    as Fractions."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "row", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, row, den=1):
+        g = math.gcd(den, *row)
+        if den < 0:
+            g = -g
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.row = tuple(row) if g == 1 else tuple(c // g for c in row)
+        self.den = den // g
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.row)
 
     def _check(self, other):
         if isinstance(other, FieldElement):
@@ -130,40 +121,50 @@ class FieldElement:
         return self.field.from_rational(other)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.row)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coeffs == other.coeffs
+            return (self.field == other.field and self.row == other.row
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
             return self == self.field.from_rational(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.row, self.den))
 
     def __add__(self, other):
         other = self._check(other)
-        return FieldElement(self.field, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        return FieldElement(self.field, [a * db + b * da for a, b in zip(self.row, other.row)],
+                            da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, [-a for a in self.coeffs])
+        return FieldElement(self.field, [-a for a in self.row], self.den)
 
     def __sub__(self, other):
         other = self._check(other)
-        return FieldElement(self.field, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        return FieldElement(self.field, [a * db - b * da for a, b in zip(self.row, other.row)],
+                            da * db)
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __mul__(self, other):
+        """A rational multiplies the row and den; an element b = B/db gives
+        B . _mult_rows(min_poly, A) over den db, the sum of b_j theta^j A."""
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, [a * other for a in self.coeffs])
+            q = Fraction(other)
+            return FieldElement(self.field, [a * q.numerator for a in self.row],
+                                self.den * q.denominator)
         other = self._check(other)
-        return self.field._reduce(
-            dup_mul(_to_dup(self.coeffs), _to_dup(other.coeffs), QQ))
+        rows = _mult_rows(self.field.min_poly, self.row)
+        return FieldElement(self.field, [sum(map(operator.mul, other.row, col))
+                                         for col in zip(*rows)], self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -181,17 +182,24 @@ class FieldElement:
         return out
 
     def inverse(self):
+        """1/a = den C(theta) for C(theta) A(theta) = 1, that is c M = e_0
+        for M = _mult_rows(min_poly, A), whose row j is theta^j A.  By
+        Cramer's rule c_j = det(M_j) / det(M), M_j being M with row j
+        replaced by e_0; det(M) = N(A(theta)) is not 0."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        return FieldElement(
-            field, _from_dup(dup_invert(_to_dup(self.coeffs), field._dup, QQ), field.degree))
+        m = _mult_rows(self.field.min_poly, self.row)
+        e0 = [1] + [0] * (len(m) - 1)
+        return FieldElement(self.field, [self.den * _det(m[:j] + [e0] + m[j + 1:])
+                                         for j in range(len(m))], _det(m))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return FieldElement(self.field, [a / other for a in self.coeffs])
+            q = Fraction(other)
+            return FieldElement(self.field, [a * q.denominator for a in self.row],
+                                self.den * q.numerator)
         other = self._check(other)
         return self * other.inverse()
 
@@ -200,18 +208,12 @@ class FieldElement:
 
     @property
     def is_rational_value(self):
-        return not any(self.coeffs[1:])
+        return not any(self.row[1:])
 
     def rational_value(self):
         if not self.is_rational_value:
             raise BadParameter("element is not rational: %r" % (self,))
-        return self.coeffs[0]
-
-    def denominator_lcm(self):
-        d = 1
-        for c in self.coeffs:
-            d = math.lcm(d, c.denominator)
-        return d
+        return Fraction(self.row[0], self.den)
 
     def __repr__(self):
         return "FieldElement(%s)" % (list(self.coeffs),)
@@ -267,12 +269,6 @@ def _local_norm(g, coeffs):
     return _det(_mult_rows(g, coeffs))
 
 
-def _integer_rep(a):
-    """(integer ascending coeff list, denominator) with a = A0(theta)/den."""
-    den = a.denominator_lcm()
-    return [c.numerator * (den // c.denominator) for c in a.coeffs], den
-
-
 def _restriction_det(field, rows):
     """N(det M) prod_i den_i^d for a square matrix M of field elements, d the
     degree and den_i the common denominator of row i: the integer
@@ -282,9 +278,8 @@ def _restriction_det(field, rows):
     the rows are dependent over the field."""
     g, big = field.min_poly, []
     for row in rows:
-        den = math.lcm(*(a.denominator_lcm() for a in row))
-        blocks = [_mult_rows(g, [c.numerator * (den // c.denominator) for c in a.coeffs])
-                  for a in row]
+        den = math.lcm(*(a.den for a in row))
+        blocks = [_mult_rows(g, [c * (den // a.den) for c in a.row]) for a in row]
         big += [[c for block in blocks for c in block[j]] for j in range(field.degree)]
     return _det(big)
 
@@ -298,9 +293,8 @@ def charpoly_norm(a):
     1/den.  norm = (-1)^deg * constant term, trace = -(coefficient of
     x^(deg-1)).
     """
-    n = a.field.degree
-    coeffs, den = _integer_rep(a)
-    rows = _mult_rows(a.field.min_poly, coeffs)
+    n, den = a.field.degree, a.den
+    rows = _mult_rows(a.field.min_poly, a.row)
     desc = DomainMatrix([[ZZ(c) for c in row] for row in rows], (n, n), ZZ).charpoly()
     poly = tuple(Fraction(int(c), den ** k) for k, c in enumerate(desc))[::-1]
     return poly, (-1) ** n * poly[0], -poly[n - 1]
@@ -308,12 +302,10 @@ def charpoly_norm(a):
 
 def norm(a):
     """N(a) = N(A(theta)) / den^d, the local norm of the minimal polynomial."""
-    coeffs, den = _integer_rep(a)
-    return Fraction(_local_norm(a.field.min_poly, coeffs), den ** a.field.degree)
+    return Fraction(_local_norm(a.field.min_poly, a.row), a.den ** a.field.degree)
 
 
 def trace(a):
     """Tr(a), the diagonal sum of _mult_rows(min_poly, A) over den."""
-    coeffs, den = _integer_rep(a)
-    rows = _mult_rows(a.field.min_poly, coeffs)
-    return Fraction(sum(row[j] for j, row in enumerate(rows)), den)
+    rows = _mult_rows(a.field.min_poly, a.row)
+    return Fraction(sum(row[j] for j, row in enumerate(rows)), a.den)

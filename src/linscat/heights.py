@@ -4,15 +4,18 @@ Points carry primitive integer coordinates with a canonical sign, so the
 multiplicative height is exactly max|x_i| and all finite-place terms of the
 height are zero.  Linear forms may have coefficients in a number field; the
 local Weil function lambda(x, v) = max_j log|x_j / l(x)|_{v,K} uses the
-extension absolute value at a chosen place w above v.  _log_abs_row is
+extension absolute value at a chosen place w above v.  A LinearForm keeps
+one integer row per power-basis slot over a common denominator, and
+evaluate reduces their dot products with x into a FieldElement, whose row
+over den is fieldarith's one representation.  _log_abs_row is
 log|L(x)|_{v,K} for all forms of one place at one point, each form
 evaluated once and valued by places.log_abs; _lambdas turns such a row into
 Weil values, and weil_hyperplane is the two together for one form.
 
 _log_abs_terms is log|L(x)|_{v,K} as exact terms, read off the same
-integer rows, and _log_sign the certified sign of a sum of such terms: a
-float pre-check with a proven error bound (_CHECK), else interval
-enclosures (_exact_log_sign).  An archimedean term is valued by
+integer dot products, and _log_sign the certified sign of a sum of such
+terms: a float pre-check with a proven error bound (_CHECK), else
+interval enclosures (_exact_log_sign).  An archimedean term is valued by
 places._horner, the float Horner loop places.arch_value runs too, from the
 same double for theta.  An exact tie of integer terms, or a sum with
 an archimedean term still undecided at _ARCH_BITS, has sign 0.  The
@@ -108,11 +111,9 @@ class LinearForm:
             raise BadParameter("linear form needs a nonzero coefficient")
         self.field = field
         self.coeffs = tuple(elems)
-        self._den = math.lcm(*(a.denominator_lcm() for a in elems))
-        self._rows = tuple(
-            tuple(a.coeffs[k].numerator * (self._den // a.coeffs[k].denominator)
-                  for a in elems)
-            for k in range(field.degree))
+        self._den = math.lcm(*(a.den for a in elems))
+        self._rows = tuple(tuple(a.row[k] * (self._den // a.den) for a in elems)
+                           for k in range(field.degree))
 
     @property
     def n_vars(self):
@@ -132,8 +133,7 @@ class LinearForm:
     def evaluate(self, x):
         """Value at a projective point, as a field element: one integer dot
         product per power-basis slot, reduced over the common denominator."""
-        den = self._den
-        return FieldElement(self.field, [Fraction(a, den) for a in self._dots(x)])
+        return FieldElement(self.field, self._dots(x), self._den)
 
     def __repr__(self):
         return "LinearForm(%r)" % (list(self.coeffs),)

@@ -10,9 +10,9 @@ other field.
 Non-archimedean values are exact rational powers of p, read off the local
 norm (fieldarith._local_norm): the integer determinant of multiplication
 by A on Z[x]/(g_w), for a = A(theta)/den and g_w the place's local factor.
-_row_exponent takes the integer row A itself, nonarch_exponent a field
-element.  The places above p
-come, in every degree, from one factorization mod p and one Hensel lift
+_row_exponent takes the integer row A and den; nonarch_exponent hands it a
+field element's own row and den.  The places above p come, in every
+degree, from one factorization mod p and one Hensel lift
 (of a p-maximal generator in a quadratic field), exact to the p-adic
 digits asked for.
 
@@ -44,7 +44,7 @@ from sympy.polys.factortools import dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor
 
 from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
-from .fieldarith import _integer_rep, _local_norm
+from .fieldarith import _local_norm
 
 INF = "inf"
 
@@ -95,8 +95,7 @@ class Place:
     """
 
     def __init__(self, field, *, prime=None, w_index=0,
-                 e=1, f=1, local_degree=1, precision=0, local_factor=None,
-                 is_real=True):
+                 e=1, f=1, local_degree=1, precision=0, local_factor=None):
         self.field = field
         self.prime = prime
         self.is_arch = prime is None
@@ -106,8 +105,12 @@ class Place:
         self.local_degree = local_degree
         self.precision = precision
         self.local_factor = local_factor
-        self.is_real = is_real
         self._double = None
+
+    @property
+    def is_real(self):
+        """An archimedean place of local degree 1."""
+        return self.is_arch and self.local_degree == 1
 
     def root_disc(self, digits):
         """(c, r), theta's embedding within r of c, r below 10^-digits / 2:
@@ -182,7 +185,7 @@ def _arch_places(field):
     one per complex pair (Q's root 0 is real, in a disc of radius 0)."""
     real, upper = _root_discs(field, 17)
     return ([Place(field, w_index=i) for i in range(len(real))]
-            + [Place(field, w_index=len(real) + k, local_degree=2, is_real=False)
+            + [Place(field, w_index=len(real) + k, local_degree=2)
                for k in range(len(upper))])
 
 
@@ -313,7 +316,7 @@ def nonarch_exponent(place, a):
         raise ValueError("absolute value exponent of zero")
     if a.is_rational_value:
         return Fraction(ord_p_fraction(a.rational_value(), place.prime))
-    return _row_exponent(place, *_integer_rep(a))
+    return _row_exponent(place, a.row, a.den)
 
 
 def _row_exponent(place, coeffs, den):
@@ -444,7 +447,7 @@ def _horner(place, A):
 def arch_value(place, a, precision=17):
     """sigma(a) for the chosen archimedean embedding, a number of
     reals(precision), complex at a complex place unless a is rational.  For
-    a = A(theta)/den, A the integer row of _integer_rep, it is Horner's rule
+    a = A(theta)/den, A the element's integer row, it is Horner's rule
     on A over den: in floats by _horner, in mpmath at the centre of
     root_disc(precision + 5) and mpmath's working precision, which the
     caller sets (log_abs runs it at precision + 5 digits or more).  A float
@@ -453,8 +456,8 @@ def arch_value(place, a, precision=17):
     a = _element(place.field, a)
     R = reals(precision)
     if a.is_rational_value:
-        return R.real(a.coeffs[0])
-    A, den = _integer_rep(a)
+        return R.real(a.rational_value())
+    A, den = a.row, a.den
     if not R.is_float:
         return _mp_horner(place, A, precision) / den
     try:
@@ -510,9 +513,8 @@ def log_abs(place, a, precision=17):
 # product formula
 
 def _support_primes(field, a):
-    coeffs, den = _integer_rep(a)
-    nm = _local_norm(field.min_poly, coeffs)
-    return sorted(set(sympy.factorint(den)) | set(sympy.factorint(abs(nm))))
+    nm = _local_norm(field.min_poly, a.row)
+    return sorted(set(sympy.factorint(a.den)) | set(sympy.factorint(abs(nm))))
 
 
 def product_formula_defect(field, a, precision=30):

@@ -23,9 +23,8 @@ from fractions import Fraction
 
 from .errors import BadParameter
 from .fieldarith import _restriction_det
-from .heights import (LinearForm, _checked_sign, _exact_log_sign, _float_sum, _lambdas,
-                      _log_abs_row, _log_abs_terms, _log_sign, _neg, _per_place,
-                      log_height, resolve_place)
+from .heights import (LinearForm, _checked_sign, _float_sum, _lambdas, _log_abs_row,
+                      _log_abs_terms, _log_sign, _per_place, log_height, resolve_place)
 from .places import INF, log_abs, normalize_place, reals
 
 
@@ -154,10 +153,11 @@ def _parametric_sign(spec, slack, x):
     c_vi log Q as one float, counting |c_vi| (log qn + log qd) in its
     magnitude: float(c) (log qn - log qd) is within 11u of that of c log Q,
     inside _CHECK's bound for the two terms c log qd - c log qn it stands
-    for.  Inside its bound each max is one of the terms that no other is
-    certified above (by signs of differences of exact terms), and the sign
-    is the one every such choice gives, else 0: two terms left undecided
-    may be equal.  A vanishing form is skipped, as in log_twisted_height."""
+    for.  Inside its bound the margin is the least over the choices of one
+    term per place, so its sign is the least certified sign of those
+    choices' margins: one certified negative decides it, and an undecided
+    one leaves it 0 unless another is negative.  A vanishing form is
+    skipped, as in log_twisted_height."""
     qn, qd = spec.Q.numerator, spec.Q.denominator
     rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
     if INF not in spec.S:
@@ -184,18 +184,14 @@ def _parametric_sign(spec, slack, x):
     sign = _checked_sign(total, mag, err)
     if sign:
         return -sign
-    tops = []
-    for row in rows:
-        cands = [((1, a), (-1, b), (-c, qn), (c, qd)) + more for a, b, more, c in row]
-        below = set()
-        for i, j in itertools.combinations(range(len(cands)), 2):
-            sign = _log_sign(cands[i] + _neg(cands[j]))
-            if sign:
-                below.add(j if sign > 0 else i)
-        tops.append([t for i, t in enumerate(cands) if i not in below])
-    signs = {_exact_log_sign(sum(best, tuple(rest)), -slack)
-             for best in itertools.product(*tops)}
-    return -signs.pop() if len(signs) == 1 else 0
+    cands = [[((1, a), (-1, b), (-c, qn), (c, qd)) + more for a, b, more, c in row]
+             for row in rows]
+    worst = 1
+    for choice in itertools.product(*cands):
+        worst = min(worst, -_log_sign(sum(choice, tuple(rest)), -slack))
+        if worst < 0:
+            break
+    return worst
 
 
 def log_twisted_report(spec, x, precision=17):

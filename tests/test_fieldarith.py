@@ -8,6 +8,7 @@ import sympy
 
 from linscat import errors, nf_create, norm, trace
 from linscat.fieldarith import RATIONALS, _restriction_det, charpoly_norm
+from linscat.heights import LinearForm, ProjectivePoint
 
 X = sympy.Symbol("x")
 # Q, Q(sqrt2), Q(i), Dedekind's cubic, Q(sqrt2 + sqrt3)
@@ -134,9 +135,33 @@ def test_inverse_random():
 
 
 def test_denominator_lcm():
+    """den is the lcm of the coefficients' denominators, and (row, den) is
+    canonical: den > 0, gcd(row, den) = 1 and zero is row 0 over 1, so an
+    element built by element, from_rational, LinearForm.evaluate or
+    arithmetic has the same row, den and hash as the others."""
     K = nf_create([-2, 0, 1])
     a = K.element([Fraction(1, 6), Fraction(3, 4)])
-    assert a.denominator_lcm() == 12
+    assert (a.row, a.den) == ((2, 9), 12)
+    assert a.coeffs == (Fraction(1, 6), Fraction(3, 4))
+    for z in (K.element([0, Fraction(0, 7)]), a - a, a * 0, -K.zero(), K.from_rational(0),
+              LinearForm(K, [a, -a]).evaluate(ProjectivePoint([1, 1]))):
+        assert (z.row, z.den) == ((0, 0), 1) and hash(z) == hash(K.zero())
+    rng = random.Random(3)
+    for mp in DET_FIELDS:
+        K = nf_create(mp)
+        for _ in range(20):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(K.degree)]
+            a = K.element(coeffs)
+            assert a.den > 0 and math.gcd(a.den, *a.row) == 1
+            q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))
+            ways = [K.element([str(c) for c in coeffs]), a * q / q, q * a * (1 / q),
+                    a + K.zero(), -(-a), K.one() * a, K.one() / (1 / a) if a else a,
+                    LinearForm(K, [2 * a, 3 * a]).evaluate(ProjectivePoint([2, -1]))]
+            if a.is_rational_value:
+                ways += [K.from_rational(a.rational_value()), K.from_rational(str(coeffs[0]))]
+            for b in ways:
+                assert (b.row, b.den) == (a.row, a.den) and hash(b) == hash(a), (b, a)
+                assert b.coeffs == a.coeffs
 
 
 def test_field_det_against_leibniz():
@@ -161,7 +186,7 @@ def test_field_det_against_leibniz():
                 det = _restriction_det(K, rows)
                 scale = 1
                 for row in rows:
-                    scale *= math.lcm(*(a.denominator_lcm() for a in row)) ** K.degree
+                    scale *= math.lcm(*(a.den for a in row)) ** K.degree
                 assert det == norm(_leibniz_det(K, rows)) * scale
                 nonzero += bool(det)
             assert nonzero
@@ -174,19 +199,31 @@ def test_field_det_against_leibniz():
 
 
 def test_products_against_sympy_rem():
-    """Products and inverses in degrees 3 to 8 against sympy's Poly
-    arithmetic mod x^d - 2 and the Eisenstein x^d - 3x + 3."""
+    """Sums, differences, rational multiples and quotients, products,
+    inverses, quotients of elements and negative powers in degrees 1 to 8
+    against sympy's Poly arithmetic mod x^d - 2 and the Eisenstein
+    x^d - 3x + 3 (x and x - 2 in degree 1)."""
     rng = random.Random(31)
-    for d in range(3, 9):
-        for mp in ([-2] + [0] * (d - 1) + [1], [3, -3] + [0] * (d - 2) + [1]):
+    for d in range(1, 9):
+        mps = ([[0, 1], [-2, 1]] if d == 1
+               else [[-2] + [0] * (d - 1) + [1], [3, -3] + [0] * (d - 2) + [1]])
+        for mp in mps:
             K = nf_create(mp)
             f = _poly(mp)
             for _ in range(4):
                 a, b = (K.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                                    for _ in range(d)]) for _ in range(2))
-                assert a * b == _element(K, _poly(a.coeffs) * _poly(b.coeffs))
+                pa, pb = _poly(a.coeffs), _poly(b.coeffs)
+                q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                assert a + b == _element(K, pa + pb)
+                assert a - b == _element(K, pa - pb)
+                assert a * q == q * a == _element(K, pa * sympy.Rational(q))
+                assert a / q == _element(K, pa * sympy.Rational(1 / q))
+                assert a * b == _element(K, pa * pb)
                 if a:
-                    assert a.inverse() == _element(K, _poly(a.coeffs).invert(f))
+                    assert a.inverse() == _element(K, pa.invert(f))
+                    assert b / a == _element(K, pb * pa.invert(f))
+                    assert a ** -3 == _element(K, pa.invert(f) ** 3)
 
 
 def test_charpoly_degree_one():

@@ -16,7 +16,8 @@ from linscat.heights import (
     proximity,
     weil_hyperplane,
 )
-from linscat.places import INF, log_abs, places_above, working_dps
+from linscat.places import (INF, _row_exponent, log_abs, nonarch_exponent, places_above,
+                            working_dps)
 from linscat.twisted import FormSystemSpec, TwistedHeightSpec, log_twisted_report
 
 
@@ -211,9 +212,17 @@ def _cases(K, rng, count):
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_evaluate_matches_reference(name):
     """The integer-row evaluation returns the reference's reduced value,
-    zero on the hyperplane and nonzero elsewhere."""
+    zero on the hyperplane and nonzero elsewhere.  At each place above 2, 3,
+    5 and 7 that places_above supports, the value's exponent is the one the
+    signs read off the form's integer row."""
     K = nf_create(ORACLE_FIELDS[name])
     rng = random.Random(sum(map(ord, name)))
+    finite = []
+    for p in (2, 3, 5, 7):
+        try:
+            finite += places_above(K, p)
+        except errors.UnsupportedRamification:
+            pass
     zeros = 0
     for form, x in _cases(K, rng, 300):
         got = form.evaluate(x)
@@ -221,6 +230,9 @@ def test_evaluate_matches_reference(name):
         assert got == want and got.coeffs == want.coeffs, (form, x)
         assert all(c.denominator == w.denominator for c, w in zip(got.coeffs, want.coeffs))
         zeros += not got
+        dots = form._dots(x)
+        assert not got or all(nonarch_exponent(w, got) == _row_exponent(w, dots, form._den)
+                              for w in finite), (form, x)
     assert 90 <= zeros < 300
 
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from linscat import errors, nf_create, places, places_above, product_formula_defect
-from linscat.fieldarith import _det, _integer_rep, _local_norm, charpoly_norm, norm
+from linscat.fieldarith import _det, _local_norm, charpoly_norm, norm
 from linscat.places import (
     INF,
     arch_value,
@@ -352,7 +352,7 @@ def test_arch_value_is_horner_on_the_integer_row(case, coeffs):
     a = K.element(coeffs[:K.degree])
     assume(not a.is_rational_value)
     ref = _reference_value(w, a)
-    A, den = _integer_rep(a)
+    A, den = a.row, a.den
     v17 = arch_value(w, a, 17)
     assert type(v17) is (float if w.is_real else complex)
     with mpmath.workdps(45):
@@ -477,7 +477,7 @@ def _reference_exponent(field, place, a, _depth=0):
     p = place.prime
     if a.is_rational_value:
         return Fraction(ord_p_fraction(a.rational_value(), p))
-    den = a.denominator_lcm()
+    den = a.den
     coeffs = [int(c * den) for c in a.coeffs]
     shift = Fraction(ord_p_int(den, p)) if den % p == 0 else Fraction(0)
     d = place.local_degree
@@ -574,7 +574,7 @@ def test_whole_completion_norm_is_the_field_norm(case):
     """With the minimal polynomial, the local norm of A, a = A(theta)/den, is
     N(a) den^d exactly, sign included, in degrees 1 to 8; 0 for a = 0."""
     K, a = case
-    A, den = _integer_rep(a)
+    A, den = a.row, a.den
     assert _local_norm(K.min_poly, A) == charpoly_norm(a)[1] * den ** K.degree
 
 
@@ -773,7 +773,7 @@ def test_product_formula_quartic_and_sextic(min_poly, bad, primes, local_degrees
     rng = random.Random(K.degree)
 
     def avoids_bad(a):
-        return a and not ord_p_fraction(norm(a), bad) and a.denominator_lcm() % bad
+        return a and not ord_p_fraction(norm(a), bad) and a.den % bad
 
     seen = []
     for p in primes:
