@@ -11,12 +11,13 @@ Points on the support of some form are excluded and reported separately.
 Every verdict is made by one loop, _settle, from the certified sign of each
 margin; q_sweep is the parametric filter at each Q.  A margin is a sum of
 terms r log N (the height, Q and the exact values of heights._log_abs_terms),
-r log|sigma_w(A(theta))| at archimedean places, and the rational slack.  Its
-sign is heights._log_sign's, or twisted._parametric_sign's for the
-parametric system (the twisted report's verdict): a float pre-check with a
-proven error bound, else interval enclosures.  An exact tie of integer terms
-at slack 0, or a sum with an archimedean term still undecided at the bit
-cap, is indeterminate.  No verdict depends on a decimal precision.
+r log|sigma_w(A(theta))| at archimedean places, and the rational slack.
+_schmidt_sign, _fw_sign and twisted._parametric_sign (the twisted report's
+verdict) only build its rows; its sign is heights._log_sign's, one float
+pre-check with a proven error bound, else interval enclosures.  An exact tie
+of integer terms at slack 0, or a sum with an archimedean term still
+undecided at the bit cap, is indeterminate.  No verdict depends on a decimal
+precision.
 """
 
 import functools
@@ -30,7 +31,7 @@ from fractions import Fraction
 from . import kernels
 from .errors import BadParameter, BudgetExceeded, Infeasible, OnSupport
 from .fieldarith import _det
-from .heights import ProjectivePoint, _arch_floats, _log_abs_terms, _log_sign, _neg
+from .heights import ProjectivePoint, _arch_floats, _log_abs_terms, _log_sign
 from .places import INF
 from .twisted import FormSystemSpec, TwistedHeightSpec, _parametric_sign
 
@@ -99,26 +100,20 @@ def _schmidt_sign(spec, epsilon, slack, x):
     if not num:
         raise OnSupport("point %r lies on the support of the form system" % (x,))
     e = (spec.n + 1) * ((INF in spec.S) - 1) - epsilon
-    return _log_sign(((e, max(map(abs, x.coords))), (1, den), (-1, num)) + _neg(extra),
-                     slack)
+    terms = ((e, max(map(abs, x.coords))), (1, den), (-1, num))
+    return _log_sign(terms + tuple((-t[0],) + t[1:] for t in extra), slack)
 
 
 def _fw_sign(spec, d_weights, slack, x):
     """The least sign of the fw margins ([v = inf] - d_vi) log H
-    - log|L_vi(x)|_v + slack over (v, i)."""
+    - log|L_vi(x)|_v + slack over (v, i): one group of all rows, with
+    c_vi = [v = inf] - d_vi and q = H."""
     places = spec.places()
-    rows = [_log_abs_terms(spec.forms[v], x, places[v]) for v in spec.S]
-    if not all(t[0] for row in rows for t in row):
+    group = [(a, b, more, (v == INF) - d) for v, drow in zip(spec.S, d_weights)
+             for (a, b, more), d in zip(_log_abs_terms(spec.forms[v], x, places[v]), drow)]
+    if not all(t[0] for t in group):
         raise OnSupport("point %r lies on the support of the form system" % (x,))
-    H = max(map(abs, x.coords))
-    worst = 1
-    for v, row, drow in zip(spec.S, rows, d_weights):
-        for (a, b, extra), d in zip(row, drow):
-            worst = min(worst, _log_sign(
-                (((v == INF) - d, H), (1, b), (-1, a)) + _neg(extra), slack))
-            if worst < 0:
-                return worst
-    return worst
+    return _log_sign((), slack, (group,), max(map(abs, x.coords)))
 
 
 def _settle(points, sign):

@@ -13,15 +13,16 @@ evaluated once and valued by places.log_abs; _lambdas turns such a row into
 Weil values, and weil_hyperplane is the two together for one form.
 
 _log_abs_terms is log|L(x)|_{v,K} as exact terms, read off the same
-integer dot products, and _log_sign the certified sign of a sum of such
-terms: a float pre-check with a proven error bound (_CHECK), else
-interval enclosures (_exact_log_sign).  An archimedean term is valued by
-places._horner, the float Horner loop places.arch_value runs too, from the
-same double for theta.  An exact tie of integer terms, or a sum with
-an archimedean term still undecided at _ARCH_BITS, has sign 0.  The
-filters and the twisted report take every verdict from these signs.
+integer dot products.  _log_sign, the one sign routine of every margin,
+is the certified sign of a sum of such terms less, per group of rows, the
+max over the group of log|L(x)| - c log q: a float pre-check with a proven
+error bound (_CHECK), else interval enclosures (_exact_log_sign).  An archimedean term
+is valued by places._horner, the float Horner loop places.arch_value runs
+too, from the same double for theta.  An exact tie of integer terms, or a
+sum with an archimedean term still undecided at _ARCH_BITS, has sign 0.
 """
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -269,14 +270,6 @@ def _float_sum(terms, slack=0):
     return total, mag, err
 
 
-def _checked_sign(total, mag, err):
-    """The sign of a float sum from _float_sum, 1 or -1 where _CHECK's bound
-    proves it, else 0."""
-    if abs(total) > _CHECK * (1 + mag) + err:
-        return 1 if total > 0 else -1
-    return 0
-
-
 def _coprime_basis(ns):
     """Pairwise coprime integers > 1 whose products give every n >= 1 in ns.
     Each split of m and b by g = gcd(m, b) > 1 into g, m/g and b/g divides
@@ -346,14 +339,46 @@ def _exact_log_sign(terms, slack=0):
     return 0
 
 
-def _log_sign(terms, slack=0):
-    """Sign of slack plus the terms: the float pre-check, and inside its
-    bound the interval stage."""
-    return _checked_sign(*_float_sum(terms, slack)) or _exact_log_sign(terms, slack)
-
-
-def _neg(terms):
-    return tuple((-t[0],) + t[1:] for t in terms)
+def _log_sign(rest, slack=0, groups=(), q=1):
+    """The certified sign of slack + sum(rest) - sum over g in groups of
+    max over rows (a, b, more, c) of g of (log(a/b) + sum(more) - c log q),
+    integers a, b > 0, rational q >= 1; 0 where undecided.  The pre-check
+    takes log q once, counting |c| (log qn + log qd) in the magnitude:
+    float(c) (log qn - log qd) is within 11u of that, as _CHECK allows for
+    c log qd - c log qn, and a max is within its terms' largest bound.
+    Inside its bound, a sum with no groups goes to _exact_log_sign; else
+    the margin is the least over the choices of one row per group, so its
+    sign is the least of theirs, and the first certified negative decides."""
+    total, mag, err = _float_sum(rest, slack)
+    qn, qd = q.numerator, q.denominator
+    try:
+        ln, ld = math.log(qn), math.log(qd)
+        logq, logs = ln - ld, ln + ld
+        for group in groups:
+            best = -math.inf
+            for a, b, more, c in group:
+                s, m, e = _float_sum(more) if more else (0.0, 0.0, 0.0)
+                la, lb, cf = math.log(a), math.log(b), float(c)
+                best = max(best, la - lb + s - cf * logq)
+                mag += abs(la) + abs(lb) + m + abs(cf) * logs
+                err += e
+            total -= best
+    except OverflowError:
+        mag = math.inf
+    if abs(total) > _CHECK * (1 + mag) + err:
+        return 1 if total > 0 else -1
+    if not groups:
+        return _exact_log_sign(rest, slack)
+    worst = 1
+    for choice in itertools.product(*groups):
+        terms = list(rest)
+        for a, b, more, c in choice:
+            terms += [(-1, a), (1, b), (c, qn), (-c, qd)]
+            terms += [(-t[0],) + t[1:] for t in more]
+        worst = min(worst, _log_sign(terms, slack))
+        if worst < 0:
+            break
+    return worst
 
 
 def weil_hyperplane(form, x, v, w_index=0, precision=17):

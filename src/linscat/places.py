@@ -146,15 +146,23 @@ def _root_discs(field, dps):
     lists (c, r), c = Re z and r as Fractions, ascending; upper lists (z, r)
     by (real, imaginary part).  Else, or when polyroots does not converge,
     the digits double, up to four tries, and then PrecisionExhausted is
-    raised.  Cached on the field."""
+    raised.  Past dps 17, polyroots starts from the 17-digit centres and
+    their conjugates, fixed by the field alone, so no disc depends on the
+    digits asked for before.  Cached on the field."""
     key, f, work = ("discs", dps), field.min_poly, dps + 15
+    init = None
+    if dps != 17 and key not in field._places_cache:
+        real, upper = _root_discs(field, 17)
+        with mpmath.workdps(32):
+            init = ([_mpf(c) for c, _ in real] + [z for z, _ in upper]
+                    + [mpmath.conj(z) for z, _ in upper])
     while key not in field._places_cache:
         if work > 8 * (dps + 15):
             raise PrecisionExhausted("no disjoint root discs for %r" % (field,))
         try:
             with mpmath.workdps(work):
                 roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)],
-                                         maxsteps=200, extraprec=80)
+                                         maxsteps=200, extraprec=80, roots_init=init)
         except mpmath.mp.NoConvergence:
             roots = []
         _IV.prec, discs, work = 4 * work, [], 2 * work
@@ -309,13 +317,13 @@ def _element(field, a):
 
 def nonarch_exponent(place, a):
     """Exact exponent t with |a|_{v,K} = p^(-t) at the finite place w: a
-    rational a by its p-adic order, any other by _row_exponent on its
-    integer numerator."""
+    rational a = row[0]/den by the p-adic orders of those integers, any
+    other by _row_exponent on its integer numerator."""
     a = _element(place.field, a)
     if not a:
         raise ValueError("absolute value exponent of zero")
     if a.is_rational_value:
-        return Fraction(ord_p_fraction(a.rational_value(), place.prime))
+        return Fraction(ord_p_int(a.row[0], place.prime) - ord_p_int(a.den, place.prime))
     return _row_exponent(place, a.row, a.den)
 
 

@@ -12,19 +12,19 @@ log|L_vi(x)|_v per place (heights._log_abs_row, whose archimedean values are
 places.arch_value's Horner rule on integer rows) twice: into the Weil
 values lambda_vi(x) of its lhs, and into log H_Q.  Its
 verdict is _parametric_sign's, the certified sign the parametric filter
-reads, so the report and the filter agree at every precision.  Q-sweeps
-live in exceptional.py: q_sweep is the parametric filter at each Q.
+reads, so the report and the filter agree at every precision:
+heights._log_sign, the sign routine of every margin, with one group of
+rows per place.  Q-sweeps live in exceptional.py: q_sweep is the
+parametric filter at each Q.
 """
 
 import copy
-import itertools
-import math
 from fractions import Fraction
 
 from .errors import BadParameter
 from .fieldarith import _restriction_det
-from .heights import (LinearForm, _checked_sign, _float_sum, _lambdas, _log_abs_row,
-                      _log_abs_terms, _log_sign, _per_place, log_height, resolve_place)
+from .heights import (LinearForm, _lambdas, _log_abs_row, _log_abs_terms, _log_sign,
+                      _per_place, log_height, resolve_place)
 from .places import INF, log_abs, normalize_place, reals
 
 
@@ -149,49 +149,17 @@ def log_twisted_height(spec, x, precision=17):
 def _parametric_sign(spec, slack, x):
     """The sign of slack - (log H_Q + eps log Q), the sum over v of
     max_i (log|L_vi(x)|_v - c_vi log Q), plus log H when inf is not in S,
-    plus eps log Q.  The float pre-check takes log Q once and adds each
-    c_vi log Q as one float, counting |c_vi| (log qn + log qd) in its
-    magnitude: float(c) (log qn - log qd) is within 11u of that of c log Q,
-    inside _CHECK's bound for the two terms c log qd - c log qn it stands
-    for.  Inside its bound the margin is the least over the choices of one
-    term per place, so its sign is the least certified sign of those
-    choices' margins: one certified negative decides it, and an undecided
-    one leaves it 0 unless another is negative.  A vanishing form is
-    skipped, as in log_twisted_height."""
+    plus eps log Q: heights._log_sign with one group of rows per place and
+    q = Q.  A vanishing form is skipped, as in log_twisted_height."""
     qn, qd = spec.Q.numerator, spec.Q.denominator
-    rest = [(spec.epsilon, qn), (-spec.epsilon, qd)]
+    rest = [(-spec.epsilon, qn), (spec.epsilon, qd)]
     if INF not in spec.S:
-        rest.append((1, max(map(abs, x.coords))))
+        rest.append((-1, max(map(abs, x.coords))))
     places = spec.places()
-    rows = [[(a, b, more, c) for (a, b, more), c in
-             zip(_log_abs_terms(spec.forms[v], x, places[v]), spec.weights[v]) if a]
-            for v in spec.S]
-    total, mag, err = _float_sum(rest, -slack)
-    try:
-        ln, ld = math.log(qn), math.log(qd)
-        logQ, logs = ln - ld, ln + ld
-        for row in rows:
-            best = -math.inf
-            for a, b, more, c in row:
-                s, m, e = _float_sum(more) if more else (0.0, 0.0, 0.0)
-                la, lb, cf = math.log(a), math.log(b), float(c)
-                best = max(best, la - lb + s - cf * logQ)
-                mag += abs(la) + abs(lb) + m + abs(cf) * logs
-                err += e
-            total += best
-    except OverflowError:
-        mag = math.inf
-    sign = _checked_sign(total, mag, err)
-    if sign:
-        return -sign
-    cands = [[((1, a), (-1, b), (-c, qn), (c, qd)) + more for a, b, more, c in row]
-             for row in rows]
-    worst = 1
-    for choice in itertools.product(*cands):
-        worst = min(worst, -_log_sign(sum(choice, tuple(rest)), -slack))
-        if worst < 0:
-            break
-    return worst
+    groups = [[(a, b, more, c) for (a, b, more), c in
+               zip(_log_abs_terms(spec.forms[v], x, places[v]), spec.weights[v]) if a]
+              for v in spec.S]
+    return _log_sign(rest, slack, groups, spec.Q)
 
 
 def log_twisted_report(spec, x, precision=17):

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from linscat import errors, kernels, nf_create
-from linscat.exceptional import (FormSystemSpec, _prefilter_inputs, _schmidt_sign, _settle,
-                                 enumerate_points)
+from linscat.exceptional import (FormSystemSpec, _fw_sign, _prefilter_inputs, _schmidt_sign,
+                                 _settle, enumerate_points)
 from linscat.heights import LinearForm, ProjectivePoint
 from linscat.places import INF
 from linscat.twisted import TwistedHeightSpec, _parametric_sign
@@ -349,6 +349,28 @@ def _parametric_case(name, p, q, target, big):
         return spec, slack, _mp(slack) - rest
 
 
+def _fw_case(name, p, q, target, big):
+    """(d_weights, slack, margin): fw d-weights for _roth_spec's forms at
+    [p:q], H = p, whose least margin, (1 - d_0) log p - log|p - alpha q|
+    + slack, is about target, with that margin at 60 digits.  The other
+    margin, (1 - d_1) log p - log q + slack, stays above log p.  With big,
+    c_0 = 1 - d_0 = 10^9 and c_1 = 2 10^9, and the slack is solved:
+    float(c_0) log p then carries an error near 10^-6, which only the
+    magnitude terms of _CHECK's bound cover; else d_1 = -1, the slack is 0
+    and d_0 is solved."""
+    with mpmath.workdps(60):
+        log_p, log_q = mpmath.log(p), mpmath.log(q)
+        log_l = mpmath.log(abs(p - _ALPHAS[name][2]() * q))
+        if big:
+            d = [Fraction(1 - 10 ** 9), Fraction(1 - 2 * 10 ** 9)]
+            slack = _exact(target - 10 ** 9 * log_p + log_l)
+        else:
+            d = [_exact(1 - (target + log_l) / log_p), Fraction(-1)]
+            slack = Fraction(0)
+        margin = min((1 - _mp(d[0])) * log_p - log_l, (1 - _mp(d[1])) * log_p - log_q)
+        return [d], slack, margin + _mp(slack)
+
+
 def _mp(v):
     return mpmath.mpf(v.numerator) / v.denominator
 
@@ -361,6 +383,7 @@ def _mp(v):
 @example(case=("sqrt2", 1970, 1393), j=12, k=1, sign=1, big=True)
 @example(case=("golden", 6765, 4181), j=10, k=1, sign=1, big=True)
 @example(case=("sqrt2", 3363, 2378), j=9, k=1, sign=1, big=True)
+@example(case=("sqrt2", 1970, 1393), j=12, k=1, sign=-1, big=True)
 def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
     """At a convergent or intermediate fraction p/q of alpha (sqrt2, sqrt3,
     sqrt5, the golden ratio or 985 sqrt2 - 1392), 10^3 <= q <= 10^6, eps is
@@ -371,11 +394,12 @@ def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
     q, and only its _CHECK slack keeps the solutions.  Every point the
     certified sign calls a solution is a candidate of its own row.
 
-    The certified signs of that schmidt margin and of a parametric margin
-    of the same size (_parametric_case) are 0 or the sign of the margin at
-    60 digits.  With big, the float sums carry errors near 10^-6 and 10^-9,
-    far above _CHECK, and only the magnitude terms of _CHECK's bound keep
-    the pre-check from taking the sign of that rounding."""
+    The certified signs of that schmidt margin and of a parametric and an
+    fw margin of the same size (_parametric_case, _fw_case) are 0 or the
+    sign of the margin at 60 digits.  With big, the float sums carry errors
+    near 10^-6 and 10^-9, far above _CHECK, and only the magnitude terms of
+    _CHECK's bound keep the pre-check from taking the sign of that
+    rounding."""
     name, p, q = case
     spec = _roth_spec(name)
     with mpmath.workdps(60):
@@ -392,6 +416,8 @@ def test_prefilter_keeps_every_near_tie_solution(case, j, k, sign, big):
     assert schmidt in (0, int(mpmath.sign(margin)))
     tspec, pslack, pmargin = _parametric_case(name, p, q, target, big)
     assert _parametric_sign(tspec, pslack, x) in (0, int(mpmath.sign(pmargin)))
+    d_weights, fslack, fmargin = _fw_case(name, p, q, target, big)
+    assert _fw_sign(spec, d_weights, fslack, x) in (0, int(mpmath.sign(fmargin)))
     if schmidt < 0:
         return
     coeffs, exponent, log_slack = _prefilter_inputs(spec, eps, slack)

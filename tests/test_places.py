@@ -223,6 +223,31 @@ def test_complex_embeddings_are_certified(min_poly):
             assert [places._float_disc(w)[0] for w in ws] == [complex(z) for z in former]
 
 
+@pytest.mark.parametrize("min_poly", [[-2, 0, 0, 1], [1, -4, -10, 10, 15, -6, -7, 1, 1]])
+def test_root_discs_start_from_the_17_digit_discs(min_poly, monkeypatch):
+    """Over x^3 - 2 and the degree-8 field of 2cos(2 pi/17), polyroots
+    starts from the 17-digit centres and their conjugates at any other dps,
+    so the discs at 45 digits of a fresh field equal those of another fresh
+    field that computed 38 digits first."""
+    starts, polyroots = [], mpmath.polyroots
+
+    def recording(coeffs, **kw):
+        starts.append(kw.get("roots_init"))
+        return polyroots(coeffs, **kw)
+
+    monkeypatch.setattr(mpmath, "polyroots", recording)
+    K, fresh = nf_create(min_poly), nf_create(min_poly)
+    places._root_discs(K, 38)
+    assert places._root_discs(K, 45) == places._root_discs(fresh, 45)
+    real, upper = places._root_discs(K, 17)
+    want = ([c for c, _ in real] + [z for z, _ in upper]
+            + [z.conjugate() for z, _ in upper])
+    # K at 17 and 38, K at 45, fresh at 17 and 45
+    assert [init is None for init in starts] == [True, False, False, True, False]
+    for init in starts[1:3] + starts[4:]:
+        assert [complex(z) for z in init] == [complex(z) for z in want]
+
+
 # x^4 + 2(10^6 x - 1)^2, totally complex: one root pair within 7.1e-19 of
 # the real axis, near 10^-6, and one near +-1.4e6 i
 _NEAR_AXIS = [2, -4000000, 2000000000000, 0, 1]
