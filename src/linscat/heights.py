@@ -31,8 +31,8 @@ from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import BadParameter, OnSupport
 from .fieldarith import FieldElement, RATIONALS, _local_norm
-from .places import (INF, _U, _horner, _row_exponent, log_abs, normalize_place,
-                     ord_p_int, places_above, reals)
+from .places import (INF, _U, _horner, _prime_factors, _row_exponent, log_abs,
+                     normalize_place, ord_p_int, places_above, reals)
 
 
 class ProjectivePoint:
@@ -431,14 +431,12 @@ def height_weil_defect(x, precision=17):
     """
     if x.coords[0] == 0:
         raise OnSupport("identity needs x_0 != 0")
-    import sympy
-
     form = LinearForm(RATIONALS, [1] + [0] * x.n)
     total = weil_hyperplane(form, x, INF, precision=precision)
     primes = set()
     for c in x.coords:
         if c and abs(c) > 1:
-            primes |= set(sympy.factorint(abs(c)))
+            primes |= _prime_factors(abs(c))
     for p in sorted(primes):
         total = total + weil_hyperplane(form, x, p, precision=precision)
     return abs(total - log_height(x, precision))

@@ -14,7 +14,11 @@ _row_exponent takes the integer row A and den; nonarch_exponent hands it a
 field element's own row and den.  The places above p come, in every
 degree, from one factorization mod p and one Hensel lift
 (of a p-maximal generator in a quadratic field), exact to the p-adic
-digits asked for.
+digits asked for (fieldarith._factor_mod_p and _hensel_lift).  p is
+tested by _is_prime, Miller-Rabin to the 13 prime bases up to 41, which
+is deterministic below 3,317,044,064,679,887,385,961,981, and the strong
+Baillie-PSW test above it; _prime_factors gives the primes of the
+product formula's support.
 
 Archimedean values are Horner's rule on the same integer row A over den.
 A place keeps one approximation of theta, root_disc(digits): its disc
@@ -32,19 +36,16 @@ complex, with its guard digits; places carry no decimal precision.
 
 import contextlib
 import functools
+import itertools
 import math
 from fractions import Fraction
 
 import mpmath
-import sympy
 from mpmath.ctx_iv import MPIntervalContext
 from mpmath.libmp import to_rational
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dup_zz_hensel_lift
-from sympy.polys.galoistools import gf_factor
 
 from .errors import BadParameter, FieldMismatch, PrecisionExhausted, UnsupportedRamification
-from .fieldarith import _local_norm
+from .fieldarith import _factor_mod_p, _hensel_lift, _local_norm, _primes
 
 INF = "inf"
 
@@ -76,6 +77,139 @@ def ord_p_fraction(q, p):
     if den % p == 0:
         return -ord_p_int(den, p)
     return 0
+
+
+_SMALL_PRIMES = tuple(itertools.islice(_primes(), 25))  # the primes below 100
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether the integer n is prime: trial division by the primes below
+    100, then Miller-Rabin to the 13 prime bases 2, ..., 41, which is
+    deterministic below _MR_BOUND = 3,317,044,064,679,887,385,961,981
+    (Sorenson and Webster, Math. Comp. 86, 2017).  Above it, the strong
+    Baillie-PSW test: Miller-Rabin to base 2 and a strong Lucas test with
+    Selfridge's parameters (Baillie and Wagstaff, Math. Comp. 35, 1980),
+    which has no known counterexample.  sympy.isprime follows the same
+    rule."""
+    if n < 2:
+        return False
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 100 * 100:
+        return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES[:13])
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """Miller-Rabin to base a for an odd n > a."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for an odd n > 0."""
+    a, out = a % n, 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """The strong Lucas test of an odd n > 1 with no prime factor below
+    100: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, n passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some r < s.  A square n has no such D."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+
+    def half(v):
+        v %= n
+        return (v + n if v & 1 else v) // 2
+
+    U, V, Qk = 1, 1, Q % n  # index 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _prime_factors(n):
+    """The set of primes dividing an integer n >= 1: trial division by the
+    primes below 100, then _is_prime and Pollard-Brent on what is left."""
+    out, rest = set(), []
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            out.add(q)
+            while n % q == 0:
+                n //= q
+    if n > 1:
+        rest.append(n)
+    while rest:
+        m = rest.pop()
+        if _is_prime(m):
+            out.add(m)
+        else:
+            d = _pollard_brent(m)
+            rest += [d, m // d]
+    return out
+
+
+def _pollard_brent(n):
+    """A proper factor of a composite n with no prime factor below 100:
+    Pollard's rho on x^2 + c, c = 1, 2, ... until one splits n, with Brent's
+    cycle search (BIT 20, 1980), which compares y with the term x at the
+    last power of two."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +368,16 @@ def _nonarch_places(field, p, precision):
         )
     coeffs = tuple(field.min_poly)
     u, k, h = _p_maximal(coeffs, p) if n == 2 else (0, 0, coeffs)
-    h_desc = [ZZ(c) for c in reversed(h)]
-    _, factors = gf_factor(h_desc, p, ZZ)
+    if n == 2 and (h[1] * h[1] - 4 * h[0]) % p == 0:
+        # h = (x - a)^2 mod p: ramified, as omega generates the p-adic integers
+        return [Place(field, prime=p, e=2, local_degree=2, precision=precision,
+                      local_factor=coeffs)]
+    factors = _factor_mod_p(h, p)
     if len(factors) == 1:
-        (g, e), = factors
-        return [Place(field, prime=p, e=e, f=len(g) - 1, local_degree=n,
-                      precision=precision, local_factor=coeffs)]
-    lifted = dup_zz_hensel_lift(p, h_desc, [g for g, _ in factors], precision, ZZ)
+        return [Place(field, prime=p, f=n, local_degree=n, precision=precision,
+                      local_factor=coeffs)]
     mod = p ** precision
-    keys = [tuple(int(c) % mod for c in reversed(g)) for g in lifted]
+    keys = [tuple(g) for g in _hensel_lift(p, h, factors, precision)]
     if n == 2:
         keys = [(u + p ** k * (-g[0] % mod),) for g in keys]
     places = []
@@ -288,7 +423,7 @@ def places_above(field, v, precision=40):
     same list, built once per field.  Results are cached on the field.
     """
     v = normalize_place(v)
-    if v != INF and not sympy.isprime(v):
+    if v != INF and not _is_prime(v):
         raise BadParameter("v must be a prime or 'inf', got %r" % (v,))
     if precision < 1:
         raise BadParameter("precision must be at least 1, got %r" % (precision,))
@@ -354,7 +489,7 @@ def _row_exponent(place, coeffs, den):
             t = ord_p_int(_local_norm(field.min_poly, coeffs), p)
             refined = places_above(field, p, 1 << t.bit_length())[place.w_index]
             res = _local_norm(refined.local_factor, coeffs)
-    return Fraction(ord_p_int(res, p), d) - shift
+    return Fraction(ord_p_int(res, p) - d * shift, d)
 
 
 _UNCHANGED = contextlib.nullcontext()
@@ -522,7 +657,7 @@ def log_abs(place, a, precision=17):
 
 def _support_primes(field, a):
     nm = _local_norm(field.min_poly, a.row)
-    return sorted(set(sympy.factorint(a.den)) | set(sympy.factorint(abs(nm))))
+    return sorted(_prime_factors(a.den) | _prime_factors(abs(nm)))
 
 
 def product_formula_defect(field, a, precision=30):

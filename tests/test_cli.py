@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import mpmath
@@ -571,3 +574,61 @@ def test_bundled_configs(capsys):
     code, doc = run(capsys, "audit", "--config", audit)
     assert code == 0
     assert doc["product_formula_max_defect"] < 1e-10
+
+
+_Q_FORMS = {"field": [0, 1], "S": ["inf"], "forms": {"inf": [["1", "0"], ["0", "1"]]}}
+_Q_WEIGHTED = dict(_Q_FORMS, weights={"inf": ["1", "-1"]})
+
+
+@pytest.mark.parametrize("command, cfg, text", [
+    ("places", {"field": [0, 1], "places": ["x"]}, "bad place 'x' at places"),
+    ("places", [2, 3], "config root must be an object"),
+    ("places", {"places": [2]}, "config needs a 'field'"),
+    ("weil", {"field": [-2, 0, 1], "S": ["inf"], "form": [["1"], "0"], "points": [[1, 2]]},
+     "coefficient ['1'] at form needs 2 basis entries"),
+    ("weil", {"field": [0, 1], "S": ["inf"], "form": ["0", "0"], "points": [[1, 2]]},
+     "bad form at form: linear form needs a nonzero coefficient"),
+    ("weil", {"field": [0, 1], "S": [], "form": ["1", "0"]}, "config needs a nonempty 'S'"),
+    ("solve", {"mode": "schmidt", "field": [0, 1], "S": ["inf"], "height_bound": 3},
+     "config needs 'forms' per place"),
+    ("twisted", dict(_Q_FORMS, points=[[1, 2]]), "config needs 'weights' per place"),
+    ("places", {"field": [0, 1]}, "'places' (or 'S') must list the places to factor"),
+    ("height", {}, "'points' must be nonempty"),
+    ("weil", {"field": [0, 1], "S": ["inf"]}, "config needs a 'form'"),
+    ("sweep", dict(_Q_WEIGHTED, Q_grid=[]), "'Q_grid' must be a nonempty ascending list"),
+    ("solve", dict(_Q_FORMS, mode="lll"), "'mode' must be schmidt, fw or parametric"),
+    ("solve", dict(_Q_FORMS, mode="fw", height_bound=3), "fw mode needs 'd_weights'"),
+    ("scatter", {"n": 1}, "scatter needs 'profiles'"),
+    # irreducible mod no prime: only the Hensel lift and trial division find it
+    ("places", {"field": [4, 0, 0, 0, 1], "places": [2]},
+     "min_poly factors over Q: [4, 0, 0, 0, 1]"),
+])
+def test_config_errors_exit_1(tmp_path, capsys, command, cfg, text):
+    """Each ConfigInvalid (or field) message: exit 1, one 'error:' line."""
+    assert main([command, "--config", write_cfg(tmp_path, "e.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_never_imports_sympy(tmp_path):
+    """import linscat and linscat.cli, then a bundled solve and audit, in a
+    fresh interpreter: no sympy module is loaded (this test process has
+    imported sympy for its oracles, so it cannot tell)."""
+    code = textwrap.dedent("""
+        import sys
+        import linscat, linscat.cli
+        root, out = sys.argv[1:]
+        for command, name in (("solve", "roth_sqrt2.json"), ("audit", "identity_audit.json")):
+            status = linscat.cli.main([command, "--config", root + "/configs/" + name,
+                                       "--out", out + "/" + command])
+            assert status == 0, (command, status)
+        print(sorted(m for m in sys.modules if m == "sympy" or m.startswith("sympy.")))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", code, ROOT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "solve" / "solve.json").exists()
+    assert (tmp_path / "audit" / "audit.json").exists()

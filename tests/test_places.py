@@ -732,7 +732,7 @@ def test_w_index_is_precision_free(min_poly, p):
 
 def test_places_above_refuses_precision_below_one():
     """A precision below one digit is refused, not handed to the p-adic
-    lifting (where 0 digits crashed sympy's Hensel lift)."""
+    lifting, which needs at least one."""
     K = nf_create([1, -3, 0, 1])
     for v in (17, 2, INF):
         for precision in (0, -5):
